@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, SolverError
 from .functions import GridFunction, RadialFunction, TestFunction
 from .padic import (
     Ball,
@@ -220,6 +220,104 @@ def ball_matrix(params: OperatorParams) -> BallOperatorMatrix:
     idx = (np.arange(dim)[:, None] - np.arange(dim)[None, :]) % dim
     lam = ball_eigenvalue_floor(p, a, N)
     return BallOperatorMatrix(grid, kernel[idx], lam)
+
+
+@dataclass(frozen=True)
+class LevelOperator:
+    """A = c I + sum_{L<K} h_L E_L on the grid B_N / B_{-M}, K = N + M.
+
+    E_L[i, j] = [i = j mod p^L] sums over the residue classes mod p^L, the
+    balls of radius p^{N-L} in index form.  Every operator that depends on
+    the p-adic distance alone has this form, so K + 1 weights carry it.
+    Class sums fold bottom-up (class i mod p^L is the union of its p
+    children i + t p^L mod p^{L+1}) and weighted sums tile back top-down,
+    so apply and solve cost O(n) work in O(K) numpy calls on reshaped
+    views, and no n x n array is formed.
+    """
+
+    grid: GridSpec
+    c: float
+    h: tuple          # h_0 .. h_{K-1}
+
+    def class_sums(self, x: np.ndarray) -> list:
+        """[S_0, ..., S_{K-1}], S_L[r] = sum of x over the class r mod p^L."""
+        p = self.grid.p
+        sums = []
+        for _ in self.h:
+            x = np.add.reduce(x.reshape(p, -1), 0)
+            sums.append(x)
+        return sums[::-1]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x for real or complex x of shape (dim,)."""
+        if x.shape != (self.grid.dim,):
+            raise DomainError(f"level operator needs shape ({self.grid.dim},)")
+        p = self.grid.p
+        sums = self.class_sums(x)
+        t = self.h[0] * sums[0]
+        for h, s in zip(self.h[1:], sums[1:]):
+            t = (s.reshape(p, -1) * h + t).ravel()
+        return (x.reshape(p, -1) * self.c + t).ravel()
+
+    def solve(self, d, b: np.ndarray, scale: float) -> np.ndarray:
+        """Exact solution x of (diag(d) + scale A) x = b.
+
+        Bottom-up Sherman-Morrison over the class tree: a class's block is
+        the direct sum of its children's blocks plus g 1 1^T, g = scale h_L,
+        so with Q the children's sum of 1^T M^{-1} 1 its pivot is 1 + g Q.
+        The leaves' pivots are d + scale c.  With S the children's sum of
+        1^T M^{-1} b, a class's correction is gamma = g S / pivot, and a
+        top-down pass accumulates phi = phi_parent / pivot + gamma, so
+        x = (b - phi) / (d + scale c) on the leaves.  For d >= 0,
+        scale >= 0 and h_L <= 0 every pivot of the SPD system is positive;
+        a non-positive or non-finite one raises SolverError.
+        """
+        p, n = self.grid.p, self.grid.dim
+        D = np.broadcast_to(np.asarray(d, dtype=np.float64) + scale * self.c,
+                            (n,))
+        pivots, gammas = [D], []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = 1.0 / D
+            s = b / D
+            for h in self.h[::-1]:
+                g = scale * h
+                Q = np.add.reduce(q.reshape(p, -1), 0)
+                S = np.add.reduce(s.reshape(p, -1), 0)
+                piv = 1.0 + g * Q
+                q, s = Q / piv, S / piv
+                pivots.append(piv)
+                gammas.append(g * s)
+        flat = np.concatenate(pivots)
+        if not np.all((flat > 0) & (flat < np.inf)):
+            raise SolverError("level solve hit a non-positive or non-finite "
+                              "pivot")
+        phi = gammas[-1]
+        for piv, gam in zip(pivots[-2:0:-1], gammas[-2::-1]):
+            phi = (phi / piv.reshape(p, -1) + gam.reshape(p, -1)).ravel()
+        return ((b.reshape(p, -1) - phi) / D.reshape(p, -1)).ravel()
+
+
+def ball_levels(params: OperatorParams) -> LevelOperator:
+    """The ball operator of ball_matrix in level form.
+
+    Off the diagonal B[i, j] = w_v with v = v_p(i - j) < K and
+    w_v = p^{-M} Gamma_p(alpha+1) p^{-(N-v)(alpha+1)}, and B[i, j] sums
+    h_L over L <= v; so h_0 = w_0, h_L = w_L - w_{L-1} < 0 and c is the
+    diagonal entry minus w_{K-1}.
+    """
+    grid = params.grid
+    if grid is None:
+        raise DomainError("ball_levels needs an OperatorParams with a grid")
+    p, a = float(params.p), params.alpha
+    N, M, K = grid.N, grid.M, grid.N + grid.M
+    gp = gamma_p(params.p, a + 1.0)
+    inside = p ** (M * a) * (1 - 1 / p) / (1 - p ** (-a - 1))
+
+    def w(v):
+        return p ** (-M) * gp * p ** (-(N - v) * (a + 1))
+
+    h = (w(0),) + tuple(w(L) * (1 - p ** (-a - 1)) for L in range(1, K))
+    return LevelOperator(grid, inside - w(K - 1), h)
 
 
 def operator_symbol(params: OperatorParams) -> np.ndarray:

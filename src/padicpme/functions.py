@@ -492,11 +492,9 @@ def write_grid_csv(path: str, u: GridFunction) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["index", "center", "abs", "re", "im"])
-        for i in range(u.grid.dim):
-            x = u.grid.representative(i)
-            w.writerow([i, x.encode(), str(u.grid.abs_of_index(i)),
-                        repr(float(u.values[i].real)),
-                        repr(float(u.values[i].imag))])
+        w.writerows((i, x, a, repr(re), repr(im)) for (i, x, a), re, im
+                    in zip(u.grid.csv_columns, u.values.real.tolist(),
+                           u.values.imag.tolist()))
 
 
 def read_grid_csv(path: str, grid: GridSpec) -> GridFunction:

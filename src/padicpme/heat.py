@@ -16,7 +16,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DomainError
-from .fractional import OperatorParams, ball_eigenvalue_floor, ball_matrix
+from .fractional import (LevelOperator, OperatorParams, ball_eigenvalue_floor,
+                         ball_matrix)
 from .functions import GridFunction, RadialFunction, TestFunction
 from .padic import Ball, PAdicExpansion, check_prime, gamma_p, int_valuation
 
@@ -544,17 +545,13 @@ def resolvent_apply(op: OperatorParams, mu: float, u: GridFunction) -> GridFunct
     if not mu > 0:
         raise DomainError("resolvent parameter mu must be positive")
     p, a = op.p, op.alpha
-    N, M, dim = grid.N, grid.M, grid.dim
+    N, M = grid.N, grid.M
 
     def a_k(k: int) -> float:
         pka = float(p) ** (k * a)
         return pka * (float(p) ** a - 1) / ((mu + pka) * (mu + pka * float(p) ** a))
 
-    vals = u.values
-    out = np.zeros(dim, dtype=np.complex128)
-
     # coarse scales: the ball B(x, p^{-k}) swallows all of supp u
-    total_mass = complex(np.sum(vals) * float(grid.coset_measure))
     head = 0.0
     k = -N
     while True:
@@ -565,18 +562,17 @@ def resolvent_apply(op: OperatorParams, mu: float, u: GridFunction) -> GridFunct
         k -= 1
         if -N - k > 600:
             break
-    out += head * total_mass
 
-    # intermediate scales: exact coset sums j = i mod p^{N+k}
+    # level L = N + k of the grid's level form sums u over the class
+    # i mod p^L, the ball B(x_i, p^{-k}); level 0 carries the total mass and
+    # the coarse head, and the diagonal the finest grid scale k = M plus the
+    # scales below the resolution, where the sum telescopes exactly
     meas = float(grid.coset_measure)
-    for k in range(-N + 1, M + 1):
-        step = p ** (N + k)
-        folded = vals.reshape(dim // step, step).sum(axis=0) * meas
-        out += a_k(k) * float(p) ** k * np.tile(folded, dim // step)
-
-    # fine scales: u is constant on each coset, the sum telescopes exactly
-    out += vals / (mu + float(p) ** ((M + 1) * a))
-    return GridFunction(grid, out)
+    weights = [a_k(k) * float(p) ** k * meas for k in range(-N + 1, M + 1)]
+    levels = LevelOperator(
+        grid, weights[-1] + 1.0 / (mu + float(p) ** ((M + 1) * a)),
+        (head * meas, *weights[:-1]))
+    return GridFunction(grid, levels.apply(u.values))
 
 
 # ---------------------------------------------------------------------------

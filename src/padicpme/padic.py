@@ -14,6 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DomainError, ResourceError
 
@@ -417,6 +418,13 @@ class GridSpec:
         if k is None:
             return Fraction(0)
         return Fraction(self.p**k) if k >= 0 else Fraction(1, self.p ** (-k))
+
+    @cached_property
+    def csv_columns(self) -> tuple:
+        """(index, center encoding, exact |x| string) per representative: the
+        grid-only columns of a grid CSV, built once per grid object."""
+        return tuple((i, self.representative(i).encode(),
+                      str(self.abs_of_index(i))) for i in range(self.dim))
 
     def dual(self) -> "GridSpec":
         """Frequency grid: the character pairing swaps the roles of N and M."""

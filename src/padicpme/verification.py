@@ -581,7 +581,7 @@ def check_step_contraction_order() -> CheckResult:
 def check_linear_reduction() -> CheckResult:
     rng = np.random.default_rng(407)
     prob = _solver_problem(m=1.0, tau=0.2)
-    A = prob.matrix
+    A = ball_matrix(prob.operator).matrix
     eye = np.eye(prob.grid.dim)
     worst = 0.0
     for _ in range(20):
@@ -645,7 +645,7 @@ def check_epsilon_limit() -> CheckResult:
 def check_accretivity_pairing() -> CheckResult:
     rng = np.random.default_rng(410)
     prob = _solver_problem()
-    A = prob.matrix
+    A = ball_matrix(prob.operator).matrix
     lam = ball_eigenvalue_floor(prob.p, prob.alpha, prob.N)
     worst = math.inf
     for _ in range(50):

@@ -3,16 +3,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from padicpme.errors import DomainError, ResourceError
+from padicpme.errors import DomainError, ResourceError, SolverError
 from padicpme.fractional import (OperatorParams, apply_radial_power,
                                  apply_testfunction_at, apply_to_indicator,
-                                 ball_eigenvalue_floor, ball_matrix,
+                                 ball_eigenvalue_floor, ball_levels,
+                                 ball_matrix,
                                  evaluate_indicator_image, exterior_constant,
                                  hypersingular_quadrature, mass_of_image,
                                  operator_symbol, restrict_to_ball,
                                  spectral_apply)
 from padicpme.functions import GridFunction, TestFunction, to_grid
 from padicpme.padic import Ball, GridSpec, PAdicExpansion, gamma_p
+from padicpme.pme import _BP_CLIP
 
 
 def _zero(p):
@@ -122,6 +124,68 @@ def test_ball_matrix_structure():
     off = m[~np.eye(grid.dim, dtype=bool)]
     assert np.all(off < 0) and np.all(np.diag(m) > 0)
     assert np.allclose(m.sum(axis=1), B.lam)
+
+
+# (p, alpha, N, M): dims 8 to 1024, including M < 0 and N = 0
+LEVEL_GRIDS = ((2, 2.0, 1, 2), (2, 0.5, 5, 5), (3, 1.5, 2, 3), (3, 0.3, 0, 4),
+               (5, 0.7, 2, 2), (5, 2.0, 3, -1))
+
+
+@pytest.mark.parametrize("p, alpha, N, M", LEVEL_GRIDS)
+def test_level_apply_matches_ball_matrix(p, alpha, N, M):
+    op = OperatorParams(p, alpha, GridSpec(p, N, M))
+    B = ball_matrix(op).matrix
+    levels = ball_levels(op)
+    rng = np.random.default_rng(p * 100 + N)
+    for x in (rng.standard_normal(len(B)),
+              rng.standard_normal(len(B)) + 1j * rng.standard_normal(len(B))):
+        ref = B @ x
+        bound = 1e-14 * np.max(np.abs(B).sum(1)) * np.max(np.abs(x))
+        assert np.max(np.abs(levels.apply(x) - ref)) <= bound
+    assert levels.c + sum(levels.h) == pytest.approx(B[0, 0], rel=1e-14)
+    assert all(h < 0 for h in levels.h)
+    with pytest.raises(DomainError):
+        levels.apply(np.ones(len(B) + 1))
+
+
+@pytest.mark.parametrize("p, alpha, N, M", LEVEL_GRIDS)
+def test_level_solve_matches_dense_solve(p, alpha, N, M):
+    """(diag(d) + s A) x = b: the tree solve is backward stable, and its
+    forward gap to LU stays within eps times Varah's bound on the condition
+    number, ||J||_inf / min_i(d_i + s lam), of the diagonally dominant J."""
+    op = OperatorParams(p, alpha, GridSpec(p, N, M))
+    dense = ball_matrix(op)
+    B, lam = dense.matrix, dense.lam
+    levels = ball_levels(op)
+    n = len(B)
+    rng = np.random.default_rng(p * 100 + N)
+    for scale in (0.0, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e16, _BP_CLIP):
+        for eps, s in ((0.0, 1.0), (1e-3, 0.05), (0.5, 1e3), (1.0, 0.0)):
+            d = eps + scale * rng.uniform(0.0, 1.0, n)
+            J = np.diag(d) + s * B
+            b = rng.standard_normal(n)
+            x = levels.solve(d, b, s)
+            norm_j = np.max(np.abs(J).sum(1))
+            backward = np.max(np.abs(J @ x - b)) / (norm_j * np.max(np.abs(x)))
+            assert backward <= 1e-14, (scale, eps, s)
+            ref = np.linalg.solve(J, b)
+            kappa = norm_j / np.min(d + s * lam)
+            gap = np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+            assert gap <= 1e-14 * max(1.0, kappa), (scale, eps, s)
+
+
+def test_level_solve_rejects_bad_pivots():
+    levels = ball_levels(OperatorParams(3, 1.5, GridSpec(3, 1, 2)))
+    b = np.ones(27)
+    with pytest.raises(SolverError):
+        levels.solve(0.0, b, 0.0)                # zero diagonal
+    with pytest.raises(SolverError):
+        levels.solve(-2.0 * levels.c, b, 1.0)    # negative leaf pivot
+    with pytest.raises(SolverError):
+        levels.solve(np.inf, b, 1.0)             # infinite leaf pivot
+    d = np.full(27, -0.9 * levels.c)  # leaves pass, a class pivot fails
+    with pytest.raises(SolverError):
+        levels.solve(d, b, 1.0)
 
 
 def test_symbol_matches_eigenvalues():

@@ -1,4 +1,5 @@
 import cmath
+import csv
 from fractions import Fraction
 
 import numpy as np
@@ -270,6 +271,29 @@ def test_grid_csv_round_trip(tmp_path):
     write_grid_csv(path, u)
     v = read_grid_csv(path, grid)
     assert np.array_equal(u.values, v.values)   # repr round-trip is exact
+
+
+@pytest.mark.parametrize("p, N, M", [(2, 1, 2), (3, 2, -1), (5, 0, 2)])
+def test_grid_csv_matches_row_by_row_reference(tmp_path, p, N, M):
+    """The cached grid columns write the same bytes as building every row
+    from its representative, and later writes on the grid reuse them."""
+    grid = GridSpec(p, N, M)
+    rng = np.random.default_rng(p)
+    u = GridFunction(grid, rng.standard_normal(grid.dim)
+                     + 1j * rng.standard_normal(grid.dim))
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["index", "center", "abs", "re", "im"])
+        for i in range(grid.dim):
+            w.writerow([i, grid.representative(i).encode(),
+                        str(grid.abs_of_index(i)),
+                        repr(float(u.values[i].real)),
+                        repr(float(u.values[i].imag))])
+    for name in ("a.csv", "b.csv"):
+        write_grid_csv(str(tmp_path / name), u)
+        assert (tmp_path / name).read_bytes() == ref.read_bytes()
+    assert grid.csv_columns is grid.csv_columns
 
 
 def test_grid_csv_wrong_grid_rejected(tmp_path):

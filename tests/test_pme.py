@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from padicpme import fractional, pme
+from padicpme.cli import build_initial
 from padicpme.errors import DomainError
+from padicpme.fractional import ball_matrix
 from padicpme.functions import GridFunction
 from padicpme.padic import GridSpec
 from padicpme.pme import (EvolutionResult, PhiSpec, PMEProblem,
@@ -53,7 +56,7 @@ def test_stationary_residual_and_defects():
     assert isinstance(res, StationaryResult)
     assert res.residual < 1e-10
     v, w, w_free = res.v, res.w, res.w_free
-    A = prob.matrix
+    A = ball_matrix(prob.operator).matrix
     beta = prob.phi_spec.beta
     # v solves eps v + A v + beta(v) = f, and the defects match their
     # definitions, so w coincides with beta(v)
@@ -121,7 +124,7 @@ def test_linear_case_reduces_to_backward_euler():
     rng = np.random.default_rng(7)
     u0 = rng.uniform(0, 1, prob.grid.dim)
     out = evolve(prob, u0)
-    A = prob.matrix
+    A = ball_matrix(prob.operator).matrix
     exact = np.linalg.solve(np.eye(len(u0)) + prob.tau * A, u0)
     assert np.max(np.abs(out.snapshots[-1] - exact)) < 1e-10
 
@@ -134,7 +137,7 @@ def test_linear_one_step_defect_is_second_order():
     for tau in (0.01, 0.005):
         prob = _problem(m=1.0, tau=tau, t_end=tau)
         out = evolve(prob, u0)
-        exact = expm(-tau * prob.matrix) @ u0
+        exact = expm(-tau * ball_matrix(prob.operator).matrix) @ u0
         defects.append(np.max(np.abs(out.snapshots[-1] - exact)))
     assert 3.0 < defects[0] / defects[1] < 5.0
 
@@ -189,3 +192,77 @@ def test_residual_tiny_for_true_rho_only():
     comp = residual_check_explicit(2, 2.0, 2.0, t0=2.0, t=1.0,
                                    companion=True)
     assert comp < 1e-12
+
+
+def _assert_monotone_nonneg(snapshots):
+    assert min(float(u.min()) for u in snapshots) >= 0.0
+    for key in (np.sum, lambda u: np.sum(np.abs(u)), lambda u: np.max(np.abs(u))):
+        vals = [float(key(u)) for u in snapshots]
+        assert all(b <= a * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
+
+
+def test_p5_radial_power_evolve_converges_by_newton(monkeypatch):
+    """Five steps at p=5, dim 625 that once fell through to Gauss-Seidel
+    and were refused; the exact level solve keeps Newton converging, and
+    the evolve path never builds the dense matrix."""
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense ball matrix built on the evolve path")
+    monkeypatch.setattr(fractional, "ball_matrix", no_dense)
+    monkeypatch.setattr(pme, "ball_matrix", no_dense)
+    prob = PMEProblem(p=5, alpha=1.5, N=2, M=2, m=3.0, tau=0.05, t_end=0.25)
+    u0 = build_initial(prob.grid, {"kind": "radial_power", "exponent": 1.0})
+    out = evolve(prob, u0)
+    assert len(out.snapshots) == 6
+    assert max(out.diagnostics["newton_iterations"]) <= prob.max_iters
+    _assert_monotone_nonneg(out.snapshots)
+
+
+@pytest.mark.parametrize("p, N, M", [(2, 7, 7), (3, 4, 5)])
+def test_implicit_step_on_large_grids(p, N, M):
+    """dim 2^14 and 3^9: L1 contraction between two data, the sup bound
+    and mass decay, far past the size a dense solve could reach."""
+    prob = PMEProblem(p=p, alpha=1.5, N=N, M=M, m=2.0, tau=0.05, t_end=0.05)
+    rng = np.random.default_rng(p)
+    u = rng.uniform(0.0, 1.0, prob.grid.dim)
+    v = u + rng.uniform(-0.5, 0.5, prob.grid.dim)
+    un, res = implicit_step(prob, u)
+    vn, _ = implicit_step(prob, v)
+    assert res.residual <= prob.newton_tol
+    assert np.sum(np.abs(un - vn)) <= np.sum(np.abs(u - v)) * (1 + 1e-12)
+    assert np.max(np.abs(un)) <= np.max(np.abs(u)) * (1 + 1e-12)
+    assert np.sum(un) < np.sum(u)
+    assert np.all(un >= 0.0)
+
+
+def _dense_gauss_seidel(A, phi, f, eps, scale, tol):
+    """Reference: the same sweep with each row of A read from the dense
+    matrix."""
+    from scipy.optimize import brentq
+
+    v = np.zeros(len(f))
+    for sweep in range(1, 601):
+        for i in range(len(f)):
+            r = f[i] - scale * (A[i] @ v) + scale * A[i, i] * v[i]
+            a = eps + scale * A[i, i]
+            R = max(1.0, abs(r), abs(r) ** phi.m)
+            v[i] = brentq(lambda x: a * x + float(phi.beta(x)) - r, -R, R,
+                          xtol=1e-15, rtol=8.9e-16)
+        if np.max(np.abs(eps * v + scale * (A @ v) + phi.beta(v) - f)) <= tol:
+            return v, sweep
+    raise AssertionError("reference Gauss-Seidel did not converge")
+
+
+@pytest.mark.parametrize("eps, scale", [(0.0, 0.3), (0.25, 1.0)])
+def test_gauss_seidel_fallback_matches_dense_sweeps(eps, scale):
+    """The per-level Gauss-Seidel sweep takes the same sweeps to the same
+    point as the sweep over dense rows of ball_matrix."""
+    prob = _problem(p=3, N=1, M=1, m=3.0)
+    rng = np.random.default_rng(13)
+    f = rng.uniform(-1.0, 1.0, prob.grid.dim)
+    v, sweeps, res = pme._gauss_seidel_solve(prob.levels, prob.phi_spec, f,
+                                             eps, scale, 1e-12)
+    A = ball_matrix(prob.operator).matrix
+    ref, ref_sweeps = _dense_gauss_seidel(A, prob.phi_spec, f, eps, scale,
+                                          1e-12)
+    assert sweeps == ref_sweeps and res <= 1e-12
+    assert np.max(np.abs(v - ref)) <= 1e-12
