@@ -89,20 +89,6 @@ class TestFunction:
         q = x.value if isinstance(x, PAdicExpansion) else Fraction(x)
         return sum((c for c, b in self.terms if b.contains_value(q)), 0j)
 
-    def support_radius_exp(self):
-        """Smallest l with support contained in {|x| <= p^l}, None if empty."""
-        if not self.terms:
-            return None
-        out = None
-        for _, b in self.terms:
-            # B(c, p^l) sits inside {|x| <= max(|c|, p^l)}
-            r = b.radius_exp
-            k = b.center.shell_exponent()
-            if k is not None:
-                r = max(r, k)
-            out = r if out is None else max(out, r)
-        return out
-
     def constancy_radius_exp(self):
         """Largest r such that the function is constant on every ball of
         radius p^r (the minimum term radius), None if empty."""

@@ -467,23 +467,6 @@ def ball_kernel_ZN(params: KernelParams, k_min: int) -> tuple:
     return profile, bound
 
 
-def semigroup_apply_grid(op: OperatorParams, t: float,
-                         u: GridFunction) -> GridFunction:
-    """Full-space S(t) u evaluated at grid points (support leaks outside
-    B_N; those exterior values are simply not represented)."""
-    if op.grid is None or u.grid != op.grid:
-        raise DomainError("grid mismatch")
-    return GridFunction(u.grid, semigroup_matrix(op, t) @ u.values)
-
-
-def ball_semigroup_apply(op: OperatorParams, t: float,
-                         u: GridFunction) -> GridFunction:
-    """Mass-conserving ball semigroup applied to a grid function."""
-    if op.grid is None or u.grid != op.grid:
-        raise DomainError("grid mismatch")
-    return GridFunction(u.grid, ball_semigroup_matrix(op, t) @ u.values)
-
-
 def ball_kernel_mass_estimate(params: KernelParams, k_min: int = -25) -> tuple:
     """(mass of Z_N(t, .) over B_N, certificate); should equal 1."""
     if params.N is None:

@@ -115,10 +115,6 @@ class PAdicExpansion:
         return cls(p, ((0, 1),))
 
     @classmethod
-    def from_digits(cls, p: int, mapping) -> "PAdicExpansion":
-        return cls(p, tuple(dict(mapping).items()))
-
-    @classmethod
     def from_integer(cls, p: int, n: int) -> "PAdicExpansion":
         if n < 0:
             raise DomainError("negative integers have no finite expansion")

@@ -1,8 +1,9 @@
 """Porous-medium dynamics u_t + D^alpha phi(u) = 0 on a ball grid.
 
 Each implicit Euler step solves the monotone system
-tau A v + beta(v) = u with v = phi(u_next), through damped Newton with an
-epsilon-continuation fallback and a scalarized Gauss-Seidel last resort.
+tau A v + beta(v) = u with v = phi(u_next) by damped Newton from a cold
+linearization. The operator is m-accretive, so the solution is unique;
+where Newton fails, the step raises SolverError with its residual.
 A is held in level form (fractional.LevelOperator), so every Newton system
 is solved exactly by the O(n) class-tree solve and no n x n array is built.
 The update is taken as u_next = u - tau A v, so the discrete mass identity
@@ -21,7 +22,6 @@ from functools import cached_property
 
 import mpmath
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, SolverError
 from .fractional import LevelOperator, OperatorParams, ball_levels
@@ -29,8 +29,6 @@ from .fractional import LevelOperator, OperatorParams, ball_levels
 from .fractional import ball_matrix  # noqa: F401
 from .functions import GridFunction
 from .padic import GridSpec, check_prime, gamma_p
-
-_DEFAULT_EPS_SCHEDULE = tuple(2.0 ** (-j) for j in range(21))
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,6 @@ class PMEProblem:
     t_end: float
     newton_tol: float = 1e-12
     max_iters: int = 80
-    epsilon_schedule: tuple = _DEFAULT_EPS_SCHEDULE
     grid_cap: int = 2**20
 
     def __post_init__(self):
@@ -119,11 +116,10 @@ class PMEProblem:
         if missing:
             raise DomainError(f"config is missing keys: {missing}")
         kwargs = {k: cfg[k] for k in required}
+        # other keys are ignored, so configs with retired options still load
         for k in ("newton_tol", "max_iters", "grid_cap"):
             if k in cfg:
                 kwargs[k] = cfg[k]
-        if "epsilon_schedule" in cfg:
-            kwargs["epsilon_schedule"] = tuple(float(e) for e in cfg["epsilon_schedule"])
         return cls(**kwargs)
 
     def to_config(self) -> dict:
@@ -131,7 +127,6 @@ class PMEProblem:
             "p": self.p, "alpha": self.alpha, "N": self.N, "M": self.M,
             "m": self.m, "tau": self.tau, "t_end": self.t_end,
             "newton_tol": self.newton_tol, "max_iters": self.max_iters,
-            "epsilon_schedule": list(self.epsilon_schedule),
             "grid_cap": self.grid_cap,
         }
 
@@ -141,7 +136,7 @@ class StationaryResult:
     v: np.ndarray          # solution of eps v + s A v + beta(v) = f
     w: np.ndarray          # f - eps v - s A v, the consistent beta(v)
     w_free: np.ndarray     # f - s A v, the L1-contraction object
-    iterations: int
+    iterations: int        # Newton iterations only
     residual: float
 
 
@@ -150,18 +145,13 @@ _MIN_DAMPING = 2.0 ** (-45)
 
 
 def _newton_solve(A: LevelOperator, phi: PhiSpec, f: np.ndarray, eps: float,
-                  scale: float, tol: float, max_iters: int,
-                  v0: np.ndarray | None = None) -> tuple:
+                  scale: float, tol: float, max_iters: int) -> tuple:
     """Damped Newton for G(v) = eps v + scale A v + beta(v) - f = 0."""
 
     def G(v):
         return eps * v + scale * A.apply(v) + phi.beta(v) - f
 
-    if v0 is None:
-        v = A.solve(eps + 1.0, f, scale)  # beta'(v) ~ 1 linearization
-    else:
-        v = v0.copy()
-
+    v = A.solve(eps + 1.0, f, scale)  # beta'(v) ~ 1 linearization
     target = tol * max(1.0, float(np.max(np.abs(f))))
     g = G(v)
     res = float(np.max(np.abs(g)))
@@ -191,87 +181,26 @@ def _newton_solve(A: LevelOperator, phi: PhiSpec, f: np.ndarray, eps: float,
                       residual=res)
 
 
-_GS_MAX_SWEEPS = 600
-
-
-def _gauss_seidel_solve(A: LevelOperator, phi: PhiSpec, f: np.ndarray,
-                        eps: float, scale: float, tol: float,
-                        v0: np.ndarray | None = None) -> tuple:
-    """Scalar nonlinear Gauss-Seidel fallback; each component is solved by
-    bracketed root finding, which cannot stall on the flat part of beta.
-
-    Row i of A v off the diagonal is sum_L h_L (S_L[i mod p^L] - v_i) with
-    S_L the class sums of v, which are refreshed once per sweep and kept
-    current by an O(K) update after each component.
-    """
-    n, p = A.grid.dim, A.grid.p
-    v = np.zeros(n) if v0 is None else v0.copy()
-    h = [scale * hL for hL in A.h]
-    moduli = [p**L for L in range(len(h))]
-    diag = eps + scale * (A.c + sum(A.h))
-    target = tol * max(1.0, float(np.max(np.abs(f))))
-    for sweep in range(1, _GS_MAX_SWEEPS + 1):
-        sums = [s.tolist() for s in A.class_sums(v)]
-        vl = v.tolist()
-        for i in range(n):
-            vi = vl[i]
-            r = f[i] - sum(hL * (S[i % m] - vi)
-                           for hL, S, m in zip(h, sums, moduli))
-
-            def comp(x):
-                return diag * x + float(phi.beta(x)) - r
-
-            R = max(1.0, abs(r), abs(r) ** phi.m)
-            vl[i] = brentq(comp, -R, R, xtol=1e-15, rtol=8.9e-16)
-            for S, m in zip(sums, moduli):
-                S[i % m] += vl[i] - vi
-        v = np.array(vl)
-        res = float(np.max(np.abs(eps * v + scale * A.apply(v)
-                                  + phi.beta(v) - f)))
-        if res <= target:
-            return v, sweep, res
-    raise SolverError(f"Gauss-Seidel did not converge in {_GS_MAX_SWEEPS} sweeps",
-                      residual=res)
-
-
 def stationary_solve(problem: PMEProblem, f: np.ndarray, epsilon: float,
                      operator_scale: float = 1.0) -> StationaryResult:
     """Solve eps v + s A v + beta(v) = f; w = f - eps v - s A v.
 
-    Cold Newton first; on failure, walk the epsilon schedule down to the
-    requested epsilon with warm starts, then fall back to Gauss-Seidel.
+    One damped Newton run from the cold linearization; a SolverError from
+    it (no convergence in max_iters, a stalled line search or a singular
+    Newton system) propagates with the last residual.
     """
     A = problem.levels
-    phi = problem.phi_spec
     f = np.asarray(f, dtype=np.float64)
     n = problem.grid.dim
     if f.shape != (n,):
         raise DomainError(f"forcing term must have shape ({n},)")
 
-    attempts = 0
-    try:
-        v, its, res = _newton_solve(A, phi, f, epsilon, operator_scale,
-                                    problem.newton_tol, problem.max_iters)
-        attempts = its
-    except SolverError:
-        v = None
-        ladder = sorted({e for e in problem.epsilon_schedule if e > epsilon},
-                        reverse=True) + [epsilon]
-        try:
-            for e in ladder:
-                v, its, res = _newton_solve(A, phi, f, e, operator_scale,
-                                            problem.newton_tol,
-                                            problem.max_iters, v0=v)
-                attempts += its
-        except SolverError:
-            v, its, res = _gauss_seidel_solve(A, phi, f, epsilon,
-                                              operator_scale,
-                                              problem.newton_tol, v0=v)
-            attempts += its
-
+    v, its, res = _newton_solve(A, problem.phi_spec, f, epsilon,
+                                operator_scale, problem.newton_tol,
+                                problem.max_iters)
     av = operator_scale * A.apply(v)
     return StationaryResult(v=v, w=f - epsilon * v - av, w_free=f - av,
-                            iterations=attempts, residual=res)
+                            iterations=its, residual=res)
 
 
 def implicit_step(problem: PMEProblem, u: np.ndarray) -> tuple:

@@ -1,9 +1,11 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from padicpme import fractional, pme
 from padicpme.cli import build_initial
-from padicpme.errors import DomainError
+from padicpme.errors import DomainError, SolverError
 from padicpme.fractional import ball_matrix
 from padicpme.functions import GridFunction
 from padicpme.padic import GridSpec
@@ -41,8 +43,14 @@ def test_problem_domain_and_config_round_trip():
     with pytest.raises(DomainError):
         _problem(alpha=-1.0)
     prob = _problem()
-    again = PMEProblem.from_config(prob.to_config())
+    cfg = prob.to_config()
+    assert "epsilon_schedule" not in cfg
+    again = PMEProblem.from_config(cfg)
     assert again == prob
+    # configs written while the epsilon ladder existed still load; the
+    # retired key is ignored
+    legacy = dict(cfg, epsilon_schedule=[0.5, 0.25, 0.125])
+    assert PMEProblem.from_config(legacy) == prob
     with pytest.raises(DomainError) as exc:
         PMEProblem.from_config({"p": 2, "alpha": 2.0})
     assert "missing" in str(exc.value)
@@ -234,35 +242,83 @@ def test_implicit_step_on_large_grids(p, N, M):
     assert np.all(un >= 0.0)
 
 
-def _dense_gauss_seidel(A, phi, f, eps, scale, tol):
-    """Reference: the same sweep with each row of A read from the dense
-    matrix."""
-    from scipy.optimize import brentq
-
-    v = np.zeros(len(f))
-    for sweep in range(1, 601):
-        for i in range(len(f)):
-            r = f[i] - scale * (A[i] @ v) + scale * A[i, i] * v[i]
-            a = eps + scale * A[i, i]
-            R = max(1.0, abs(r), abs(r) ** phi.m)
-            v[i] = brentq(lambda x: a * x + float(phi.beta(x)) - r, -R, R,
-                          xtol=1e-15, rtol=8.9e-16)
-        if np.max(np.abs(eps * v + scale * (A @ v) + phi.beta(v) - f)) <= tol:
-            return v, sweep
-    raise AssertionError("reference Gauss-Seidel did not converge")
+def _step_data(rng, kind: str, dim: int) -> np.ndarray:
+    """signed: uniform on [-1, 1]; point: one unit cell; gapped:
+    nonnegative and zero on half of the cells."""
+    if kind == "signed":
+        return rng.uniform(-1.0, 1.0, dim)
+    u = np.zeros(dim)
+    if kind == "point":
+        u[int(rng.integers(dim))] = 1.0
+        return u
+    cells = rng.permutation(dim)[: dim // 2]
+    u[cells] = rng.uniform(0.1, 1.0, len(cells))
+    return u
 
 
-@pytest.mark.parametrize("eps, scale", [(0.0, 0.3), (0.25, 1.0)])
-def test_gauss_seidel_fallback_matches_dense_sweeps(eps, scale):
-    """The per-level Gauss-Seidel sweep takes the same sweeps to the same
-    point as the sweep over dense rows of ball_matrix."""
-    prob = _problem(p=3, N=1, M=1, m=3.0)
-    rng = np.random.default_rng(13)
-    f = rng.uniform(-1.0, 1.0, prob.grid.dim)
-    v, sweeps, res = pme._gauss_seidel_solve(prob.levels, prob.phi_spec, f,
-                                             eps, scale, 1e-12)
-    A = ball_matrix(prob.operator).matrix
-    ref, ref_sweeps = _dense_gauss_seidel(A, prob.phi_spec, f, eps, scale,
-                                          1e-12)
-    assert sweeps == ref_sweeps and res <= 1e-12
-    assert np.max(np.abs(v - ref)) <= 1e-12
+@pytest.mark.parametrize("N, M, alpha, scale, kind, seed", [
+    (2, 2, 2.0, 1e-6, "gapped", 0),
+    (3, 3, 0.5, 1.0, "signed", 516),
+])
+def test_clipped_corners_at_m8_are_refused_not_wrong(N, M, alpha, scale,
+                                                     kind, seed):
+    """m = 8, where beta'(v) = |v|^(1/m - 1) / m exceeds _BP_CLIP on cells
+    with v near 0, so the clipped Newton step overshoots there. On gapped
+    data of size 1e-6 Newton stalls far above its target; on this unit
+    signed datum it converges only linearly and is still 8.7 times above
+    the target after max_iters. Either way the step must refuse with the
+    residual it reached rather than return a value."""
+    prob = _problem(N=N, M=M, alpha=alpha, m=8.0, tau=0.1, t_end=0.1)
+    u = scale * _step_data(np.random.default_rng(seed), kind, prob.grid.dim)
+    with pytest.raises(SolverError) as exc:
+        implicit_step(prob, u)
+    assert exc.value.residual is not None
+    assert exc.value.residual > prob.newton_tol * max(1.0, scale)
+
+
+_STEP_GRIDS = ((2, 2, 2), (2, 1, 4), (2, 3, 3), (3, 1, 2), (3, 2, 2))
+_KINDS = ("signed", "gapped", "point")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(grid=st.sampled_from(_STEP_GRIDS),
+       alpha=st.sampled_from((0.5, 2.0)),
+       m=st.sampled_from((1.0, 1.5, 2.0, 4.0, 8.0)),
+       tau=st.sampled_from((1e-3, 0.1, 10.0, 1e3)),
+       scale=st.sampled_from((1e-6, 1.0, 1e6)),
+       kinds=st.tuples(st.sampled_from(_KINDS), st.sampled_from(_KINDS)),
+       seed=st.integers(0, 2**16))
+def test_implicit_step_refuses_or_keeps_invariants(grid, alpha, m, tau, scale,
+                                                   kinds, seed):
+    """Over the solver's domain (dims 16-81, m >= 1, any tau and data
+    scale, signed, gapped and point data) a step either raises SolverError
+    with its residual or returns a finite u_next that solves the step and
+    keeps the paper's invariants: the L1 and sup bounds, nonnegativity and
+    mass decay for nonnegative data, and L1 contraction against a second
+    datum. u_next equals beta(v) only up to the Newton target, so pointwise
+    bounds get that slack per cell and sums get it summed over the cells."""
+    p, N, M = grid
+    prob = PMEProblem(p=p, alpha=alpha, N=N, M=M, m=m, tau=tau, t_end=tau)
+    rng = np.random.default_rng(seed)
+    u, w = (scale * _step_data(rng, kind, prob.grid.dim) for kind in kinds)
+    cell_slack = 4 * prob.newton_tol * max(1.0, scale)
+    slack = prob.grid.dim * cell_slack
+    steps = []
+    for x in (u, w):
+        try:
+            x_next, res = implicit_step(prob, x)
+        except SolverError as exc:
+            assert exc.residual is not None and exc.residual > 0
+            continue
+        assert np.all(np.isfinite(x_next))
+        # the step equation: u_next = beta(v) with u - u_next = tau A v
+        assert np.max(np.abs(prob.phi_spec.beta(res.v) - x_next)) <= cell_slack
+        assert np.sum(np.abs(x_next)) <= np.sum(np.abs(x)) + slack
+        assert np.max(np.abs(x_next)) <= np.max(np.abs(x)) + cell_slack
+        if np.all(x >= 0):
+            assert np.all(x_next >= -cell_slack)
+            assert np.sum(x_next) <= np.sum(x) + slack
+        steps.append(x_next)
+    if len(steps) == 2:
+        un, wn = steps
+        assert np.sum(np.abs(un - wn)) <= np.sum(np.abs(u - w)) + 2 * slack
