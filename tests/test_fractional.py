@@ -149,6 +149,22 @@ def test_level_apply_matches_ball_matrix(p, alpha, N, M):
 
 
 @pytest.mark.parametrize("p, alpha, N, M", LEVEL_GRIDS)
+def test_level_dense_and_operators(p, alpha, N, M):
+    """dense() is the ball matrix entry by entry; @ applies, a scalar
+    scales every weight, and nbytes counts the K + 1 weights."""
+    op = OperatorParams(p, alpha, GridSpec(p, N, M))
+    B = ball_matrix(op).matrix
+    levels = ball_levels(op)
+    assert np.max(np.abs(levels.dense() - B)) <= 1e-14 * np.max(np.abs(B))
+    x = np.random.default_rng(p).standard_normal(len(B))
+    assert np.array_equal(levels @ x, levels.apply(x))
+    scaled = 2.5 * levels
+    assert scaled.c == 2.5 * levels.c
+    assert scaled.h == tuple(2.5 * h for h in levels.h)
+    assert levels.nbytes == 8 * (N + M + 1)
+
+
+@pytest.mark.parametrize("p, alpha, N, M", LEVEL_GRIDS)
 def test_level_solve_matches_dense_solve(p, alpha, N, M):
     """(diag(d) + s A) x = b: the tree solve is backward stable, and its
     forward gap to LU stays within eps times Varah's bound on the condition

@@ -273,7 +273,9 @@ def test_grid_csv_round_trip(tmp_path):
     assert np.array_equal(u.values, v.values)   # repr round-trip is exact
 
 
-@pytest.mark.parametrize("p, N, M", [(2, 1, 2), (3, 2, -1), (5, 0, 2)])
+@pytest.mark.parametrize("p, N, M", [(2, 1, 2), (3, 2, -1), (5, 0, 2),
+                                     (5, 2, 2), (3, -1, 3), (2, 3, -1),
+                                     (2, 0, 3)])
 def test_grid_csv_matches_row_by_row_reference(tmp_path, p, N, M):
     """The cached grid columns write the same bytes as building every row
     from its representative, and later writes on the grid reuse them."""

@@ -20,7 +20,8 @@ from padicpme.heat import (KernelParams, ball_c_coefficient,
                            resolvent_apply,
                            semigroup_matrix, semigroup_on_indicator,
                            smoothness_modulus)
-from padicpme.padic import Ball, GridSpec, PAdicExpansion
+from padicpme.padic import (LEVEL_GRID_CAP, Ball, GridSpec, PAdicExpansion,
+                            int_valuation)
 
 
 def test_params_domain():
@@ -141,14 +142,83 @@ def test_semigroup_expansion_value_vs_ball_integral():
 
 def test_semigroup_matrix_positive_and_column_stochastic():
     op = OperatorParams(2, 2.0, GridSpec(2, 1, 2))
-    for T in (semigroup_matrix(op, 0.4),
-              ball_semigroup_matrix(op, 0.4),
+    for T in (semigroup_matrix(op, 0.4).dense(),
+              ball_semigroup_matrix(op, 0.4).dense(),
               ball_semigroup_expm(op, 0.4)):
         assert np.all(T > -1e-14)
     # the restricted flow conserves mass: columns sum to one
-    TN = ball_semigroup_matrix(op, 0.4)
+    TN = ball_semigroup_matrix(op, 0.4).dense()
     assert np.allclose(TN.sum(axis=0), 1.0, atol=1e-12)
     assert np.allclose(TN, ball_semigroup_expm(op, 0.4), atol=1e-9)
+
+
+def _semigroup_gather(op, t):
+    """Reference: the dense S(t) matrix gathered entry by entry from the
+    certified kernel, p^{-M} Z(t, |x_i - x_j|) off the diagonal and the
+    ball integral on it."""
+    kp = KernelParams(op.p, op.alpha, t)
+    p, N, M, dim = op.p, op.grid.N, op.grid.M, op.grid.dim
+    w = np.empty(dim)
+    w[0], _ = ball_integral_of_Z(kp, -M)
+    for d in range(1, dim):
+        w[d] = float(p) ** (-M) * kernel_Z(kp, N - int_valuation(d, p)).value
+    idx = (np.arange(dim)[:, None] - np.arange(dim)[None, :]) % dim
+    return w[idx]
+
+
+def _ball_semigroup_gather(op, t):
+    kp = KernelParams(op.p, op.alpha, t, N=op.grid.N)
+    c, _ = ball_c_coefficient(kp)
+    return (math.exp(kp.lam * t) * _semigroup_gather(op, t)
+            + c * float(op.grid.coset_measure))
+
+
+# (p, alpha, N, M): dims 4 to 1024, including N <= 0 and M < 0
+SEMIGROUP_GRIDS = ((2, 2.0, 1, 2), (2, 0.5, 5, 5), (3, 1.5, 3, 3),
+                   (3, 1.2, -1, 3), (5, 0.7, 2, 2), (5, 2.0, 1, 2),
+                   (2, 2.0, 3, -1))
+
+
+@pytest.mark.parametrize("p, alpha, N, M", SEMIGROUP_GRIDS)
+@pytest.mark.parametrize("t", [0.125, 1.0])
+def test_semigroup_levels_match_dense_oracles(p, alpha, N, M, t):
+    """The level forms equal the entry-by-entry gather, and the ball
+    semigroup equals expm of the dense generator."""
+    op = OperatorParams(p, alpha, GridSpec(p, N, M))
+    S, T = semigroup_matrix(op, t), ball_semigroup_matrix(op, t)
+    for got, ref in ((S, _semigroup_gather(op, t)),
+                     (T, _ball_semigroup_gather(op, t))):
+        dense = got.dense()
+        assert np.max(np.abs(dense - ref)) <= 1e-14 * np.max(np.abs(ref))
+        x = np.random.default_rng(p + N).standard_normal(len(ref))
+        assert np.max(np.abs(got @ x - ref @ x)) <= 1e-14 * np.sum(np.abs(x))
+    assert np.max(np.abs(T.dense() - ball_semigroup_expm(op, t))) <= 1e-12
+
+
+# (p, alpha, N, M): dims 2^12 to 2^16
+LARGE_GRIDS = ((2, 2.0, 6, 6), (2, 0.5, 8, 8), (3, 1.5, 4, 4),
+               (3, 0.7, 5, 5), (5, 1.2, 3, 3), (5, 2.0, 4, 2))
+
+
+@pytest.mark.parametrize("p, alpha, N, M", LARGE_GRIDS)
+def test_ball_semigroup_invariants_at_scale(p, alpha, N, M):
+    """Mass, positivity, L1 contraction and T(s) T(t) = T(s + t) on grids
+    no dense matrix could hold."""
+    op = OperatorParams(p, alpha, GridSpec(p, N, M, cap=LEVEL_GRID_CAP))
+    n = op.grid.dim
+    rng = np.random.default_rng(n)
+    point = np.zeros(n)
+    point[n // 3] = 1.0
+    gapped = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.3)
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for s, t in ((1e-5, 3e-5), (1e-3, 2e-3), (0.1, 0.3)):
+        Ts, Tt, Tst = (ball_semigroup_matrix(op, x) for x in (s, t, s + t))
+        assert np.max(np.abs(Tt @ np.ones(n) - 1.0)) <= 1e-14
+        assert abs(np.sum(Tt @ z) - np.sum(z)) <= 1e-14 * np.sum(np.abs(z))
+        assert np.all(Tt @ point >= 0.0) and np.all(Tt @ gapped >= 0.0)
+        assert np.sum(np.abs(Tt @ z)) <= (1 + 1e-14) * np.sum(np.abs(z))
+        assert (np.max(np.abs(Ts @ (Tt @ z) - Tst @ z))
+                <= 1e-14 * np.max(np.abs(z)))
 
 
 def test_ball_kernel_needs_N():
@@ -220,7 +290,7 @@ def test_semigroup_matrix_agrees_with_testfunction_route():
     grid = GridSpec(2, 1, 1)
     op = OperatorParams(2, 2.0, grid)
     t = 0.6
-    K = semigroup_matrix(op, t)
+    K = semigroup_matrix(op, t).dense()
     params = KernelParams(2, 2.0, t)
     j = 2
     ball_j = Ball(grid.representative(j), -grid.M)
