@@ -20,6 +20,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import scipy
@@ -42,13 +43,14 @@ _MATRIX_DUMP_CAP = 512
 # artifact plumbing
 # ---------------------------------------------------------------------------
 
-def _atomic_text(path: str, text: str) -> None:
-    """Write text to path via a temp file in the same directory + rename."""
+def _atomic_write(path: str, write) -> None:
+    """Call write(tmp) on a temp file in path's directory, then rename it
+    to path; the temp file is removed if anything fails."""
     target = os.path.abspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp_")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -57,33 +59,8 @@ def _atomic_text(path: str, text: str) -> None:
 
 
 def _atomic_json(path: str, obj) -> None:
-    _atomic_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _atomic_radial_csv(path: str, prof: RadialFunction) -> None:
-    target = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp_")
-    os.close(fd)
-    try:
-        write_radial_csv(tmp, prof)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_grid_csv(path: str, u: GridFunction) -> None:
-    target = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp_")
-    os.close(fd)
-    try:
-        write_grid_csv(tmp, u)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
 
 
 def _manifest(path: str, command: str, config: dict, artifacts: list,
@@ -162,7 +139,7 @@ def _kernel_heat(args) -> int:
             agreement = max(agreement, abs(v1 - v2))
 
     out = args.out or "kernel.csv"
-    _atomic_radial_csv(out, prof)
+    _atomic_write(out, lambda tmp: write_radial_csv(tmp, prof))
     _atomic_json(_sidecar_path(out), {
         "kind": "heat_kernel",
         "p": p, "alpha": alpha, "t": t, "shells": S,
@@ -191,7 +168,7 @@ def _kernel_ball(args) -> int:
     c, c_bound = heat.ball_c_coefficient(params)
     mass, mass_bound = heat.ball_kernel_mass_estimate(params)
     out = args.out or "kernel.csv"
-    _atomic_radial_csv(out, prof)
+    _atomic_write(out, lambda tmp: write_radial_csv(tmp, prof))
     _atomic_json(_sidecar_path(out), {
         "kind": "ball_kernel",
         "p": p, "alpha": alpha, "t": t, "shells": S, "ball": N,
@@ -223,7 +200,7 @@ def _kernel_resolvent(args) -> int:
     prof = RadialFunction(p, tuple(shells.items()), value_at_zero=zero,
                           tail=(tail_c, -(alpha + 1.0)), head_constant=True)
     out = args.out or "kernel.csv"
-    _atomic_radial_csv(out, prof)
+    _atomic_write(out, lambda tmp: write_radial_csv(tmp, prof))
     _atomic_json(_sidecar_path(out), {
         "kind": "resolvent_kernel",
         "p": p, "alpha": alpha, "mu": mu, "shells": S,
@@ -257,7 +234,8 @@ def cmd_operator(args) -> int:
     for i in range(grid.dim):
         for j in range(grid.dim):
             lines.append(f"{i},{j},{float(B.matrix[i, j])!r}")
-    _atomic_text(out, "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    _atomic_write(out, lambda tmp: Path(tmp).write_text(text))
     _atomic_json(_sidecar_path(out), {
         "kind": "ball_operator_matrix",
         "p": args.p, "alpha": args.alpha, "N": args.N, "M": args.M,
@@ -291,11 +269,8 @@ def build_initial(grid: GridSpec, spec: dict) -> np.ndarray:
             raise DomainError("radial_power initial data needs exponent > 0 "
                               "to stay bounded at the origin")
         coeff = float(spec.get("coeff", 1.0))
-        vals = np.zeros(grid.dim)
-        for i in range(grid.dim):
-            a = grid.abs_of_index(i)
-            vals[i] = coeff * float(a) ** beta if a != 0 else 0.0
-        return vals
+        return grid.radial(lambda k: 0.0 if k is None
+                           else coeff * float(Fraction(grid.p) ** k) ** beta)
     if kind == "csv":
         path = spec.get("path")
         if not path:
@@ -336,7 +311,8 @@ def cmd_evolve_heat(args) -> int:
             T = heat.ball_semigroup_matrix(op, t)
             u = T @ u0
         path = os.path.join(outdir, f"snapshot_{j:04d}.csv")
-        _atomic_grid_csv(path, GridFunction(grid, u.astype(np.complex128)))
+        u_grid = GridFunction(grid, u.astype(np.complex128))
+        _atomic_write(path, lambda tmp: write_grid_csv(tmp, u_grid))
         artifacts.append(path)
         diags["times"].append(t)
         diags["mass"].append(float(np.sum(u) * meas))
@@ -389,8 +365,8 @@ def cmd_evolve(args) -> int:
     artifacts = []
     for j, (t, snap) in enumerate(zip(result.times, result.snapshots)):
         path = os.path.join(outdir, f"snapshot_{j:04d}.csv")
-        _atomic_grid_csv(path, GridFunction(problem.grid,
-                                            snap.astype(np.complex128)))
+        u_grid = GridFunction(problem.grid, snap.astype(np.complex128))
+        _atomic_write(path, lambda tmp: write_grid_csv(tmp, u_grid))
         artifacts.append(path)
 
     diag_path = os.path.join(outdir, "diagnostics.json")
@@ -451,7 +427,7 @@ def cmd_explicit(args) -> int:
                                            k_lo=args.k_min, k_hi=args.k_max,
                                            companion=args.companion)
     out = args.out or "explicit.csv"
-    _atomic_radial_csv(out, prof)
+    _atomic_write(out, lambda tmp: write_radial_csv(tmp, prof))
     _atomic_json(_sidecar_path(out), {
         "kind": "explicit_solution",
         "p": args.p, "alpha": args.alpha, "m": args.m,

@@ -190,11 +190,6 @@ class BallOperatorMatrix:
     matrix: np.ndarray
     lam: float
 
-    def apply(self, u: GridFunction) -> GridFunction:
-        if u.grid != self.grid:
-            raise DomainError("grid mismatch")
-        return GridFunction(self.grid, self.matrix @ u.values)
-
 
 def ball_matrix(params: OperatorParams) -> BallOperatorMatrix:
     """Matrix B with B[i, j] = (D^alpha_N 1_{x_j + B_{-M}})(x_i).
@@ -351,13 +346,11 @@ def operator_symbol(params: OperatorParams) -> np.ndarray:
     grid = params.grid
     if grid is None:
         raise DomainError("operator_symbol needs an OperatorParams with a grid")
-    p, a = params.p, params.alpha
-    dim = grid.dim
-    s = np.empty(dim, dtype=np.float64)
-    s[0] = ball_eigenvalue_floor(p, a, grid.N)
-    for j in range(1, dim):
-        s[j] = float(p) ** (a * (grid.M - int_valuation(j, p)))
-    return s
+    p, a, N, M = params.p, params.alpha, grid.N, grid.M
+    lam = ball_eigenvalue_floor(p, a, N)
+    # j on the grid's shell k = N - v_p(j) has |xi| = p^{k + M - N}
+    return grid.radial(
+        lambda k: lam if k is None else float(p) ** (a * (k + M - N)))
 
 
 def spectral_apply(params: OperatorParams, u: GridFunction) -> GridFunction:

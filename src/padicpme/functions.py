@@ -414,10 +414,7 @@ class RadialFunction:
     def to_grid(self, grid: GridSpec) -> GridFunction:
         if grid.p != self.p:
             raise DomainError("prime mismatch")
-        vals = np.zeros(grid.dim, dtype=np.complex128)
-        for i in range(grid.dim):
-            vals[i] = self.value_at_shell(grid.shell_exponent_of_index(i))
-        return GridFunction(grid, vals)
+        return GridFunction(grid, grid.radial(self.value_at_shell))
 
 
 def radial_sum(a: RadialFunction, b: RadialFunction) -> RadialFunction:
@@ -478,8 +475,8 @@ def write_grid_csv(path: str, u: GridFunction) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["index", "center", "abs", "re", "im"])
-        w.writerows((i, x, a, repr(re), repr(im)) for (i, x, a), re, im
-                    in zip(u.grid.csv_columns, u.values.real.tolist(),
+        w.writerows((i, x, a, repr(re), repr(im)) for i, x, a, re, im
+                    in zip(*u.grid.csv_columns, u.values.real.tolist(),
                            u.values.imag.tolist()))
 
 

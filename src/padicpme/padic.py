@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .errors import DomainError, ResourceError
 
 
@@ -259,10 +261,6 @@ def abs_value(x: PAdicExpansion) -> Fraction:
     return x.abs_value()
 
 
-def fractional_part(x: PAdicExpansion) -> Fraction:
-    return x.fractional_part()
-
-
 def character(x: PAdicExpansion) -> complex:
     return x.character()
 
@@ -398,9 +396,6 @@ class GridSpec:
             raise DomainError(f"index {i} out of range [0, {self.dim})")
         return PAdicExpansion.from_integer(self.p, i).shift(-self.N)
 
-    def representatives(self) -> list:
-        return [self.representative(i) for i in range(self.dim)]
-
     def index_of(self, x: PAdicExpansion) -> int:
         """Index of the coset of x; digits below -N are not representable."""
         scaled = x.value * self.p**self.N
@@ -408,39 +403,46 @@ class GridSpec:
             raise DomainError(f"{x!r} lies outside B_N at N={self.N}")
         return int(scaled) % self.dim
 
-    def shell_exponent_of_index(self, i: int):
-        """Shell exponent of representative i (None for the zero coset)."""
-        if i % self.dim == 0:
-            return None
-        return self.N - int_valuation(i % self.dim, self.p)
+    @cached_property
+    def valuations(self) -> np.ndarray:
+        """v_p(i) per index, K = N + M on the zero coset; read-only.
 
-    def abs_of_index(self, i: int) -> Fraction:
-        k = self.shell_exponent_of_index(i)
-        if k is None:
-            return Fraction(0)
-        return Fraction(self.p**k) if k >= 0 else Fraction(1, self.p ** (-k))
+        Cell i != 0 lies on the shell |x_i| = p^{N - v_p(i)}.  Built in K
+        strided passes: pass L adds one to every multiple of p^L.
+        """
+        K = self.N + self.M
+        v = np.zeros(self.dim, dtype=np.int8)
+        for L in range(1, K + 1):
+            v[::self.p**L] += 1
+        v.flags.writeable = False
+        return v
+
+    def radial(self, f) -> np.ndarray:
+        """Gather a radial profile onto the grid: f(k) for cells on the shell
+        |x| = p^k and f(None) for the zero coset, one f call per shell."""
+        K = self.N + self.M
+        shells = [f(self.N - v) for v in range(K)] + [f(None)]
+        return np.array(shells)[self.valuations]
 
     @cached_property
     def csv_columns(self) -> tuple:
-        """(index, center encoding, exact |x| string) per representative: the
-        grid-only columns of a grid CSV, built once per grid object.
+        """(indices, center encodings, exact |x| strings): the grid-only
+        columns of a grid CSV, built once per grid object.
 
-        Integer digits of i shifted by -N give the center; the lowest one
-        gives |x| = p^k as "p^k" or "1/p^-k", the str of that Fraction.
+        The centers of the indices below p^{L+1} with top digit d are those
+        of the indices below p^L with the digit d at exponent L - N appended.
         """
         p, N = self.p, self.N
-        rows = [(0, "0", "0")]
-        for i in range(1, self.dim):
-            digits, n, j = [], i, -N
-            while n:
-                n, d = divmod(n, p)
-                if d:
-                    digits.append((j, d))
-                j += 1
-            k = -digits[0][0]
-            rows.append((i, ",".join(f"{j}:{d}" for j, d in digits),
-                         str(p**k) if k >= 0 else f"1/{p ** -k}"))
-        return tuple(rows)
+        centers = ["0"]
+        for L in range(N + self.M):
+            low = centers[1:]
+            for d in range(1, p):
+                suffix = f",{L - N}:{d}"
+                centers.append(suffix[1:])
+                centers += [c + suffix for c in low]
+        absolute = self.radial(
+            lambda k: "0" if k is None else str(Fraction(p) ** k))
+        return range(self.dim), centers, absolute.tolist()
 
     def dual(self) -> "GridSpec":
         """Frequency grid: the character pairing swaps the roles of N and M."""

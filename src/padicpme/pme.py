@@ -7,7 +7,12 @@ where Newton fails, the step raises SolverError with its residual.
 A is held in level form (fractional.LevelOperator), so every Newton system
 is solved exactly by the O(n) class-tree solve and no n x n array is built.
 The update is taken as u_next = u - tau A v, so the discrete mass identity
-holds to machine precision independently of the nonlinear residual.
+holds to machine precision against the computed A v, independently of the
+nonlinear residual.  Against the exact identity
+sum(u - u_next) = tau lambda sum(v) it holds only as well as the level form
+reproduces lambda on constants: for one alpha = 2, m = 2, tau = 0.1 step
+from indicator data the two differ by 4.2e-5 relative at dim 3^12 and
+8.8e-5 at dim 2^20 (ROADMAP.md item 1, the spectral level form).
 
 A separable closed-form profile rho (T -+ t)^{-nu} |x|^{alpha nu} is kept
 alongside as an exact benchmark; its defining constant is checked in high
@@ -82,7 +87,6 @@ class PMEProblem:
     t_end: float
     newton_tol: float = 1e-12
     max_iters: int = 80
-    grid_cap: int = LEVEL_GRID_CAP
 
     def __post_init__(self):
         check_prime(self.p)
@@ -95,7 +99,7 @@ class PMEProblem:
 
     @cached_property
     def grid(self) -> GridSpec:
-        return GridSpec(self.p, self.N, self.M, cap=self.grid_cap)
+        return GridSpec(self.p, self.N, self.M, cap=LEVEL_GRID_CAP)
 
     @cached_property
     def operator(self) -> OperatorParams:
@@ -117,7 +121,7 @@ class PMEProblem:
             raise DomainError(f"config is missing keys: {missing}")
         kwargs = {k: cfg[k] for k in required}
         # other keys are ignored, so configs with retired options still load
-        for k in ("newton_tol", "max_iters", "grid_cap"):
+        for k in ("newton_tol", "max_iters"):
             if k in cfg:
                 kwargs[k] = cfg[k]
         return cls(**kwargs)
@@ -127,7 +131,6 @@ class PMEProblem:
             "p": self.p, "alpha": self.alpha, "N": self.N, "M": self.M,
             "m": self.m, "tau": self.tau, "t_end": self.t_end,
             "newton_tol": self.newton_tol, "max_iters": self.max_iters,
-            "grid_cap": self.grid_cap,
         }
 
 
@@ -354,10 +357,7 @@ class ExplicitSolution:
                 * float(self.p) ** (shell * self.alpha * self.nu))
 
     def to_grid(self, grid: GridSpec, t: float) -> np.ndarray:
-        vals = np.empty(grid.dim, dtype=np.float64)
-        for i in range(grid.dim):
-            vals[i] = self.value(t, grid.shell_exponent_of_index(i))
-        return vals
+        return grid.radial(lambda k: self.value(t, k))
 
 
 def explicit_solution(p: int, alpha: float, m: float, t0: float,

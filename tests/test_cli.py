@@ -116,18 +116,23 @@ def test_evolve_heat_conserves_mass(tmp_path):
 
 
 def test_evolve_heat_beyond_the_dense_cap(tmp_path):
-    """dim 2^14, where a dense semigroup matrix would take 2 GB."""
-    outdir = tmp_path / "run"
-    rc = main(["evolve-heat", "--p", "2", "--alpha", "2.0", "--N", "7",
-               "--M", "7", "--t-end", "0.5", "--snapshots", "2",
-               "--out", str(outdir)])
-    assert rc == 0
-    assert len(sorted(outdir.glob("snapshot_*.csv"))) == 3
-    diag = _read_json(outdir / "diagnostics.json")
-    mass0 = diag["mass"][0]
-    assert diag["mass"] == pytest.approx([mass0] * 3, rel=1e-12, abs=1e-12)
-    l1 = diag["l1"]
-    assert all(b <= a * (1 + 1e-12) for a, b in zip(l1, l1[1:]))
+    """dim 2^14, where a dense semigroup matrix would take 2 GB; indicator
+    and radial_power initial data."""
+    for name, initial in (("indicator", '{"kind": "indicator"}'),
+                          ("radial", '{"kind": "radial_power", '
+                                     '"exponent": 1.5}')):
+        outdir = tmp_path / name
+        rc = main(["evolve-heat", "--p", "2", "--alpha", "2.0", "--N", "7",
+                   "--M", "7", "--t-end", "0.5", "--snapshots", "2",
+                   "--initial", initial, "--out", str(outdir)])
+        assert rc == 0
+        assert len(sorted(outdir.glob("snapshot_*.csv"))) == 3
+        diag = _read_json(outdir / "diagnostics.json")
+        mass0 = diag["mass"][0]
+        assert diag["mass"] == pytest.approx([mass0] * 3, rel=1e-12,
+                                             abs=1e-12)
+        l1 = diag["l1"]
+        assert all(b <= a * (1 + 1e-12) for a, b in zip(l1, l1[1:]))
 
 
 def test_evolve_heat_bad_initial(tmp_path):

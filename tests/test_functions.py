@@ -289,7 +289,7 @@ def test_grid_csv_matches_row_by_row_reference(tmp_path, p, N, M):
         w.writerow(["index", "center", "abs", "re", "im"])
         for i in range(grid.dim):
             w.writerow([i, grid.representative(i).encode(),
-                        str(grid.abs_of_index(i)),
+                        str(grid.representative(i).abs_value()),
                         repr(float(u.values[i].real)),
                         repr(float(u.values[i].imag))])
     for name in ("a.csv", "b.csv"):

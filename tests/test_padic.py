@@ -1,15 +1,21 @@
 import cmath
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from padicpme.cli import build_initial
 from padicpme.errors import DomainError, ResourceError
+from padicpme.fractional import (OperatorParams, ball_eigenvalue_floor,
+                                 operator_symbol)
+from padicpme.functions import RadialFunction
 from padicpme.padic import (Ball, GridSpec, PAdicExpansion, gamma_p,
-                            haar_measure, rational_abs,
+                            haar_measure, int_valuation, rational_abs,
                             rational_fractional_part, rational_valuation,
                             shell_measure, unit_ball)
+from padicpme.pme import explicit_solution
 
 from conftest import expansion_strategy, prime_and_expansions
 
@@ -233,6 +239,45 @@ def test_grid_distance_formula():
 
 def test_grid_shell_exponent_of_index():
     g = GridSpec(2, 1, 2)
-    assert g.shell_exponent_of_index(0) is None
-    assert g.abs_of_index(4) == Fraction(1, 2)   # x_4 = 4/2 = 2, |2|_2 = 1/2
-    assert g.abs_of_index(1) == 2                # x_1 = 1/2
+    shell_abs = g.radial(lambda k: None if k is None else Fraction(2) ** k)
+    assert shell_abs[0] is None             # the zero coset: no shell
+    assert shell_abs[4] == Fraction(1, 2)   # x_4 = 4/2 = 2, |2|_2 = 1/2
+    assert shell_abs[1] == 2                # x_1 = 1/2
+
+
+@pytest.mark.parametrize("p, N, M", [(2, 1, 2), (3, 2, -1), (5, 0, 2),
+                                     (5, 2, 2), (3, -1, 3), (2, 3, -1),
+                                     (2, 0, 3), (7, 1, 1), (7, -2, 4),
+                                     (2, 5, 5), (3, 3, 3), (2, -3, 8)])
+def test_radial_gathers_match_per_index_references(p, N, M):
+    """Every radial gather equals its per-cell loop over the exact shells."""
+    grid = GridSpec(p, N, M)
+    shells = [grid.representative(i).shell_exponent() for i in range(grid.dim)]
+    K = N + M
+    assert grid.valuations.tolist() == [K] + [int_valuation(i, p) for i
+                                              in range(1, grid.dim)]
+
+    f = RadialFunction(p, tuple((k, complex(k, 1 / (k * k + 1)))
+                                for k in range(N - 4, N + 1)),
+                       value_at_zero=2.5 + 1j, tail=(3 + 0j, -2.5),
+                       head_constant=True)
+    ref = np.array([f.value_at_shell(k) for k in shells])
+    assert np.array_equal(f.to_grid(grid).values, ref)
+
+    sol = explicit_solution(p, 1.5, 2.0, 1.0, companion=True)
+    ref = np.array([sol.value(0.3, k) for k in shells])
+    assert np.array_equal(sol.to_grid(grid, 0.3), ref)
+
+    u0 = build_initial(grid, {"kind": "radial_power", "exponent": 0.7,
+                              "coeff": 1.3})
+    ref = np.array([0.0 if k is None
+                    else 1.3 * float(grid.representative(i).abs_value()) ** 0.7
+                    for i, k in enumerate(shells)])
+    assert np.array_equal(u0, ref)
+
+    alpha = 1.7
+    ref = np.array([ball_eigenvalue_floor(p, alpha, N)]
+                   + [float(p) ** (alpha * (M - int_valuation(j, p)))
+                      for j in range(1, grid.dim)])
+    assert np.array_equal(operator_symbol(OperatorParams(p, alpha, grid)),
+                          ref)

@@ -45,11 +45,12 @@ def test_problem_domain_and_config_round_trip():
     prob = _problem()
     cfg = prob.to_config()
     assert "epsilon_schedule" not in cfg
+    assert "grid_cap" not in cfg
     again = PMEProblem.from_config(cfg)
     assert again == prob
-    # configs written while the epsilon ladder existed still load; the
-    # retired key is ignored
-    legacy = dict(cfg, epsilon_schedule=[0.5, 0.25, 0.125])
+    # configs written while the epsilon ladder and the grid_cap option
+    # existed still load; the retired keys are ignored
+    legacy = dict(cfg, epsilon_schedule=[0.5, 0.25, 0.125], grid_cap=4096)
     assert PMEProblem.from_config(legacy) == prob
     with pytest.raises(DomainError) as exc:
         PMEProblem.from_config({"p": 2, "alpha": 2.0})
