@@ -526,7 +526,7 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SolverError as exc:
+    except (SolverError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -224,6 +224,8 @@ class LevelOperator:
     E_L[i, j] = [i = j mod p^L] sums over the residue classes mod p^L, the
     balls of radius p^{N-L} in index form.  Every operator that depends on
     the p-adic distance alone has this form, so K + 1 weights carry it.
+    On level l, the characters j with v_p(j) = K - l (level 0 holds the
+    constants), A has the eigenvalue mu_l = c + sum_{L>=l} h_L p^{K-L}.
     Class sums fold bottom-up (class i mod p^L is the union of its p
     children i + t p^L mod p^{L+1}) and weighted sums tile back top-down,
     so apply and solve cost O(n) work in O(K) numpy calls on reshaped
@@ -233,6 +235,14 @@ class LevelOperator:
     grid: GridSpec
     c: float
     h: tuple          # h_0 .. h_{K-1}
+
+    @classmethod
+    def from_gaps(cls, grid: GridSpec, top: float, gaps) -> "LevelOperator":
+        """The operator with mu_K = top and mu_L - mu_{L+1} = gaps[L], gaps
+        that callers form free of cancellation: h_L = gaps[L] p^{L-K}."""
+        p, K = float(grid.p), grid.N + grid.M
+        return cls(grid, float(top),
+                   tuple(float(g) * p ** (L - K) for L, g in enumerate(gaps)))
 
     def class_sums(self, x: np.ndarray) -> list:
         """[S_0, ..., S_{K-1}], S_L[r] = sum of x over the class r mod p^L."""
@@ -312,45 +322,35 @@ class LevelOperator:
         return ((b.reshape(p, -1) - phi) / D.reshape(p, -1)).ravel()
 
 
-def ball_levels(params: OperatorParams) -> LevelOperator:
-    """The ball operator of ball_matrix in level form.
+def ball_spectrum(params: OperatorParams) -> np.ndarray:
+    """Eigenvalues [mu_0, ..., mu_K] of the ball operator by level.
 
-    Off the diagonal B[i, j] = w_v with v = v_p(i - j) < K and
-    w_v = p^{-M} Gamma_p(alpha+1) p^{-(N-v)(alpha+1)}, and B[i, j] sums
-    h_L over L <= v; so h_0 = w_0, h_L = w_L - w_{L-1} < 0 and c is the
-    diagonal entry minus w_{K-1}.
+    Constants carry lambda; the (p - 1) p^{l-1} characters of level l >= 1
+    have |xi| = p^{l-N} and carry |xi|^alpha (Kozyrev's wavelet basis).
     """
     grid = params.grid
     if grid is None:
-        raise DomainError("ball_levels needs an OperatorParams with a grid")
-    p, a = float(params.p), params.alpha
-    N, M, K = grid.N, grid.M, grid.N + grid.M
-    gp = gamma_p(params.p, a + 1.0)
-    inside = p ** (M * a) * (1 - 1 / p) / (1 - p ** (-a - 1))
+        raise DomainError("ball_spectrum needs an OperatorParams with a grid")
+    p, a, N = params.p, params.alpha, grid.N
+    return np.array([ball_eigenvalue_floor(p, a, N)]
+                    + [float(p) ** (a * (l - N))
+                       for l in range(1, N + grid.M + 1)])
 
-    def w(v):
-        return p ** (-M) * gp * p ** (-(N - v) * (a + 1))
 
-    h = (w(0),) + tuple(w(L) * (1 - p ** (-a - 1)) for L in range(1, K))
-    return LevelOperator(grid, inside - w(K - 1), h)
+def ball_levels(params: OperatorParams) -> LevelOperator:
+    """The ball operator of ball_matrix in level form, from its spectrum."""
+    mu = ball_spectrum(params)
+    return LevelOperator.from_gaps(params.grid, mu[-1], mu[:-1] - mu[1:])
 
 
 def operator_symbol(params: OperatorParams) -> np.ndarray:
     """Eigenvalues of the ball operator in the grid Fourier basis.
 
-    Frequency index j represents xi = j p^{-M} with |xi| = p^{M - v_p(j)};
-    the eigenvalue there is |xi|^alpha, and the constant mode j = 0 carries
-    lambda instead of 0 because restriction to the ball retains the mass the
-    full-space operator removes.
+    Frequency index j represents xi = j p^{-M}, |xi| = p^{M - v_p(j)}, on
+    level K - v_p(j) of ball_spectrum (j = 0 on level 0).
     """
-    grid = params.grid
-    if grid is None:
-        raise DomainError("operator_symbol needs an OperatorParams with a grid")
-    p, a, N, M = params.p, params.alpha, grid.N, grid.M
-    lam = ball_eigenvalue_floor(p, a, N)
-    # j on the grid's shell k = N - v_p(j) has |xi| = p^{k + M - N}
-    return grid.radial(
-        lambda k: lam if k is None else float(p) ** (a * (k + M - N)))
+    mu, grid = ball_spectrum(params), params.grid
+    return mu[grid.N + grid.M - grid.valuations]
 
 
 def spectral_apply(params: OperatorParams, u: GridFunction) -> GridFunction:

@@ -17,7 +17,7 @@ import scipy.linalg
 
 from .errors import DomainError
 from .fractional import (LevelOperator, OperatorParams, ball_eigenvalue_floor,
-                         ball_matrix)
+                         ball_matrix, ball_spectrum)
 from .functions import GridFunction, RadialFunction, TestFunction
 from .padic import Ball, PAdicExpansion, check_prime, gamma_p
 # the benchmark's tracer wraps heat.int_valuation; nothing here calls it
@@ -392,22 +392,21 @@ def semigroup_indicator_profile(params: KernelParams, ball: Ball,
 def semigroup_matrix(op: OperatorParams, t: float) -> LevelOperator:
     """Exact evaluation operator of the full-space S(t) on grid cosets.
 
-    Entry (i, j) is the integral of Z(t, x_i - y) over the coset of x_j:
-    p^{-M} Z(t, |x_i - x_j|) off the diagonal (the kernel is constant on
-    the coset) and the closed-form ball integral on it.  The distance is
-    p^{N-v} with v = v_p(i - j) < K, so the level form carries it: with
-    W_v = p^{-M} Z(t, p^{N-v}), h_0 = W_0, h_L = W_L - W_{L-1} and c is the
-    ball integral minus W_{K-1}.
+    Entry (i, j) is the integral of Z(t, x_i - y) over the coset of x_j.
+    On level l >= 1 its eigenvalue is e^{-t p^{alpha(l-N)}}, so the gaps
+    there are c_{l-N}(t); on constants it is the integral of Z over B_N,
+    whose gap to level 1 is p^N Z(t, p^N), one cancellation-free kernel
+    value.
     """
     grid = op.grid
     if grid is None:
         raise DomainError("semigroup_matrix needs a grid-bound operator")
     kp = KernelParams(op.p, op.alpha, t)
     p, N, M = op.p, grid.N, grid.M
-    W = [float(p) ** (-M) * kernel_Z(kp, N - v).value for v in range(N + M)]
-    diag, _ = ball_integral_of_Z(kp, -M)
-    h = (W[0],) + tuple(b - a for a, b in zip(W, W[1:]))
-    return LevelOperator(grid, diag - W[-1], h)
+    gaps = ([float(p) ** N * kernel_Z(kp, N).value]
+            + [coeff_ck(kp, l - N) for l in range(1, N + M)])
+    return LevelOperator.from_gaps(grid, _exp_neg_t_pow(t, p, op.alpha, M),
+                                   gaps)
 
 
 def ball_c_coefficient(params: KernelParams) -> tuple:
@@ -419,7 +418,8 @@ def ball_c_coefficient(params: KernelParams) -> tuple:
              sum_{n>=0} ((-t p^{-N a})^n / n!) / (1 - p^{-a n - 1}),
 
     an entire alternating series whose factorial tail is certified by
-    1/(1 - p^{-a n - 1}) <= p/(p-1).
+    1/(1 - p^{-a n - 1}) <= p/(p-1), plus the rounding of the sum, which
+    swamps c(t) at large t where the terms grow like e^{z} and cancel.
     """
     if params.N is None:
         raise DomainError("ball coefficient needs the ball exponent N")
@@ -429,9 +429,11 @@ def ball_c_coefficient(params: KernelParams) -> tuple:
 
     total = 0.0
     term = 1.0  # (-z)^n / n!
+    max_abs = 0.0
     n = 0
     while True:
         total += term / (1 - float(p) ** (-a * n - 1))
+        max_abs = max(max_abs, abs(term))
         n += 1
         term *= -z / n
         rem = (p / (p - 1)) * abs(term) / max(1e-300, 1 - z / (n + 1)) if z < n + 1 else None
@@ -442,7 +444,7 @@ def ball_c_coefficient(params: KernelParams) -> tuple:
 
     pref = float(p) ** (-N) * (1 - 1.0 / p) * math.exp(lam * t)
     c = float(p) ** (-N) - pref * total
-    return c, pref * (rem or 0.0)
+    return c, pref * (rem + 3e-16 * n * max_abs * p / (p - 1))
 
 
 def ball_kernel_ZN(params: KernelParams, k_min: int) -> tuple:
@@ -483,26 +485,24 @@ def ball_kernel_mass_estimate(params: KernelParams, k_min: int = -25) -> tuple:
 
 
 def ball_semigroup_matrix(op: OperatorParams, t: float) -> LevelOperator:
-    """Ball semigroup in level form: e^{lam t} S(t) plus the mass return
-    term c(t) times the integral functional, which adds c(t) p^{-M} to the
-    all-ones level h_0."""
-    grid = op.grid
-    if grid is None:
-        raise DomainError("ball_semigroup_matrix needs a grid-bound operator")
-    kp = KernelParams(op.p, op.alpha, t, N=grid.N)
-    c, _ = ball_c_coefficient(kp)
-    T = math.exp(kp.lam * t) * semigroup_matrix(op, t)
-    meas = float(op.p) ** (-grid.M)
-    return LevelOperator(grid, T.c, (T.h[0] + c * meas,) + T.h[1:])
+    """Ball semigroup exp(-t (A - lam)) in level form: eigenvalue
+    e^{-t (mu_l - lam)} on level l, and gaps
+    e^{-t (mu_l - lam)} (1 - e^{-t (mu_{l+1} - mu_l)}) >= 0 at every t."""
+    if not t >= 0:
+        raise DomainError(f"time must be nonnegative, got {t}")
+    mu = ball_spectrum(op)
+    decay = t * (mu - mu[0])           # t (mu_l - lam), l = 0 .. K
+    gaps = np.exp(-decay[:-1]) * -np.expm1(-t * np.diff(mu))
+    return LevelOperator.from_gaps(op.grid, math.exp(-decay[-1]), gaps)
 
 
 def ball_semigroup_expm(op: OperatorParams, t: float) -> np.ndarray:
     """Matrix exponential route: exp(-t (B - lam I)) for the grid matrix B.
 
     On grid functions the restricted generator acts exactly as B - lam I
-    (the matrix B keeps the constant-mode eigenvalue lam that the kernel
-    construction subtracts), so this equals ball_semigroup_matrix(op, t)
-    .dense(); it is the independent dense oracle of that path.
+    (the matrix B keeps the constant-mode eigenvalue lam that the
+    mass-conserving flow subtracts), so this equals ball_semigroup_matrix(op,
+    t).dense(); it is the independent dense oracle of that path.
     """
     B = ball_matrix(op)
     A = B.matrix - B.lam * np.eye(B.grid.dim)
@@ -514,10 +514,10 @@ def resolvent_apply(op: OperatorParams, mu: float, u: GridFunction) -> GridFunct
 
     Ball-average form: R_mu = sum_k a_k p^k Avg_{B_{-k}} with
     a_k = p^{k alpha}(p^alpha - 1) / ((mu + p^{k alpha})(mu + p^{(k+1) alpha})).
-    Averages over balls containing B_N see the total mass; scales between
-    the grid bounds are exact coset sums; scales below the resolution
-    telescope to u / (mu + p^{(M+1) alpha}).  sum_k a_k = 1/mu, so the map
-    is positivity preserving with L1 gain exactly 1/mu.
+    Averages over balls containing B_N see the total mass (the coarse
+    head); on level l >= 1 the eigenvalue is 1 / (mu + p^{alpha(l-N)}), so
+    the gaps there are a_{l-N}.  sum_k a_k = 1/mu, so the map is
+    positivity preserving with L1 gain exactly 1/mu.
     """
     grid = op.grid
     if grid is None:
@@ -545,15 +545,9 @@ def resolvent_apply(op: OperatorParams, mu: float, u: GridFunction) -> GridFunct
         if -N - k > 600:
             break
 
-    # level L = N + k of the grid's level form sums u over the class
-    # i mod p^L, the ball B(x_i, p^{-k}); level 0 carries the total mass and
-    # the coarse head, and the diagonal the finest grid scale k = M plus the
-    # scales below the resolution, where the sum telescopes exactly
-    meas = float(grid.coset_measure)
-    weights = [a_k(k) * float(p) ** k * meas for k in range(-N + 1, M + 1)]
-    levels = LevelOperator(
-        grid, weights[-1] + 1.0 / (mu + float(p) ** ((M + 1) * a)),
-        (head * meas, *weights[:-1]))
+    levels = LevelOperator.from_gaps(
+        grid, 1.0 / (mu + float(p) ** (M * a)),
+        [head * float(p) ** N] + [a_k(l - N) for l in range(1, N + M)])
     return GridFunction(grid, levels.apply(u.values))
 
 

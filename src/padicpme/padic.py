@@ -427,7 +427,8 @@ class GridSpec:
     @cached_property
     def csv_columns(self) -> tuple:
         """(indices, center encodings, exact |x| strings): the grid-only
-        columns of a grid CSV, built once per grid object.
+        columns of a grid CSV, built once per grid object; the |x| column
+        refers to K + 1 shared strings, one per shell.
 
         The centers of the indices below p^{L+1} with top digit d are those
         of the indices below p^L with the digit d at exponent L - N appended.
@@ -440,8 +441,8 @@ class GridSpec:
                 suffix = f",{L - N}:{d}"
                 centers.append(suffix[1:])
                 centers += [c + suffix for c in low]
-        absolute = self.radial(
-            lambda k: "0" if k is None else str(Fraction(p) ** k))
+        shells = [str(Fraction(p) ** (N - v)) for v in range(N + self.M)]
+        absolute = np.array(shells + ["0"], dtype=object)[self.valuations]
         return range(self.dim), centers, absolute.tolist()
 
     def dual(self) -> "GridSpec":

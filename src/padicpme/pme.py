@@ -11,8 +11,8 @@ holds to machine precision against the computed A v, independently of the
 nonlinear residual.  Against the exact identity
 sum(u - u_next) = tau lambda sum(v) it holds only as well as the level form
 reproduces lambda on constants: for one alpha = 2, m = 2, tau = 0.1 step
-from indicator data the two differ by 4.2e-5 relative at dim 3^12 and
-8.8e-5 at dim 2^20 (ROADMAP.md item 1, the spectral level form).
+from indicator data the two differ by 1.4e-5 relative at dim 3^12 and
+8.8e-5 at dim 2^20 (ROADMAP.md item 1, the detail-form apply).
 
 A separable closed-form profile rho (T -+ t)^{-nu} |x|^{alpha nu} is kept
 alongside as an exact benchmark; its defining constant is checked in high

@@ -44,6 +44,25 @@ def test_kernel_ball_mode(tmp_path):
     assert abs(side["mass_over_ball"] - 1.0) <= side["mass_certificate"] + 1e-9
 
 
+def test_kernel_ball_certificate_at_large_times(tmp_path, capsys):
+    """At large t the Z_N route cancels (mass -0.02 at t = 100); its
+    certificate must cover the defect, and a series that overflows must
+    end in one error line with exit code 1, not a traceback."""
+    for t in ("10", "100"):
+        out = tmp_path / f"zn_{t}.csv"
+        rc = main(["kernel", "--p", "2", "--alpha", "2.0", "--t", t,
+                   "--ball", "1", "--out", str(out)])
+        assert rc == 0
+        side = _read_json(tmp_path / f"zn_{t}.json")
+        assert abs(side["mass_over_ball"] - 1.0) <= side["mass_certificate"]
+    capsys.readouterr()
+    rc = main(["kernel", "--p", "2", "--alpha", "2.0", "--t", "10000",
+               "--ball", "1", "--out", str(tmp_path / "zn_big.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_kernel_resolvent_mode(tmp_path):
     out = tmp_path / "green.csv"
     rc = main(["kernel", "--p", "2", "--alpha", "2.0", "--mu", "1.0",
@@ -133,6 +152,23 @@ def test_evolve_heat_beyond_the_dense_cap(tmp_path):
                                              abs=1e-12)
         l1 = diag["l1"]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(l1, l1[1:]))
+
+
+def test_evolve_heat_at_large_times(tmp_path):
+    """By t = 100 the unit indicator on B_0 in B_1 has spread to 1/2 in
+    every cell, with its mass kept."""
+    outdir = tmp_path / "run"
+    rc = main(["evolve-heat", "--p", "2", "--alpha", "2.0", "--N", "1",
+               "--M", "2", "--t-end", "100", "--snapshots", "1",
+               "--out", str(outdir)])
+    assert rc == 0
+    diag = _read_json(outdir / "diagnostics.json")
+    assert diag["mass"] == pytest.approx([1.0, 1.0], abs=1e-12)
+    with open(outdir / "snapshot_0001.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 8
+    assert [float(r["re"]) for r in rows] == pytest.approx([0.5] * 8,
+                                                           abs=1e-12)
 
 
 def test_evolve_heat_bad_initial(tmp_path):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from padicpme.errors import DomainError, ResourceError, SolverError
-from padicpme.fractional import (OperatorParams, apply_radial_power,
-                                 apply_testfunction_at, apply_to_indicator,
-                                 ball_eigenvalue_floor, ball_levels,
-                                 ball_matrix,
+from padicpme.fractional import (LevelOperator, OperatorParams,
+                                 apply_radial_power, apply_testfunction_at,
+                                 apply_to_indicator, ball_eigenvalue_floor,
+                                 ball_levels, ball_matrix, ball_spectrum,
                                  evaluate_indicator_image, exterior_constant,
                                  hypersingular_quadrature, mass_of_image,
                                  operator_symbol, restrict_to_ball,
@@ -162,6 +162,30 @@ def test_level_dense_and_operators(p, alpha, N, M):
     assert scaled.c == 2.5 * levels.c
     assert scaled.h == tuple(2.5 * h for h in levels.h)
     assert levels.nbytes == 8 * (N + M + 1)
+
+
+# (p, N, M): dims 4 to 625, including N <= 0, M < 0 and p = 5
+SPECTRUM_GRIDS = ((2, 1, 2), (2, 3, -1), (2, 4, 4), (3, 0, 3), (3, -1, 3),
+                  (5, 1, 1), (5, 2, 2))
+
+
+@pytest.mark.parametrize("p, N, M", SPECTRUM_GRIDS)
+def test_from_gaps_has_the_given_spectrum(p, N, M):
+    """The eigenvalues of from_gaps(top, gaps) are mu_0 once and mu_l with
+    multiplicity (p - 1) p^{l-1}, for the ball spectrum and for a random
+    one, and ball_levels is from_gaps of ball_spectrum."""
+    grid = GridSpec(p, N, M)
+    op = OperatorParams(p, 1.3, grid)
+    K = N + M
+    mult = [1] + [(p - 1) * p ** (l - 1) for l in range(1, K + 1)]
+    ball = ball_spectrum(op)
+    for mu in (ball, np.random.default_rng(p + K).uniform(-1.0, 2.0, K + 1)):
+        levels = LevelOperator.from_gaps(grid, mu[-1], mu[:-1] - mu[1:])
+        got = np.linalg.eigvalsh(levels.dense())
+        want = np.sort(np.repeat(mu, mult))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(mu))
+    assert ball_levels(op) == LevelOperator.from_gaps(grid, ball[-1],
+                                                      ball[:-1] - ball[1:])
 
 
 @pytest.mark.parametrize("p, alpha, N, M", LEVEL_GRIDS)

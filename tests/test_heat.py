@@ -221,6 +221,34 @@ def test_ball_semigroup_invariants_at_scale(p, alpha, N, M):
                 <= 1e-14 * np.max(np.abs(z)))
 
 
+# (p, alpha, N, M): dims 4 to 32, including N < 0 and M < 0
+SMALL_GRIDS = ((2, 2.0, 1, 2), (3, 1.2, -1, 3), (2, 2.0, 3, -1),
+               (3, 1.5, 1, 2), (2, 0.5, 2, 3), (5, 2.0, 1, 1))
+
+
+@pytest.mark.parametrize("p, alpha, N, M", SMALL_GRIDS)
+@pytest.mark.parametrize("t", [10.0, 100.0])
+def test_ball_semigroup_matches_expm_at_large_times(p, alpha, N, M, t):
+    """At times where the kernel route e^{lam t} S(t) + c(t) cancels, the
+    level weights equal expm of the dense generator."""
+    op = OperatorParams(p, alpha, GridSpec(p, N, M))
+    T = ball_semigroup_matrix(op, t).dense()
+    assert np.max(np.abs(T - ball_semigroup_expm(op, t))) <= 1e-12
+
+
+@pytest.mark.parametrize("p, alpha, N, M", SMALL_GRIDS + LARGE_GRIDS[:3])
+def test_ball_semigroup_weights_at_every_time(p, alpha, N, M):
+    """From t = 1e-12 to 1e6 every weight is finite and nonnegative and
+    T 1 = 1."""
+    op = OperatorParams(p, alpha, GridSpec(p, N, M, cap=LEVEL_GRID_CAP))
+    ones = np.ones(op.grid.dim)
+    for t in 10.0 ** np.arange(-12, 7):
+        T = ball_semigroup_matrix(op, t)
+        w = np.array((T.c,) + T.h)
+        assert np.all(np.isfinite(w)) and np.all(w >= 0.0), t
+        assert np.max(np.abs(T @ ones - 1.0)) <= 1e-14, t
+
+
 def test_ball_kernel_needs_N():
     params = KernelParams(2, 2.0, 1.0)  # N unset
     with pytest.raises(DomainError):

@@ -277,6 +277,20 @@ def test_clipped_corners_at_m8_are_refused_not_wrong(N, M, alpha, scale,
     assert exc.value.residual > prob.newton_tol * max(1.0, scale)
 
 
+def test_radial_power_at_dim_5_8_is_refused_not_wrong():
+    """p = 5, N = M = 4 (dim 390625), m = 2, tau = 0.1, data |x|: the
+    absolute Newton target 1e-12 max|u| = 6.25e-10 sits at the rounding
+    floor of G(v) at this size, and Newton stalls near 1.65e-9 (ROADMAP.md
+    item 3, relative Newton targets). The step must refuse with the
+    residual it reached rather than return a value."""
+    prob = _problem(p=5, N=4, M=4, m=2.0, tau=0.1, t_end=0.1)
+    u = build_initial(prob.grid, {"kind": "radial_power", "exponent": 1.0})
+    with pytest.raises(SolverError) as exc:
+        implicit_step(prob, u)
+    assert exc.value.residual is not None
+    assert exc.value.residual > prob.newton_tol * np.max(np.abs(u))
+
+
 _STEP_GRIDS = ((2, 2, 2), (2, 1, 4), (2, 3, 3), (3, 1, 2), (3, 2, 2))
 _KINDS = ("signed", "gapped", "point")
 
