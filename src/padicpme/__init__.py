@@ -13,10 +13,7 @@ from .fractional import (
     ball_matrix,
     exterior_constant,
     hypersingular_quadrature,
-    operator_symbol,
     restrict_to_ball,
-    spectral_apply,
-    spectral_resolvent_apply,
 )
 from .functions import (
     GridFunction,

@@ -164,9 +164,8 @@ def _kernel_ball(args) -> int:
     params = KernelParams(p, alpha, t, N=N)
     if -S > N:
         raise DomainError(f"--shells {S} leaves no shells inside B_{N}")
-    prof, bound = heat.ball_kernel_ZN(params, -S)
+    prof, bound, mass, mass_bound = heat.ball_kernel_ZN(params, -S)
     c, c_bound = heat.ball_c_coefficient(params)
-    mass, mass_bound = heat.ball_kernel_mass_estimate(params)
     out = args.out or "kernel.csv"
     _atomic_write(out, lambda tmp: write_radial_csv(tmp, prof))
     _atomic_json(_sidecar_path(out), {

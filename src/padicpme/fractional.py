@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, ResourceError, SolverError
-from .functions import GridFunction, RadialFunction, TestFunction
+from .functions import RadialFunction, TestFunction
 from .padic import (
     Ball,
     GridSpec,
@@ -341,40 +341,6 @@ def ball_levels(params: OperatorParams) -> LevelOperator:
     """The ball operator of ball_matrix in level form, from its spectrum."""
     mu = ball_spectrum(params)
     return LevelOperator.from_gaps(params.grid, mu[-1], mu[:-1] - mu[1:])
-
-
-def operator_symbol(params: OperatorParams) -> np.ndarray:
-    """Eigenvalues of the ball operator in the grid Fourier basis.
-
-    Frequency index j represents xi = j p^{-M}, |xi| = p^{M - v_p(j)}, on
-    level K - v_p(j) of ball_spectrum (j = 0 on level 0).
-    """
-    mu, grid = ball_spectrum(params), params.grid
-    return mu[grid.N + grid.M - grid.valuations]
-
-
-def spectral_apply(params: OperatorParams, u: GridFunction) -> GridFunction:
-    """Apply the ball operator through the FFT diagonalization."""
-    _check_grid(params, u)
-    s = operator_symbol(params)
-    return GridFunction(u.grid, np.fft.fft(s * np.fft.ifft(u.values)))
-
-
-def spectral_resolvent_apply(params: OperatorParams, mu: float,
-                             u: GridFunction) -> GridFunction:
-    """(mu I + D^alpha_N)^{-1} u through the FFT diagonalization."""
-    if not mu > 0:
-        raise DomainError("resolvent parameter mu must be positive")
-    _check_grid(params, u)
-    s = operator_symbol(params)
-    return GridFunction(u.grid, np.fft.fft(np.fft.ifft(u.values) / (mu + s)))
-
-
-def _check_grid(params: OperatorParams, u: GridFunction):
-    if params.grid is None:
-        raise DomainError("operator is not bound to a grid")
-    if u.grid != params.grid:
-        raise DomainError("grid mismatch")
 
 
 def exterior_constant(params: OperatorParams, u: TestFunction, N: int) -> complex:

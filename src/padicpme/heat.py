@@ -447,53 +447,79 @@ def ball_c_coefficient(params: KernelParams) -> tuple:
     return c, pref * (rem + 3e-16 * n * max_abs * p / (p - 1))
 
 
+def _ball_gaps(mu: np.ndarray, t: float) -> tuple:
+    """Level gaps of exp(-t (A - lam)) for the spectrum mu = [lam, mu_1, ..]:
+    g_l = e^{-t (mu_l - lam)} (1 - e^{-t (mu_{l+1} - mu_l)}) >= 0 below the
+    last level, formed with expm1 and free of cancellation at every t, and
+    the last level's eigenvalue e^{-t (mu_last - lam)}."""
+    decay = t * (mu - mu[0])
+    gaps = np.exp(-decay[:-1]) * -np.expm1(-t * np.diff(mu))
+    return gaps, math.exp(-decay[-1])
+
+
 def ball_kernel_ZN(params: KernelParams, k_min: int) -> tuple:
-    """(profile of Z_N(t, .) on shells [k_min, N], certificate)."""
+    """(profile of Z_N(t, .) on shells [k_min, N] and at 0, pointwise
+    certificate, mass over B_N, mass certificate).
+
+    With g_l the level gaps of the ball semigroup, Z_N(t, .) is
+    sum_l g_l p^{l-N} 1_{B_{N-l}}: Z_N(t, p^k) sums the levels l <= N - k
+    and Z_N(t, 0) all of them, every term >= 0.  Level l >= 1 carries
+    mu_l = p^{alpha (l-N)} past any grid.  Levels stop at the first L + 1
+    with t mu_{L+1} (p^alpha - 1) >= log(2p), from where the terms at
+    least halve, and 2 p^{L+1} e^{-t (mu_{L+1} - lam)} <= _TARGET; as
+    Z_N(t, 0) >= p^{-N}, the dropped levels weigh <= _TARGET p^{-N} at any
+    point and <= _TARGET in mass.  The head ball B_{k_min-1} integrates to
+    sum_l g_l min(1, p^{l-N+k_min-1}).  The rounding certificate carries
+    each mu's relative error u (9 + |log mu| + ...) through the exponents.
+    """
     if params.N is None:
         raise DomainError("restricted kernel needs the ball exponent N")
-    lam = params.lam
-    elt = math.exp(lam * params.t)
-    c, c_bound = ball_c_coefficient(params)
-    shells = {}
-    bound = c_bound
-    for k in range(k_min, params.N + 1):
-        ev = kernel_Z(params, k)
-        shells[k] = complex(elt * ev.value + c)
-        bound = max(bound, elt * ev.truncation_bound + c_bound)
-    zero_ev = kernel_Z(params, None)
-    profile = RadialFunction(params.p, tuple(shells.items()),
-                             value_at_zero=complex(elt * zero_ev.value + c))
-    return profile, bound
+    params._require_positive_time()
+    p, a, t, N = params.p, params.alpha, params.t, params.N
+    mu = [params.lam]
+    while True:
+        l = len(mu)
+        if a * (l - N) * math.log(p) > 700.0:
+            raise ArithmeticError(
+                "restricted kernel series failed to localize")
+        mu.append(float(p) ** (a * (l - N)))
+        if (t * mu[-1] * (p ** a - 1) >= math.log(2 * p)
+                and math.log(2) + l * math.log(p) - t * (mu[-1] - mu[0])
+                <= math.log(_TARGET)):
+            break
+    mu = np.array(mu)
+    g, _ = _ball_gaps(mu, t)
+    L = len(g) - 1
+    terms = float(p) ** (np.arange(L + 1) - N) * g
+    values = np.cumsum(terms)  # values[j] = Z_N(t, p^{N-j}), values[L] at 0
 
+    u = 2.0 ** -53
+    logs = np.abs(np.log(mu))
+    rho = u * (9 + logs[0] + 3 * (a + 1) * math.log(p) + logs[:-1] + logs[1:])
+    err_decay = t * (mu[:-1] + mu[0])
+    err_decay[0] = 0.0  # t (mu_0 - lam) = 0 exactly
+    y = t * np.diff(mu)
+    err_gap = t * (mu[1:] + mu[:-1]) * np.exp(-y) / -np.expm1(-y)
+    rel = 2 * rho * (err_decay + err_gap) + 8 * u
 
-def ball_kernel_mass_estimate(params: KernelParams, k_min: int = -25) -> tuple:
-    """(mass of Z_N(t, .) over B_N, certificate); should equal 1."""
-    if params.N is None:
-        raise DomainError("restricted kernel needs the ball exponent N")
-    p, N = params.p, params.N
-    elt = math.exp(params.lam * params.t)
-    c, c_bound = ball_c_coefficient(params)
-    head, head_bound = ball_integral_of_Z(params, k_min - 1)
-    total = elt * head + c * float(p) ** (k_min - 1)
-    bound = elt * head_bound + c_bound * float(p) ** N
-    w = 1 - 1.0 / p
-    for k in range(k_min, N + 1):
-        ev = kernel_Z(params, k)
-        total += float(p) ** k * w * (elt * ev.value + c)
-        bound += float(p) ** k * w * elt * ev.truncation_bound
-    return total, bound
+    ks = np.arange(k_min, N + 1)
+    shell_values = values[np.minimum(N - ks, L)]
+    profile = RadialFunction(p, tuple(zip(ks.tolist(), shell_values)),
+                             value_at_zero=values[-1])
+    bound = terms @ rel + (L + 2) * u * values[-1] + _TARGET * float(p) ** -N
+    head = g @ np.minimum(1.0, float(p) ** (np.arange(L + 1) - N + k_min - 1))
+    mass = float(p) ** ks * (1 - 1 / p) @ shell_values + head
+    mass_bound = g @ rel + (2 * L + len(ks) + 4) * u * mass + _TARGET
+    return profile, bound, mass, mass_bound
 
 
 def ball_semigroup_matrix(op: OperatorParams, t: float) -> LevelOperator:
     """Ball semigroup exp(-t (A - lam)) in level form: eigenvalue
-    e^{-t (mu_l - lam)} on level l, and gaps
-    e^{-t (mu_l - lam)} (1 - e^{-t (mu_{l+1} - mu_l)}) >= 0 at every t."""
+    e^{-t (mu_l - lam)} on level l, and the gaps of _ball_gaps."""
     if not t >= 0:
         raise DomainError(f"time must be nonnegative, got {t}")
-    mu = ball_spectrum(op)
-    decay = t * (mu - mu[0])           # t (mu_l - lam), l = 0 .. K
-    gaps = np.exp(-decay[:-1]) * -np.expm1(-t * np.diff(mu))
-    return LevelOperator.from_gaps(op.grid, math.exp(-decay[-1]), gaps)
+    gaps, top = _ball_gaps(ball_spectrum(op), t)
+    return LevelOperator.from_gaps(op.grid, top, gaps)
 
 
 def ball_semigroup_expm(op: OperatorParams, t: float) -> np.ndarray:

@@ -23,13 +23,12 @@ from .fractional import (
     apply_testfunction_at,
     apply_to_indicator,
     ball_eigenvalue_floor,
+    ball_levels,
     ball_matrix,
     exterior_constant,
     hypersingular_quadrature,
     mass_of_image,
     restrict_to_ball,
-    spectral_apply,
-    spectral_resolvent_apply,
 )
 from .functions import GridFunction, RadialFunction, TestFunction, to_grid
 from .heat import KernelParams
@@ -254,16 +253,13 @@ def check_spectral_vs_matrix() -> CheckResult:
     worst = 0.0
     for (p, a, N, M) in ((2, 2.0, 1, 2), (3, 1.5, 0, 2)):
         op = OperatorParams(p, a, GridSpec(p, N, M))
-        B = ball_matrix(op)
+        levels, B = ball_levels(op), ball_matrix(op).matrix
         for _ in range(10):
-            u = GridFunction(op.grid,
-                             rng.standard_normal(op.grid.dim)
-                             + 1j * rng.standard_normal(op.grid.dim))
-            lhs = spectral_apply(op, u).values
-            rhs = B.matrix @ u.values
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            u = (rng.standard_normal(op.grid.dim)
+                 + 1j * rng.standard_normal(op.grid.dim))
+            worst = max(worst, float(np.max(np.abs(levels @ u - B @ u))))
     return _check("spectral_vs_matrix", worst <= 1e-9,
-                  f"max |FFT path - dense path| = {worst:.3e} (tol 1e-9)")
+                  f"max |level path - dense path| = {worst:.3e} (tol 1e-9)")
 
 
 def check_radial_power() -> CheckResult:
@@ -407,21 +403,30 @@ def check_l1_contraction() -> CheckResult:
 
 
 def check_ball_kernel_vs_expm() -> CheckResult:
+    """Level semigroup and the Z_N profile vs expm of the dense generator:
+    off the diagonal, entry (i, 0) is p^{-M} Z_N(t, |x_i|)."""
     worst = 0.0
     for (p, a, N, M) in ((2, 2.0, 1, 2), (3, 1.5, 0, 2)):
         op = OperatorParams(p, a, GridSpec(p, N, M))
         for t in (0.3, 1.0):
             T1 = heat.ball_semigroup_matrix(op, t).dense()
             T2 = heat.ball_semigroup_expm(op, t)
-            worst = max(worst, float(np.max(np.abs(T1 - T2))))
+            prof = heat.ball_kernel_ZN(KernelParams(p, a, t, N=N), 1 - M)[0]
+            col = op.grid.radial(
+                lambda k: 0.0 if k is None else prof.value_at_shell(k).real)
+            worst = max(worst, float(np.max(np.abs(T1 - T2))),
+                        float(np.max(np.abs(col[1:] * float(p) ** -M
+                                            - T2[1:, 0]))))
     return _check("ball_kernel_vs_expm", worst <= 1e-7,
-                  f"max |kernel path - expm path| = {worst:.3e} (tol 1e-7)")
+                  f"max |level and Z_N paths - expm path| = {worst:.3e} "
+                  "(tol 1e-7)")
 
 
 def check_ball_kernel_mass() -> CheckResult:
     worst = 0.0
     for (p, a, N, t) in ((2, 2.0, 1, 0.7), (3, 1.5, 0, 1.2)):
-        mass, bound = heat.ball_kernel_mass_estimate(KernelParams(p, a, t, N=N))
+        _, _, mass, bound = heat.ball_kernel_ZN(KernelParams(p, a, t, N=N),
+                                                -25)
         err = abs(mass - 1.0)
         if err > bound + 1e-8:
             return _check("ball_kernel_mass", False,
@@ -448,15 +453,15 @@ def check_c_coefficient_short_time() -> CheckResult:
 def check_resolvent_inversion() -> CheckResult:
     rng = np.random.default_rng(97)
     op = OperatorParams(2, 2.0, GridSpec(2, 1, 3))
-    B = ball_matrix(op).matrix
+    levels, B = ball_levels(op), ball_matrix(op).matrix
     worst = 0.0
     for mu in (0.5, 2.0):
         for _ in range(10):
-            u = GridFunction(op.grid, rng.standard_normal(op.grid.dim) + 0j)
-            r = spectral_resolvent_apply(op, mu, u)
-            back = mu * r.values + B @ r.values
-            scale = max(1.0, float(np.max(np.abs(u.values))))
-            worst = max(worst, float(np.max(np.abs(back - u.values))) / scale)
+            u = rng.standard_normal(op.grid.dim)
+            r = levels.solve(mu, u, 1.0)
+            back = mu * r + B @ r
+            scale = max(1.0, float(np.max(np.abs(u))))
+            worst = max(worst, float(np.max(np.abs(back - u))) / scale)
     return _check("resolvent_inversion", worst <= 1e-12,
                   f"max |(mu+A) R_mu u - u| = {worst:.3e} (tol 1e-12)")
 

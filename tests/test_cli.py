@@ -7,6 +7,7 @@ import pytest
 
 from padicpme.cli import build_initial, main
 from padicpme.errors import DomainError
+from padicpme.functions import read_radial_csv
 from padicpme.padic import GridSpec
 
 
@@ -45,9 +46,10 @@ def test_kernel_ball_mode(tmp_path):
 
 
 def test_kernel_ball_certificate_at_large_times(tmp_path, capsys):
-    """At large t the Z_N route cancels (mass -0.02 at t = 100); its
-    certificate must cover the defect, and a series that overflows must
-    end in one error line with exit code 1, not a traceback."""
+    """Z_N is right at large t: at t = 100 (p = 2, alpha = 2, N = 1) the
+    mass over B_1 is 1 and Z_N = p^{-N} = 0.5 on every shell and at 0.
+    The sidecar's c(t) series overflows by t = 10000, and ends in one
+    error line naming it, with exit code 1, not a traceback."""
     for t in ("10", "100"):
         out = tmp_path / f"zn_{t}.csv"
         rc = main(["kernel", "--p", "2", "--alpha", "2.0", "--t", t,
@@ -55,12 +57,19 @@ def test_kernel_ball_certificate_at_large_times(tmp_path, capsys):
         assert rc == 0
         side = _read_json(tmp_path / f"zn_{t}.json")
         assert abs(side["mass_over_ball"] - 1.0) <= side["mass_certificate"]
+    assert side["mass_certificate"] <= 1e-12
+    assert abs(side["mass_over_ball"] - 1.0) <= 1e-12
+    prof = read_radial_csv(str(out), 2)
+    assert len(prof.shell_values) == 14
+    for v in [prof.value_at_zero] + [v for _, v in prof.shell_values]:
+        assert abs(v - 0.5) <= 1e-12
     capsys.readouterr()
     rc = main(["kernel", "--p", "2", "--alpha", "2.0", "--t", "10000",
                "--ball", "1", "--out", str(tmp_path / "zn_big.csv")])
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert "ball coefficient" in err[0]
 
 
 def test_kernel_resolvent_mode(tmp_path):

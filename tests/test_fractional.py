@@ -6,13 +6,11 @@ import pytest
 from padicpme.errors import DomainError, ResourceError, SolverError
 from padicpme.fractional import (LevelOperator, OperatorParams,
                                  apply_radial_power, apply_testfunction_at,
-                                 apply_to_indicator, ball_eigenvalue_floor,
-                                 ball_levels, ball_matrix, ball_spectrum,
-                                 evaluate_indicator_image, exterior_constant,
-                                 hypersingular_quadrature, mass_of_image,
-                                 operator_symbol, restrict_to_ball,
-                                 spectral_apply)
-from padicpme.functions import GridFunction, TestFunction, to_grid
+                                 apply_to_indicator, ball_levels, ball_matrix,
+                                 ball_spectrum, evaluate_indicator_image,
+                                 exterior_constant, hypersingular_quadrature,
+                                 mass_of_image, restrict_to_ball)
+from padicpme.functions import TestFunction
 from padicpme.padic import Ball, GridSpec, PAdicExpansion, gamma_p
 from padicpme.pme import _BP_CLIP
 
@@ -226,26 +224,6 @@ def test_level_solve_rejects_bad_pivots():
     d = np.full(27, -0.9 * levels.c)  # leaves pass, a class pivot fails
     with pytest.raises(SolverError):
         levels.solve(d, b, 1.0)
-
-
-def test_symbol_matches_eigenvalues():
-    grid = GridSpec(3, 1, 1)
-    op = OperatorParams(3, 1.5, grid)
-    s = operator_symbol(op)
-    eigs = np.sort(np.linalg.eigvalsh(ball_matrix(op).matrix))
-    assert np.allclose(np.sort(s.real), eigs, atol=1e-12)
-    assert s[0] == pytest.approx(ball_eigenvalue_floor(3, 1.5, 1))
-
-
-def test_spectral_apply_matches_dense():
-    grid = GridSpec(2, 2, 2)
-    op = OperatorParams(2, 1.3, grid)
-    rng = np.random.default_rng(3)
-    u = GridFunction(grid, rng.standard_normal(grid.dim)
-                     + 1j * rng.standard_normal(grid.dim))
-    lhs = spectral_apply(op, u).values
-    rhs = ball_matrix(op).matrix @ u.values
-    assert np.max(np.abs(lhs - rhs)) < 1e-11
 
 
 def test_restrict_to_ball():

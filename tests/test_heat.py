@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,8 @@ from padicpme.fractional import OperatorParams, ball_matrix
 from padicpme.functions import GridFunction, TestFunction
 from padicpme.heat import (KernelParams, ball_c_coefficient,
                            ball_integral_of_Z, ball_kernel_ZN,
-                           ball_kernel_mass_estimate, ball_semigroup_expm,
-                           ball_semigroup_matrix, coeff_ck, green_kernel_value,
+                           ball_semigroup_expm, ball_semigroup_matrix,
+                           coeff_ck, green_kernel_value,
                            green_profile, green_tail_constant,
                            green_zero_value, kernel_Z, kernel_Z_alternating,
                            kernel_Z_profile, kernel_Z_shell_series,
@@ -261,8 +262,57 @@ def test_ball_kernel_needs_N():
 
 def test_ball_kernel_mass_is_one():
     params = KernelParams(2, 2.0, 0.9, N=1)
-    mass, bound = ball_kernel_mass_estimate(params)
+    _, _, mass, bound = ball_kernel_ZN(params, -25)
     assert abs(mass - 1.0) <= bound + 1e-9
+
+
+@pytest.mark.parametrize("p, alpha, N, M", SMALL_GRIDS)
+@pytest.mark.parametrize("t", [0.5, 10.0, 100.0])
+def test_ball_kernel_profile_matches_expm(p, alpha, N, M, t):
+    """Off the diagonal, expm(-t (B - lam I))[i, j] = p^{-M} Z_N(t, p^k)
+    with |x_i - x_j| = p^k, also where e^{lam t} Z + c(t) cancels."""
+    op = OperatorParams(p, alpha, GridSpec(p, N, M))
+    T = ball_semigroup_expm(op, t)
+    prof = ball_kernel_ZN(KernelParams(p, alpha, t, N=N), 1 - M)[0]
+    col = op.grid.radial(
+        lambda k: 0.0 if k is None else prof.value_at_shell(k).real)
+    assert np.max(np.abs(float(p) ** -M * col[1:] - T[1:, 0])) <= 1e-12
+
+
+def _ZN_reference(p, alpha, N, t):
+    """[Z_N(t, p^N), Z_N(t, p^{N-1}), ..., Z_N(t, 0)] as 40-digit sums of
+    the spectral series, to a relative tail below 1e-45."""
+    with mpmath.workdps(40):
+        P, a, T = mpmath.mpf(p), mpmath.mpf(alpha), mpmath.mpf(t)
+        mu = [P ** (a * (1 - N)) * (P - 1) / (P ** (a + 1) - 1)]
+        sums = [mpmath.mpf(0)]
+        while True:
+            l = len(mu) - 1
+            mu.append(P ** (a * (l + 1 - N)))
+            g = (mpmath.exp(-T * (mu[l] - mu[0]))
+                 * -mpmath.expm1(-T * (mu[l + 1] - mu[l])))
+            sums.append(sums[-1] + P ** (l - N) * g)
+            if (T * mu[-1] * (P ** a - 1) > 200
+                    and P ** (l - N) * g < 1e-45 * sums[-1]):
+                return sums[1:]
+
+
+@pytest.mark.parametrize("p, alpha, N", [(2, 0.5, 3), (2, 2.0, 1),
+                                         (3, 1.5, 0), (5, 0.7, -1)])
+def test_ball_kernel_certificates_hold(p, alpha, N):
+    """Every shell value and the value at 0 lie within the pointwise
+    certificate of a 40-digit sum, and the mass within its certificate
+    of 1, from t = 1e-4 to 1e6."""
+    for t in (1e-4, 1e-2, 0.5, 100.0, 1e6):
+        prof, bound, mass, mass_bound = ball_kernel_ZN(
+            KernelParams(p, alpha, t, N=N), N - 8)
+        ref = _ZN_reference(p, alpha, N, t)
+        points = [(ref[min(N - k, len(ref) - 1)], v)
+                  for k, v in prof.shell_values]
+        points.append((ref[-1], prof.value_at_zero))
+        for want, got in points:
+            assert abs(mpmath.mpf(got.real) - want) <= bound, (t, want)
+        assert abs(mass - 1.0) <= mass_bound <= 1e-13, t
 
 
 def test_ball_c_coefficient_short_time():

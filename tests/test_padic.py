@@ -8,8 +8,6 @@ import hypothesis.strategies as st
 
 from padicpme.cli import build_initial
 from padicpme.errors import DomainError, ResourceError
-from padicpme.fractional import (OperatorParams, ball_eigenvalue_floor,
-                                 operator_symbol)
 from padicpme.functions import RadialFunction
 from padicpme.padic import (Ball, GridSpec, PAdicExpansion, gamma_p,
                             haar_measure, int_valuation, rational_abs,
@@ -274,10 +272,3 @@ def test_radial_gathers_match_per_index_references(p, N, M):
                     else 1.3 * float(grid.representative(i).abs_value()) ** 0.7
                     for i, k in enumerate(shells)])
     assert np.array_equal(u0, ref)
-
-    alpha = 1.7
-    ref = np.array([ball_eigenvalue_floor(p, alpha, N)]
-                   + [float(p) ** (alpha * (M - int_valuation(j, p)))
-                      for j in range(1, grid.dim)])
-    assert np.array_equal(operator_symbol(OperatorParams(p, alpha, grid)),
-                          ref)
