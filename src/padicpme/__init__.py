@@ -39,6 +39,7 @@ from .heat import (
     ball_kernel_ZN,
     ball_semigroup_expm,
     ball_semigroup_matrix,
+    green_kernel,
     green_kernel_value,
     green_profile,
     green_zero_value,

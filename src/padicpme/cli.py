@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 import tempfile
@@ -77,14 +78,15 @@ def _manifest(path: str, command: str, config: dict, artifacts: list,
     })
 
 
-def _sidecar_path(csv_path: str) -> str:
-    root, _ = os.path.splitext(csv_path)
-    return root + ".json"
-
-
-def _manifest_path(csv_path: str) -> str:
-    root, _ = os.path.splitext(csv_path)
-    return root + ".manifest.json"
+def _write_artifacts(out: str, write, sidecar: dict, command: str,
+                     config: dict, started: float) -> None:
+    """Write the data file out through write(tmp), its JSON sidecar
+    <root>.json and a manifest <root>.manifest.json listing both."""
+    root, _ = os.path.splitext(out)
+    _atomic_write(out, write)
+    _atomic_json(root + ".json", sidecar)
+    _manifest(root + ".manifest.json", command, config,
+              [out, root + ".json"], started)
 
 
 def _parse_point(p: int, text: str) -> PAdicExpansion:
@@ -139,8 +141,7 @@ def _kernel_heat(args) -> int:
             agreement = max(agreement, abs(v1 - v2))
 
     out = args.out or "kernel.csv"
-    _atomic_write(out, lambda tmp: write_radial_csv(tmp, prof))
-    _atomic_json(_sidecar_path(out), {
+    _write_artifacts(out, lambda tmp: write_radial_csv(tmp, prof), {
         "kind": "heat_kernel",
         "p": p, "alpha": alpha, "t": t, "shells": S,
         "value_at_zero": zero.value,
@@ -149,11 +150,8 @@ def _kernel_heat(args) -> int:
         "mass": mass,
         "mass_certificate": mass_bound,
         "series_agreement_max": agreement,
-    })
-    _manifest(_manifest_path(out), "kernel",
-              {"p": p, "alpha": alpha, "t": t, "shells": S,
-               "ball": None, "mu": None},
-              [out, _sidecar_path(out)], started)
+    }, "kernel", {"p": p, "alpha": alpha, "t": t, "shells": S,
+                  "ball": None, "mu": None}, started)
     print(f"wrote {out} (mass {mass:.12f}, certificate {mass_bound:.3e})")
     return 0
 
@@ -166,9 +164,10 @@ def _kernel_ball(args) -> int:
         raise DomainError(f"--shells {S} leaves no shells inside B_{N}")
     prof, bound, mass, mass_bound = heat.ball_kernel_ZN(params, -S)
     c, c_bound = heat.ball_c_coefficient(params)
+    if not math.isfinite(c):  # c(t) ~ -e^{lam t} left the double range
+        c = c_bound = None
     out = args.out or "kernel.csv"
-    _atomic_write(out, lambda tmp: write_radial_csv(tmp, prof))
-    _atomic_json(_sidecar_path(out), {
+    _write_artifacts(out, lambda tmp: write_radial_csv(tmp, prof), {
         "kind": "ball_kernel",
         "p": p, "alpha": alpha, "t": t, "shells": S, "ball": N,
         "lambda": params.lam,
@@ -177,11 +176,8 @@ def _kernel_ball(args) -> int:
         "pointwise_certificate": bound,
         "mass_over_ball": mass,
         "mass_certificate": mass_bound,
-    })
-    _manifest(_manifest_path(out), "kernel",
-              {"p": p, "alpha": alpha, "t": t, "shells": S,
-               "ball": N, "mu": None},
-              [out, _sidecar_path(out)], started)
+    }, "kernel", {"p": p, "alpha": alpha, "t": t, "shells": S,
+                  "ball": N, "mu": None}, started)
     print(f"wrote {out} (mass over B_{N}: {mass:.12f}, "
           f"certificate {mass_bound:.3e})")
     return 0
@@ -192,27 +188,25 @@ def _kernel_resolvent(args) -> int:
     p, alpha, mu, S = args.p, args.alpha, args.mu, args.shells
     if mu <= 0:
         raise DomainError("--mu must be positive")
-    shells = {k: heat.green_kernel_value(p, alpha, mu, k)
-              for k in range(-S, S + 1)}
-    zero = heat.green_zero_value(p, alpha, mu)
+    shells = {k: heat.green_kernel(p, alpha, mu, k) for k in range(-S, S + 1)}
+    zero = heat.green_kernel(p, alpha, mu)
     tail_c = heat.green_tail_constant(p, alpha, mu)
-    prof = RadialFunction(p, tuple(shells.items()), value_at_zero=zero,
+    prof = RadialFunction(p, tuple((k, ev.value) for k, ev in shells.items()),
+                          value_at_zero=zero.value,
                           tail=(tail_c, -(alpha + 1.0)), head_constant=True)
     out = args.out or "kernel.csv"
-    _atomic_write(out, lambda tmp: write_radial_csv(tmp, prof))
-    _atomic_json(_sidecar_path(out), {
+    _write_artifacts(out, lambda tmp: write_radial_csv(tmp, prof), {
         "kind": "resolvent_kernel",
         "p": p, "alpha": alpha, "mu": mu, "shells": S,
-        "value_at_zero": zero,
+        "value_at_zero": zero.value,
+        "zero_truncation_bound": zero.truncation_bound,
+        "shell_truncation_bounds": {str(k): ev.truncation_bound
+                                    for k, ev in shells.items()},
         "tail_constant": tail_c,
         "tail_exponent": -(alpha + 1.0),
-        "series_target": 1e-18,
-    })
-    _manifest(_manifest_path(out), "kernel",
-              {"p": p, "alpha": alpha, "t": None, "shells": S,
-               "ball": None, "mu": mu},
-              [out, _sidecar_path(out)], started)
-    print(f"wrote {out} (E_mu at zero: {zero:.12f})")
+    }, "kernel", {"p": p, "alpha": alpha, "t": None, "shells": S,
+                  "ball": None, "mu": mu}, started)
+    print(f"wrote {out} (E_mu at zero: {zero.value:.12f})")
     return 0
 
 
@@ -234,18 +228,15 @@ def cmd_operator(args) -> int:
         for j in range(grid.dim):
             lines.append(f"{i},{j},{float(B.matrix[i, j])!r}")
     text = "\n".join(lines) + "\n"
-    _atomic_write(out, lambda tmp: Path(tmp).write_text(text))
-    _atomic_json(_sidecar_path(out), {
+    _write_artifacts(out, lambda tmp: Path(tmp).write_text(text), {
         "kind": "ball_operator_matrix",
         "p": args.p, "alpha": args.alpha, "N": args.N, "M": args.M,
         "dim": grid.dim,
         "lambda": B.lam,
         "row_sum_max_deviation": float(
             np.max(np.abs(B.matrix.sum(axis=1) - B.lam))),
-    })
-    _manifest(_manifest_path(out), "operator",
-              {"p": args.p, "alpha": args.alpha, "N": args.N, "M": args.M},
-              [out, _sidecar_path(out)], started)
+    }, "operator",
+        {"p": args.p, "alpha": args.alpha, "N": args.N, "M": args.M}, started)
     print(f"wrote {out} ({grid.dim}x{grid.dim}, lambda {B.lam:.12e})")
     return 0
 
@@ -426,8 +417,7 @@ def cmd_explicit(args) -> int:
                                            k_lo=args.k_min, k_hi=args.k_max,
                                            companion=args.companion)
     out = args.out or "explicit.csv"
-    _atomic_write(out, lambda tmp: write_radial_csv(tmp, prof))
-    _atomic_json(_sidecar_path(out), {
+    _write_artifacts(out, lambda tmp: write_radial_csv(tmp, prof), {
         "kind": "explicit_solution",
         "p": args.p, "alpha": args.alpha, "m": args.m,
         "t0": args.t0, "t": args.t,
@@ -438,12 +428,10 @@ def cmd_explicit(args) -> int:
         "amplitude": sol.amplitude,
         "time_factor": sol.time_factor(args.t),
         "residual_sup": residual,
-    })
-    _manifest(_manifest_path(out), "explicit",
-              {"p": args.p, "alpha": args.alpha, "m": args.m,
-               "t0": args.t0, "t": args.t, "k_min": args.k_min,
-               "k_max": args.k_max, "companion": args.companion},
-              [out, _sidecar_path(out)], started)
+    }, "explicit",
+        {"p": args.p, "alpha": args.alpha, "m": args.m,
+         "t0": args.t0, "t": args.t, "k_min": args.k_min,
+         "k_max": args.k_max, "companion": args.companion}, started)
     print(f"wrote {out} (residual sup {residual:.3e})")
     return 0
 

@@ -1,10 +1,12 @@
 """Heat kernel, semigroup, resolvent and Green function of D^alpha.
 
-Every series is truncated against an explicit remainder estimate, and each
-evaluation hands that certificate back to the caller; nothing relies on "it
-looked converged".  Three independent representations of the kernel (shell
-series, alternating power series, grid matrix exponential) cross-check each
-other in the test suite.
+For a radial multiplier m, e^{-t |xi|^alpha} (heat) or 1 / (mu + |xi|^alpha)
+(resolvent), the kernel is K(p^j) = sum_{k <= -j} p^k d_k, and K(0) the sum
+over all k, with gaps d_k = m(p^k) - m(p^{k+1}) >= 0.  `_gap_sum` sums every
+such series and certifies both tails and the rounding, so nothing relies on
+"it looked converged".  The alternating power series, the indicator
+expansions of S(t) f and the grid matrix exponential cross-check it in the
+test suite.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from .padic import Ball, PAdicExpansion, check_prime, gamma_p
 # the benchmark's tracer wraps heat.int_valuation; nothing here calls it
 from .padic import int_valuation  # noqa: F401
 
-_TARGET = 1e-18  # default absolute truncation target for certified series
+_TARGET = 1e-18  # absolute target of the alternating and restricted series
 _MAX_SHELLS = 4000
+_U = 2.0 ** -53  # unit roundoff
+_TAIL = 2.0 ** -60  # a gap sum's tails, relative to its envelope at the knee
 
 
 def _exp_neg_t_pow(t: float, p: int, a: float, k: int) -> float:
@@ -63,20 +67,33 @@ class KernelParams:
             raise DomainError("kernel evaluation needs t > 0")
 
 
-def coeff_ck(params: KernelParams, k: int) -> float:
-    """c_k(t) = exp(-p^{k alpha} t) - exp(-p^{(k+1) alpha} t) >= 0.
+def _heat_gaps(t: float, p: int, a: float, k) -> tuple:
+    """(c_k(t), bound on its relative rounding) at an integer or integer
+    array k.
+
+    With s = p^{k a} = e^w, c_k = e^{-t s} (1 - e^{-t s (p^a - 1)}).  The
+    relative errors of s, u (2 + |w|) from rounding k a, and of p^a - 1,
+    u (1 + p^a / (p^a - 1)), reach c_k through e^{-t s} with gain t s and
+    through expm1 with gain <= 1.  Where t s overflows, c_k is exactly 0.
+    """
+    pa = float(p) ** a
+    x = t * np.power(float(p), a * k)
+    c = np.exp(-x) * -np.expm1(-x * (pa - 1))
+    rho = _U * (5 + a * math.log(p) * np.abs(k) + pa / (pa - 1))
+    return c, (np.minimum(x, 1e3) + 1) * rho + 3 * _U
+
+
+def coeff_ck(params: KernelParams, k):
+    """c_k(t) = exp(-p^{k alpha} t) - exp(-p^{(k+1) alpha} t) >= 0 at an
+    integer k or an integer array k.
 
     Evaluated as -exp(-a t) expm1(-(b - a) t), which stays relatively
     accurate when both exponentials are within rounding of 1 (deep shells,
     short times); the naive difference would lose all significant digits
     there.
     """
-    t, p, a = params.t, params.p, params.alpha
-    wa = a * k * math.log(p)
-    if wa > 700.0:
-        return 0.0
-    A = math.exp(wa)
-    return -math.exp(-A * t) * math.expm1(-A * (float(p) ** a - 1.0) * t)
+    with np.errstate(over="ignore"):
+        return _heat_gaps(params.t, params.p, params.alpha, np.asarray(k))[0]
 
 
 def linear_split_bound(p: int, alpha: float, k: int) -> tuple:
@@ -96,82 +113,81 @@ def linear_split_bound(p: int, alpha: float, k: int) -> tuple:
 
 @dataclass(frozen=True)
 class KernelEvaluation:
+    """A kernel value; truncation_bound certifies |value - exact| and covers
+    the truncated tails and the rounding."""
+
     value: float
     truncation_bound: float
     shells_used: int
 
 
-def kernel_Z_shell_series(params: KernelParams, shell: int | None = None) -> KernelEvaluation:
-    """Z(t, |x| = p^shell) by the shell decomposition of the spectral integral.
+def _gap_sum(p: int, a: float, gaps, knee: float, lower: float,
+             upper: tuple | None, top: int | None = None) -> KernelEvaluation:
+    """Certified sum of p^k d_k over k <= top, or over all k if top is None.
 
-    At x = 0 the upper tail is cut once consecutive terms decay by factor
-    >= 2, giving remainder <= 2 g(K+1).  For x != 0 with z = t p^{(1-j)a}
-    > 1 the raw shell sum carries no cancellation and only its lower tail
-    (remainder < p^{K-1}) is truncated; for z <= 1 the raw sum loses all
-    relative accuracy (every exponential is near 1), so the identity
-    sum_{k<=-j} p^k (1-1/p) = p^{-j} is used to subtract the constants
-    exactly and sum expm1 terms instead, keeping the result relatively
-    accurate even where Z is far below the working precision.
+    gaps(k) gives d_k >= 0 and a bound on its relative rounding at an
+    integer or integer array k; it runs with overflow and division by zero
+    silenced, since terms far out in a tail may over- or underflow.  The
+    terms obey p^k d_k <= e^lower p^{k (1 + a)} for every k and, if
+    upper = (c, g) with g > 0 is given (it must be when top is None),
+    p^k d_k <= e^c p^{-g k}.  The window [k_lo, k_hi] is set in closed form
+    so that each envelope's tail outside it is at most _TAIL times the
+    lower envelope at k_0 = min(top, floor(log_p(knee) / a)).  The
+    multiplier bends there from linear decay to its tail, and the envelope
+    exceeds the term by at most e (1 + p^a) for the heat and resolvent
+    gaps.  The value is the correctly rounded sum of the window
+    (math.fsum); the bound adds both tails to the rounding of every term.
+    A window wider than _MAX_SHELLS, or one that reaches p^k beyond
+    e^{+-700}, raises ArithmeticError, as does a value that leaves the
+    double range.
     """
+    lp = math.log(p)
+    k0 = math.floor(math.log(knee) / (a * lp))
+    if top is not None:
+        k0 = min(k0, top)
+    # each tail is geometric: sum_{k>=K} e^{c - g k} = e^{c - g K} / (1 - e^-g)
+    g = (1 + a) * lp
+    log_ref = lower + g * k0 + math.log(_TAIL)
+    shrink = math.log1p(-math.exp(-g))
+    k_lo = k0 + math.floor((math.log(_TAIL) + shrink) / g) + 1
+    tails = math.exp(lower + g * (k_lo - 1) - shrink)
+    k_hi = top
+    if upper is not None:
+        c, g = upper[0], upper[1] * lp
+        shrink = math.log1p(-math.exp(-g))
+        cut = max(k0, math.ceil((c - shrink - log_ref) / g) - 1)
+        if top is None or cut < top:
+            k_hi = cut
+            tails += math.exp(c - g * (cut + 1) - shrink)
+    n = k_hi - k_lo + 1
+    if n > _MAX_SHELLS:
+        raise ArithmeticError(f"kernel series failed to localize ({n} terms)")
+    if max(-k_lo, k_hi) * lp > 700.0:  # p^k, and the gaps with it, overflow
+        raise ArithmeticError("kernel series leaves the double range")
+    k = np.arange(k_lo, k_hi + 1)
+    with np.errstate(over="ignore", divide="ignore"):
+        d, rel = gaps(k)
+        terms = np.power(float(p), k) * d
+    value = math.fsum(terms)
+    bound = tails + float(terms @ rel) + 3 * _U * value
+    if not (math.isfinite(value) and math.isfinite(bound)):
+        raise ArithmeticError("kernel series leaves the double range")
+    return KernelEvaluation(value, bound, n)
+
+
+def kernel_Z_shell_series(params: KernelParams, shell: int | None = None) -> KernelEvaluation:
+    """Z(t, |x| = p^shell), or Z(t, 0) if shell is None, as the gap sum of
+    c_k(t) (`coeff_ck`): every term is >= 0, so the value is relatively
+    accurate on every shell, also where Z is far below the working
+    precision.  Envelopes: c_k <= t p^{k a} (p^a - 1), and with b = 2 / a,
+    c_k <= e^{-t p^{k a}} <= (b / (e t))^b p^{-2k}."""
     params._require_positive_time()
     p, a, t = params.p, params.alpha, params.t
-    w = 1 - 1.0 / p
-
-    total = 0.0
-    used = 0
-    bound = 0.0
-
-    if shell is not None:
-        j = shell
-        log_z = math.log(t) + (1 - j) * a * math.log(p)
-        if log_z <= 0.0:
-            # small-z regime: cancellation-free expm1 form
-            z = math.exp(log_z)
-            total = -float(p) ** (-j) * math.expm1(-z)
-            k = -j
-            while True:
-                total += float(p) ** k * w * math.expm1(-t * float(p) ** (a * k))
-                used += 1
-                rem = (w * t * float(p) ** ((k - 1) * (1 + a))
-                       / (1 - float(p) ** (-(1 + a))))
-                if rem <= _TARGET or rem <= 1e-16 * abs(total):
-                    bound += rem + 5e-16 * abs(total)
-                    break
-                k -= 1
-                if used > _MAX_SHELLS:
-                    raise ArithmeticError("lower shell series failed to localize")
-            return KernelEvaluation(total, bound, used)
-        total -= float(p) ** (-j) * _exp_neg_t_pow(t, p, a, 1 - j)
-        start = -j
-    else:
-        # upper branch k = 0, 1, ...
-        k = 0
-        while True:
-            g = float(p) ** k * w * _exp_neg_t_pow(t, p, a, k)
-            total += g
-            used += 1
-            ratio_ok = t * math.exp(min(a * k * math.log(p), 700.0)) * (p**a - 1) >= math.log(2 * p)
-            if ratio_ok and g <= _TARGET:
-                g_next = float(p) ** (k + 1) * w * _exp_neg_t_pow(t, p, a, k + 1)
-                bound += 2.0 * g_next
-                break
-            k += 1
-            if used > _MAX_SHELLS:
-                raise ArithmeticError("upper shell series failed to localize")
-        start = -1
-
-    k = start
-    while True:
-        total += float(p) ** k * w * _exp_neg_t_pow(t, p, a, k)
-        used += 1
-        if float(p) ** (k - 1) <= _TARGET:
-            bound += float(p) ** (k - 1)
-            break
-        k -= 1
-        if used > _MAX_SHELLS:
-            raise ArithmeticError("lower shell series failed to localize")
-
-    return KernelEvaluation(total, bound, used)
+    b = 2.0 / a
+    return _gap_sum(p, a, lambda k: _heat_gaps(t, p, a, k), 1.0 / t,
+                    math.log(t * (float(p) ** a - 1)),
+                    (b * math.log(b / (math.e * t)), 1.0),
+                    None if shell is None else -int(shell))
 
 
 def kernel_Z_alternating(params: KernelParams, shell: int) -> KernelEvaluation:
@@ -220,13 +236,12 @@ def kernel_Z_alternating(params: KernelParams, shell: int) -> KernelEvaluation:
 _CROSS_CHECK_Z_CAP = 8.0
 
 
-def kernel_Z(params: KernelParams, shell: int | None = None,
-             cross_check: bool = True) -> KernelEvaluation:
+def kernel_Z(params: KernelParams, shell: int | None = None) -> KernelEvaluation:
     """Certified kernel value; the shell series is authoritative and, where
     the alternating series is numerically trustworthy (z <= 8), the two are
     required to agree within their combined certificates."""
     ev = kernel_Z_shell_series(params, shell)
-    if cross_check and shell is not None:
+    if shell is not None:
         z = params.t * float(params.p) ** (params.alpha * (1 - shell))
         if z <= _CROSS_CHECK_Z_CAP:
             other = kernel_Z_alternating(params, shell)
@@ -249,25 +264,19 @@ def kernel_Z_profile(params: KernelParams, k_min: int, k_max: int) -> RadialFunc
 def ball_integral_of_Z(params: KernelParams, l: int) -> tuple:
     """(integral of Z(t, .) over B_l, certified bound).
 
-    Exact spectral form: int_{B_l} Z = p^l sum_{k <= -l} p^k (1-1/p)
-    exp(-t p^{k alpha}); only the geometric lower tail is truncated.
+    The integral is p^l sum_{k <= -l} p^k (1 - 1/p) e^{-t p^{k alpha}}
+    = p^l Z(t, p^l) + e^{-t p^{alpha (1-l)}}, two terms >= 0.  The
+    exponential's rounding follows _heat_gaps: gain t s on the relative
+    error u (1 + 3|w|) of s = p^{alpha (1-l)} = e^w.
     """
-    params._require_positive_time()
+    ev = kernel_Z_shell_series(params, l)
     p, a, t = params.p, params.alpha, params.t
-    w = 1 - 1.0 / p
-    total = 0.0
-    k = -l
-    used = 0
-    while True:
-        total += float(p) ** k * w * _exp_neg_t_pow(t, p, a, k)
-        used += 1
-        if float(p) ** (k - 1) <= _TARGET:
-            tail = float(p) ** (k - 1)
-            break
-        k -= 1
-        if used > _MAX_SHELLS:
-            raise ArithmeticError("ball integral failed to localize")
-    return float(p) ** l * total, float(p) ** l * tail
+    w = a * (1 - l) * math.log(p)
+    x = t * math.exp(min(w, 700.0))
+    top = math.exp(-x)
+    total = float(p) ** l * ev.value + top
+    return total, (float(p) ** l * ev.truncation_bound
+                   + top * _U * (2 + x * (2 + 3 * abs(w))) + _U * total)
 
 
 def kernel_mass_estimate(params: KernelParams, k_min: int = -25,
@@ -403,8 +412,8 @@ def semigroup_matrix(op: OperatorParams, t: float) -> LevelOperator:
         raise DomainError("semigroup_matrix needs a grid-bound operator")
     kp = KernelParams(op.p, op.alpha, t)
     p, N, M = op.p, grid.N, grid.M
-    gaps = ([float(p) ** N * kernel_Z(kp, N).value]
-            + [coeff_ck(kp, l - N) for l in range(1, N + M)])
+    gaps = np.concatenate(([float(p) ** N * kernel_Z(kp, N).value],
+                           coeff_ck(kp, np.arange(1 - N, M))))
     return LevelOperator.from_gaps(grid, _exp_neg_t_pow(t, p, op.alpha, M),
                                    gaps)
 
@@ -412,39 +421,38 @@ def semigroup_matrix(op: OperatorParams, t: float) -> LevelOperator:
 def ball_c_coefficient(params: KernelParams) -> tuple:
     """(c(t), certificate) for the constant part of the restricted kernel.
 
-    Z_N(t, x) = e^{lam t} Z(t, x) + c(t) on B_N, with
+    Z_N(t, x) = e^{lam t} Z(t, x) + c(t) on B_N.  Z_N has mass 1 over B_N
+    and int_{B_N} Z = p^N Z(t, p^N) + e^{-t mu_1} with mu_1 = p^{a(1-N)},
+    so
 
-      c(t) = p^{-N} - p^{-N} (1 - 1/p) e^{lam t}
-             sum_{n>=0} ((-t p^{-N a})^n / n!) / (1 - p^{-a n - 1}),
+      c(t) = p^{-N} (-expm1(-t (mu_1 - lam)) - e^{lam t} p^N Z(t, p^N)).
 
-    an entire alternating series whose factorial tail is certified by
-    1/(1 - p^{-a n - 1}) <= p/(p-1), plus the rounding of the sum, which
-    swamps c(t) at large t where the terms grow like e^{z} and cancel.
+    The two parts cancel to O(t^2) at short times; the certificate carries
+    Z's certificate and the rounding of mu_1 and lam, relative error
+    u (6 + 3|w|) with p^{a(1-N)} = e^w, through both parts.  c(t) falls
+    like -e^{lam t}; once that leaves the double range the result is
+    (-inf, inf).
     """
     if params.N is None:
         raise DomainError("ball coefficient needs the ball exponent N")
     p, a, t, N = params.p, params.alpha, params.t, params.N
+    if t == 0:
+        return 0.0, 0.0
     lam = params.lam
-    z = t * float(p) ** (-N * a)
-
-    total = 0.0
-    term = 1.0  # (-z)^n / n!
-    max_abs = 0.0
-    n = 0
-    while True:
-        total += term / (1 - float(p) ** (-a * n - 1))
-        max_abs = max(max_abs, abs(term))
-        n += 1
-        term *= -z / n
-        rem = (p / (p - 1)) * abs(term) / max(1e-300, 1 - z / (n + 1)) if z < n + 1 else None
-        if rem is not None and rem <= _TARGET * (1 + abs(total)):
-            break
-        if n > 600:
-            raise ArithmeticError("ball coefficient series failed to converge")
-
-    pref = float(p) ** (-N) * (1 - 1.0 / p) * math.exp(lam * t)
-    c = float(p) ** (-N) - pref * total
-    return c, pref * (rem + 3e-16 * n * max_abs * p / (p - 1))
+    if lam * t > 709.0:  # e^{lam t} overflows
+        return -math.inf, math.inf
+    w = a * (1 - N) * math.log(p)
+    mu1 = float(p) ** (a * (1 - N))
+    rho = _U * (6 + 3 * abs(w))
+    first = -math.expm1(-t * (mu1 - lam))
+    ev = kernel_Z_shell_series(params, N)
+    grow = math.exp(lam * t) * float(p) ** N
+    second = grow * ev.value
+    c = float(p) ** -N * (first - second)
+    bound = float(p) ** -N * (first * (rho * (mu1 + lam) / (mu1 - lam) + 3 * _U)
+                              + second * ((lam * t + 1) * rho + 4 * _U)
+                              + grow * ev.truncation_bound)
+    return c, bound + 2 * _U * abs(c)
 
 
 def _ball_gaps(mu: np.ndarray, t: float) -> tuple:
@@ -535,15 +543,40 @@ def ball_semigroup_expm(op: OperatorParams, t: float) -> np.ndarray:
     return scipy.linalg.expm(-t * A)
 
 
+def _resolvent_gaps(p: int, a: float, mu: float, k) -> tuple:
+    """(a_k, bound on its relative rounding) at an integer or integer
+    array k.
+
+    a_k = 1/(mu + s) - 1/(mu + p^a s) = s (p^a - 1) / ((mu + s)(mu + p^a s))
+    with s = p^{k a} = e^w, formed as (p^a - 1) / ((mu/s + 1)(mu + p^a s))
+    so that it is exactly 0 where s underflows or overflows.  The relative
+    error u (2 + |w|) of s reaches a_k with gain <= 1, that of p^a with
+    gain <= 1 + p^a / (p^a - 1).
+    """
+    pa = float(p) ** a
+    s = np.power(float(p), a * k)
+    d = (pa - 1) / ((mu / s + 1) * (mu + pa * s))
+    return d, _U * (10 + a * math.log(p) * np.abs(k) + pa / (pa - 1))
+
+
+def _resolvent_sum(p: int, a: float, mu: float, top) -> KernelEvaluation:
+    """The gap sum of a_k over k <= top, or over all k if a > 1.  Envelopes:
+    a_k <= p^{k a} (p^a - 1) / mu^2 and a_k <= p^{-k a}."""
+    return _gap_sum(p, a, lambda k: _resolvent_gaps(p, a, mu, k), mu,
+                    math.log(float(p) ** a - 1) - 2 * math.log(mu),
+                    (0.0, a - 1.0) if a > 1 else None, top)
+
+
 def resolvent_apply(op: OperatorParams, mu: float, u: GridFunction) -> GridFunction:
     """(mu + D^alpha)^{-1} u for a grid-supported u, evaluated on the grid.
 
-    Ball-average form: R_mu = sum_k a_k p^k Avg_{B_{-k}} with
-    a_k = p^{k alpha}(p^alpha - 1) / ((mu + p^{k alpha})(mu + p^{(k+1) alpha})).
-    Averages over balls containing B_N see the total mass (the coarse
-    head); on level l >= 1 the eigenvalue is 1 / (mu + p^{alpha(l-N)}), so
-    the gaps there are a_{l-N}.  sum_k a_k = 1/mu, so the map is
-    positivity preserving with L1 gain exactly 1/mu.
+    Ball-average form: R_mu = sum_k a_k p^k Avg_{B_{-k}} with the
+    resolvent gaps a_k = 1/(mu + p^{k alpha}) - 1/(mu + p^{(k+1) alpha})
+    >= 0.  On level l >= 1 the eigenvalue is 1 / (mu + p^{alpha(l-N)}), so
+    the gaps there are a_{l-N}.  Averages over balls containing B_N see
+    only the total mass, so the constants' gap to level 1 is the certified
+    gap sum p^N sum_{k <= -N} p^k a_k, for any alpha > 0.  sum_k a_k =
+    1/mu, so the map is positivity preserving with L1 gain exactly 1/mu.
     """
     grid = op.grid
     if grid is None:
@@ -554,26 +587,10 @@ def resolvent_apply(op: OperatorParams, mu: float, u: GridFunction) -> GridFunct
         raise DomainError("resolvent parameter mu must be positive")
     p, a = op.p, op.alpha
     N, M = grid.N, grid.M
-
-    def a_k(k: int) -> float:
-        pka = float(p) ** (k * a)
-        return pka * (float(p) ** a - 1) / ((mu + pka) * (mu + pka * float(p) ** a))
-
-    # coarse scales: the ball B(x, p^{-k}) swallows all of supp u
-    head = 0.0
-    k = -N
-    while True:
-        term = a_k(k) * float(p) ** k
-        head += term
-        if term <= _TARGET and float(p) ** (k * (a + 1)) <= _TARGET * mu * mu:
-            break
-        k -= 1
-        if -N - k > 600:
-            break
-
-    levels = LevelOperator.from_gaps(
-        grid, 1.0 / (mu + float(p) ** (M * a)),
-        [head * float(p) ** N] + [a_k(l - N) for l in range(1, N + M)])
+    head = float(p) ** N * _resolvent_sum(p, a, mu, -N).value
+    gaps, _ = _resolvent_gaps(p, a, mu, np.arange(1 - N, M))
+    levels = LevelOperator.from_gaps(grid, 1.0 / (mu + float(p) ** (M * a)),
+                                     np.concatenate(([head], gaps)))
     return GridFunction(grid, levels.apply(u.values))
 
 
@@ -586,52 +603,26 @@ def _require_green_domain(alpha: float):
         raise DomainError(f"the Green kernel needs alpha > 1, got {alpha}")
 
 
-def green_kernel_value(p: int, alpha: float, mu: float, shell: int) -> float:
-    """E_mu(|x| = p^shell) = sum_{k <= -shell} p^k (1-1/p)/(p^{k alpha} + mu)
-    - p^{-shell} / (p^{(1-shell) alpha} + mu), truncated geometrically."""
+def green_kernel(p: int, alpha: float, mu: float,
+                 shell: int | None = None) -> KernelEvaluation:
+    """Certified E_mu(|x| = p^shell), or E_mu(0) if shell is None:
+    E_mu(p^j) = sum_{k <= -j} p^k a_k, a sum of resolvent gaps >= 0.
+    E_mu(0) is finite precisely because alpha > 1."""
     check_prime(p)
     _require_green_domain(alpha)
     if not mu > 0:
         raise DomainError("mu must be positive")
-    j = int(shell)
-    w = 1 - 1.0 / p
-    total = -float(p) ** (-j) / (float(p) ** ((1 - j) * alpha) + mu)
-    k = -j
-    while True:
-        total += float(p) ** k * w / (float(p) ** (k * alpha) + mu)
-        if float(p) ** (k - 1) / mu <= _TARGET:
-            break
-        k -= 1
-        if -j - k > _MAX_SHELLS:
-            raise ArithmeticError("Green series failed to localize")
-    return total
+    return _resolvent_sum(p, alpha, mu, None if shell is None else -int(shell))
+
+
+def green_kernel_value(p: int, alpha: float, mu: float, shell: int) -> float:
+    """E_mu(|x| = p^shell), the value of `green_kernel`."""
+    return green_kernel(p, alpha, mu, shell).value
 
 
 def green_zero_value(p: int, alpha: float, mu: float) -> float:
-    """E_mu(0); finite precisely because alpha > 1."""
-    check_prime(p)
-    _require_green_domain(alpha)
-    if not mu > 0:
-        raise DomainError("mu must be positive")
-    w = 1 - 1.0 / p
-    total = 0.0
-    k = 0
-    while True:  # upper branch, decays like p^{k(1 - alpha)}
-        total += float(p) ** k * w / (float(p) ** (k * alpha) + mu)
-        if float(p) ** (k * (1 - alpha)) / (1 - float(p) ** (1 - alpha)) <= _TARGET:
-            break
-        k += 1
-        if k > _MAX_SHELLS:
-            raise ArithmeticError("Green series failed to localize")
-    k = -1
-    while True:
-        total += float(p) ** k * w / (float(p) ** (k * alpha) + mu)
-        if float(p) ** (k - 1) / mu <= _TARGET:
-            break
-        k -= 1
-        if -k > _MAX_SHELLS:
-            raise ArithmeticError("Green series failed to localize")
-    return total
+    """E_mu(0), the value of `green_kernel`."""
+    return green_kernel(p, alpha, mu).value
 
 
 def green_profile(p: int, alpha: float, mu: float,

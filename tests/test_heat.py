@@ -13,7 +13,7 @@ from padicpme.functions import GridFunction, TestFunction
 from padicpme.heat import (KernelParams, ball_c_coefficient,
                            ball_integral_of_Z, ball_kernel_ZN,
                            ball_semigroup_expm, ball_semigroup_matrix,
-                           coeff_ck, green_kernel_value,
+                           coeff_ck, green_kernel, green_kernel_value,
                            green_profile, green_tail_constant,
                            green_zero_value, kernel_Z, kernel_Z_alternating,
                            kernel_Z_profile, kernel_Z_shell_series,
@@ -324,6 +324,124 @@ def test_ball_c_coefficient_short_time():
           for t in (1e-2, 5e-3, 2.5e-3)]
     assert cs[0] / cs[1] == pytest.approx(4.0, rel=0.02)
     assert cs[1] / cs[2] == pytest.approx(4.0, rel=0.02)
+
+
+def _gap_sums_reference(p, gap, shells):
+    """{j: sum_{k <= -j} p^k d_k for each shell j, None: the sum over all
+    k} as 40-digit sums; gap(k) is d_k >= 0 at the working precision.
+    Below the shells the terms fall geometrically and above them they
+    fall once past their peak; both sums stop at a term below 1e-45 of
+    the total so far."""
+    with mpmath.workdps(40):
+        P = mpmath.mpf(p)
+        total, k = mpmath.mpf(0), -max(shells) - 1
+        while True:
+            term = P ** k * gap(k)
+            total += term
+            if term < 1e-45 * total:
+                break
+            k -= 1
+        sums = {}
+        for k in range(-max(shells), -min(shells) + 1):
+            total += P ** k * gap(k)
+            sums[-k] = total
+        prev = None
+        while True:
+            k += 1
+            term = P ** k * gap(k)
+            total += term
+            if prev is not None and term < prev and term < 1e-45 * total:
+                break
+            prev = term
+        sums[None] = total
+    return sums
+
+
+def _ball_integral_reference(p, alpha, t, l):
+    """int_{B_l} Z(t, .) = p^l sum_{k <= -l} p^k (1 - 1/p) e^{-t p^{k alpha}}
+    as a 40-digit sum, stopped at a term below 1e-45 of the total."""
+    with mpmath.workdps(40):
+        P, A, T = mpmath.mpf(p), mpmath.mpf(alpha), mpmath.mpf(t)
+        total, k = mpmath.mpf(0), -l
+        while True:
+            term = P ** k * (1 - 1 / P) * mpmath.exp(-T * P ** (A * k))
+            total += term
+            if term < 1e-45 * total:
+                return P ** l * total
+            k -= 1
+
+
+@pytest.mark.parametrize("p, alpha", [(2, 2.0), (3, 1.8), (5, 3.0),
+                                      (2, 1.2), (2, 0.5)])
+def test_kernel_shell_series_against_40_digit_sum(p, alpha):
+    """On shells -10..30 and at 0, from t = 1e-6 to 1e3, every value lies
+    within its certificate of a 40-digit sum and within 1e-13 relative;
+    so does the integral of Z over B_l, checked against the direct sum
+    p^l sum_{k <= -l} p^k (1 - 1/p) e^{-t p^{k alpha}}."""
+    P, A = mpmath.mpf(p), mpmath.mpf(alpha)
+    shells = range(-10, 31)
+    for t in (1e-6, 1e-2, 1.0, 1e3):
+        T = mpmath.mpf(t)
+        ref = _gap_sums_reference(p, lambda k: mpmath.exp(-T * P ** (A * k))
+                                  * -mpmath.expm1(-T * P ** (A * k) * (P ** A - 1)),
+                                  shells)
+        params = KernelParams(p, alpha, t)
+        for j in list(shells) + [None]:
+            ev = kernel_Z_shell_series(params, j)
+            err = abs(mpmath.mpf(ev.value) - ref[j])
+            assert err <= ev.truncation_bound, (t, j)
+            assert err <= 1e-13 * ref[j], (t, j)
+        for l in (-6, 0, 4):
+            want = _ball_integral_reference(p, alpha, t, l)
+            got, bound = ball_integral_of_Z(params, l)
+            assert abs(mpmath.mpf(got) - want) <= bound <= 1e-14 * want, (t, l)
+
+
+@pytest.mark.parametrize("p, alpha, mu", [(2, 2.0, 1.0), (3, 1.8, 0.5),
+                                          (5, 3.0, 4.0), (2, 1.2, 1.0)])
+def test_green_kernel_against_40_digit_sum(p, alpha, mu):
+    """E_mu on shells -10..30 and at 0 lies within its certificate of a
+    40-digit sum of the resolvent gaps and within 1e-13 relative."""
+    P, A, MU = mpmath.mpf(p), mpmath.mpf(alpha), mpmath.mpf(mu)
+
+    def gap(k):
+        s = P ** (A * k)
+        return s * (P ** A - 1) / ((MU + s) * (MU + s * P ** A))
+
+    shells = range(-10, 31)
+    ref = _gap_sums_reference(p, gap, shells)
+    for j in list(shells) + [None]:
+        ev = green_kernel(p, alpha, mu, j)
+        assert ev.value == (green_zero_value(p, alpha, mu) if j is None
+                            else green_kernel_value(p, alpha, mu, j))
+        err = abs(mpmath.mpf(ev.value) - ref[j])
+        assert err <= ev.truncation_bound, j
+        assert err <= 1e-13 * ref[j], j
+
+
+@pytest.mark.parametrize("p, alpha, N, ts", [
+    (2, 2.0, 1, (1e-3, 0.5, 10.0, 100.0)), (3, 1.5, 0, (1e-2, 1.0, 100.0)),
+    (5, 0.7, -1, (1e-4, 3.0, 200.0))])
+def test_ball_c_coefficient_certificate_holds(p, alpha, N, ts):
+    """c(t) = p^{-N} (1 - e^{lam t} int_{B_N} Z) lies within its
+    certificate of a 40-digit evaluation, also where c(t) is O(t^2) and
+    its two parts cancel, and where its power series had lost every
+    digit; once e^{lam t} leaves the double range the result is
+    (-inf, inf)."""
+    for t in ts:
+        params = KernelParams(p, alpha, t, N=N)
+        c, bound = ball_c_coefficient(params)
+        with mpmath.workdps(40):
+            P, A, T = mpmath.mpf(p), mpmath.mpf(alpha), mpmath.mpf(t)
+            lam = P ** (A * (1 - N)) * (P - 1) / (P ** (A + 1) - 1)
+            want = P ** -N * (1 - mpmath.exp(lam * T)
+                              * _ball_integral_reference(p, alpha, t, N))
+        assert abs(mpmath.mpf(c) - want) <= bound, t
+        # the two parts of c(t) are O(p^{-N} min(1, t mu_1)) and cancel
+        parts = float(p) ** -N * min(1.0, t * float(p) ** (alpha * (1 - N)))
+        assert bound <= 1e-12 * abs(want) + 1e-14 * parts, t
+    assert ball_c_coefficient(KernelParams(2, 2.0, 1e4, N=1)) == (-math.inf,
+                                                                   math.inf)
 
 
 def test_green_domain_guards():
