@@ -121,24 +121,13 @@ def _kernel_heat(args) -> int:
     started = time.time()
     p, alpha, t, S = args.p, args.alpha, args.t, args.shells
     params = KernelParams(p, alpha, t)
-    shells = {}
-    bounds = {}
-    for k in range(-S, S + 1):
-        ev = heat.kernel_Z(params, k)
-        shells[k] = ev.value
-        bounds[str(k)] = ev.truncation_bound
+    shells = {k: heat.kernel_Z(params, k) for k in range(-S, S + 1)}
     zero = heat.kernel_Z(params, None)
-    prof = RadialFunction(p, tuple(shells.items()),
+    prof = RadialFunction(p, tuple((k, ev.value) for k, ev in shells.items()),
                           value_at_zero=zero.value, head_constant=True)
-    mass, mass_bound = heat.kernel_mass_estimate(params)
-
-    agreement = 0.0
-    for k in range(-S, S + 1):
-        z = t * float(p) ** (alpha * (1 - k))
-        if z <= 8.0:
-            v1 = heat.kernel_Z_shell_series(params, k).value
-            v2 = heat.kernel_Z_alternating(params, k).value
-            agreement = max(agreement, abs(v1 - v2))
+    mass, mass_bound = heat.kernel_mass_estimate(params, known=shells)
+    agreement = max((ev.series_gap for ev in shells.values()
+                     if ev.series_gap is not None), default=0.0)
 
     out = args.out or "kernel.csv"
     _write_artifacts(out, lambda tmp: write_radial_csv(tmp, prof), {
@@ -146,7 +135,8 @@ def _kernel_heat(args) -> int:
         "p": p, "alpha": alpha, "t": t, "shells": S,
         "value_at_zero": zero.value,
         "zero_truncation_bound": zero.truncation_bound,
-        "shell_truncation_bounds": bounds,
+        "shell_truncation_bounds": {str(k): ev.truncation_bound
+                                    for k, ev in shells.items()},
         "mass": mass,
         "mass_certificate": mass_bound,
         "series_agreement_max": agreement,

@@ -127,55 +127,51 @@ def apply_radial_power(params: OperatorParams, beta: float) -> tuple:
 _MAX_QUADRATURE_NODES = 1 << 18
 
 
-def hypersingular_quadrature(params: OperatorParams, f, x,
-                             k_lo: int, k_hi: int,
-                             constancy_exp: int | None = None,
-                             sup_bound: float | None = None) -> tuple:
+def hypersingular_quadrature(params: OperatorParams, f: TestFunction, x,
+                             k_lo: int, k_hi: int) -> tuple:
     """Shell quadrature for D^alpha f at x with a certified truncation bound.
 
-    f may be a TestFunction (local constancy and sup bound are derived) or a
-    plain callable on Fractions, in which case constancy_exp and sup_bound
-    must be supplied by the caller.  Shells k <= constancy_exp contribute
-    exactly zero; shells above k_hi are bounded by 2 sup|f| times the
-    remaining geometric integral.  Returns (value, tail_bound).
+    f is constant on the cosets of B_c, c = f.constancy_radius_exp(), so
+    shells k <= c contribute exactly zero.  y -> f(x - y) is sampled once on
+    the p^K cosets of B_{k_hi} / B_c (K = k_hi - c), the coset of y at index
+    y p^{k_hi} mod p^K: each canonical term lands on one index.  Cell i != 0
+    lies on the shell k_hi - v_p(i), so one bincount over the valuations
+    sums every shell in [max(k_lo, c + 1), k_hi].  Shells above k_hi are
+    bounded by 2 sup|f| times the remaining geometric integral.  Returns
+    (value, tail_bound).
     """
     p, a = params.p, params.alpha
     kappa = params.hypersingular_coefficient
-
-    if isinstance(f, TestFunction):
-        g = f.canonicalize()
-        c_exp = g.constancy_radius_exp()
-        if c_exp is None:
-            return 0j, 0.0
-        sup = max(abs(c) for c, _ in g.terms)
-        evaluate = g.value_at
-    else:
-        if constancy_exp is None or sup_bound is None:
-            raise DomainError(
-                "callable integrands need explicit constancy_exp and sup_bound")
-        c_exp, sup, evaluate = int(constancy_exp), float(sup_bound), f
-
+    g = f.canonicalize()
+    c_exp = g.constancy_radius_exp()
+    if c_exp is None:
+        return 0j, 0.0
+    sup = max(abs(c) for c, _ in g.terms)
     xv = x.value if isinstance(x, PAdicExpansion) else Fraction(x)
-    fx = evaluate(xv)
 
     lo = max(k_lo, c_exp + 1)
-    nodes = sum(p ** (k - c_exp) - p ** (k - c_exp - 1)
-                for k in range(lo, k_hi + 1))
+    K = k_hi - c_exp
+    nodes = p**K - p ** (lo - c_exp - 1) if lo <= k_hi else 0
     if nodes > _MAX_QUADRATURE_NODES:
         raise ResourceError(f"quadrature needs {nodes} nodes, cap is "
                             f"{_MAX_QUADRATURE_NODES}")
 
-    cell = float(p) ** c_exp  # measure of one constancy coset
     total = 0j
-    for k in range(lo, k_hi + 1):
-        shell = 0j
-        # coset representatives m p^{-k} + B_{c_exp}, p not dividing m
-        for m in range(1, p ** (k - c_exp)):
-            if m % p == 0:
-                continue
-            y = Fraction(m, p**k) if k >= 0 else Fraction(m * p ** (-k))
-            shell += evaluate(xv - y) - fx
-        total += float(p) ** (-k * (a + 1)) * cell * shell
+    if nodes:
+        size = p**K
+        sample = np.zeros(size, dtype=np.complex128)  # f(x - y) per coset
+        for c, b in g.terms:
+            z = (xv - b.center.value) * Fraction(p) ** k_hi
+            if z.denominator % p:  # |z|_p <= 1: x - b lies in B_{k_hi}
+                sample[z.numerator * pow(z.denominator, -1, size) % size] += c
+        sample -= sample[0]  # f(x - y) - f(x); the cell of y = 0 holds f(x)
+        v = GridSpec(p, k_hi, -c_exp, cap=size).valuations
+        re = np.bincount(v, sample.real, minlength=K + 1)
+        im = np.bincount(v, sample.imag, minlength=K + 1)
+        cell = float(p) ** c_exp  # measure of one constancy coset
+        for k in range(lo, k_hi + 1):
+            shell = complex(re[k_hi - k], im[k_hi - k])
+            total += float(p) ** (-k * (a + 1)) * cell * shell
 
     tail = (abs(kappa) * 2 * sup * (1 - 1 / p)
             * float(p) ** (-(k_hi + 1) * a) / (1 - float(p) ** (-a)))

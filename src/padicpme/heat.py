@@ -12,7 +12,7 @@ test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -114,11 +114,13 @@ def linear_split_bound(p: int, alpha: float, k: int) -> tuple:
 @dataclass(frozen=True)
 class KernelEvaluation:
     """A kernel value; truncation_bound certifies |value - exact| and covers
-    the truncated tails and the rounding."""
+    the truncated tails and the rounding.  series_gap is |shell series -
+    alternating series| where kernel_Z compared the two, else None."""
 
     value: float
     truncation_bound: float
     shells_used: int
+    series_gap: float | None = None
 
 
 def _gap_sum(p: int, a: float, gaps, knee: float, lower: float,
@@ -239,17 +241,20 @@ _CROSS_CHECK_Z_CAP = 8.0
 def kernel_Z(params: KernelParams, shell: int | None = None) -> KernelEvaluation:
     """Certified kernel value; the shell series is authoritative and, where
     the alternating series is numerically trustworthy (z <= 8), the two are
-    required to agree within their combined certificates."""
+    required to agree within their combined certificates; their gap is
+    returned as series_gap."""
     ev = kernel_Z_shell_series(params, shell)
     if shell is not None:
         z = params.t * float(params.p) ** (params.alpha * (1 - shell))
         if z <= _CROSS_CHECK_Z_CAP:
             other = kernel_Z_alternating(params, shell)
+            gap = abs(ev.value - other.value)
             tol = ev.truncation_bound + other.truncation_bound + 1e-9 * (1 + abs(ev.value))
-            if abs(ev.value - other.value) > tol:
+            if gap > tol:
                 raise ArithmeticError(
                     f"kernel representations disagree at shell {shell}: "
                     f"{ev.value} vs {other.value}")
+            return replace(ev, series_gap=gap)
     return ev
 
 
@@ -280,20 +285,22 @@ def ball_integral_of_Z(params: KernelParams, l: int) -> tuple:
 
 
 def kernel_mass_estimate(params: KernelParams, k_min: int = -25,
-                         k_max: int = 25) -> tuple:
+                         k_max: int = 25, known: dict | None = None) -> tuple:
     """(mass estimate, certificate) for int Z(t, x) dx from pointwise values.
 
     The head ball B_{k_min - 1} is integrated in closed form, shells
-    [k_min, k_max] use certified pointwise kernel values, and the exterior
+    [k_min, k_max] use certified pointwise kernel values (known[k], a
+    kernel_Z result the caller already has, is reused), and the exterior
     is bounded through 0 <= Z(t, p^k) <= (p^a - 1) t p^{-k(a+1)} / (1 - p^{-a-1}).
     """
+    known = known or {}
     p, a, t = params.p, params.alpha, params.t
     head, head_bound = ball_integral_of_Z(params, k_min - 1)
     total = head
     bound = head_bound
     w = 1 - 1.0 / p
     for k in range(k_min, k_max + 1):
-        ev = kernel_Z(params, k)
+        ev = known[k] if k in known else kernel_Z(params, k)
         total += float(p) ** k * w * ev.value
         bound += float(p) ** k * w * ev.truncation_bound
     tail = (w * (float(p) ** a - 1) * t / (1 - float(p) ** (-a - 1))

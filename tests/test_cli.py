@@ -1,10 +1,12 @@
 import csv
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from padicpme import heat
 from padicpme.cli import build_initial, main
 from padicpme.errors import DomainError
 from padicpme.functions import read_radial_csv
@@ -32,6 +34,25 @@ def test_kernel_heat_artifacts(tmp_path):
     assert str(out) in man["artifacts"] and str(tmp_path / "zprof.json") in man["artifacts"]
     assert "numpy" in man["versions"] and "scipy" in man["versions"]
     assert man["wall_seconds"] >= 0
+
+
+def test_kernel_heat_compares_each_shell_once(tmp_path, monkeypatch):
+    """Each shell's alternating series is summed once: kernel_Z's gap feeds
+    both its own check and series_agreement_max, and the mass estimate
+    reuses the shell values."""
+    calls = Counter()
+    alternating = heat.kernel_Z_alternating
+
+    def counted(params, shell):
+        calls[shell] += 1
+        return alternating(params, shell)
+
+    monkeypatch.setattr(heat, "kernel_Z_alternating", counted)
+    rc = main(["kernel", "--p", "2", "--alpha", "2.0", "--t", "1.0",
+               "--shells", "8", "--out", str(tmp_path / "z.csv")])
+    assert rc == 0
+    assert calls and max(calls.values()) == 1
+    assert _read_json(tmp_path / "z.json")["series_agreement_max"] > 0
 
 
 def test_kernel_ball_mode(tmp_path):

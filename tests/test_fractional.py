@@ -85,10 +85,13 @@ def test_radial_power_oracle_and_guards():
             apply_radial_power(OperatorParams(2, 2.0), bad)
 
 
+_QUADRATURE_POINTS = tuple(Fraction(q) for q in ("0", "1/2", "4", "1/3", "2/7"))
+
+
 def test_quadrature_certificate_honest():
     op = OperatorParams(2, 2.0)
     f = TestFunction.indicator(Ball(_zero(2), 0))
-    for x in (Fraction(0), Fraction(1, 2), Fraction(4)):
+    for x in _QUADRATURE_POINTS:
         val, tail = hypersingular_quadrature(op, f, x, k_lo=-4, k_hi=12)
         closed = apply_testfunction_at(op, f, x)
         assert abs(val - closed) <= tail + 1e-12
@@ -101,11 +104,37 @@ def test_quadrature_node_cap():
         hypersingular_quadrature(op, f, Fraction(0), k_lo=-4, k_hi=40)
 
 
-def test_quadrature_callable_needs_metadata():
-    op = OperatorParams(2, 2.0)
-    with pytest.raises(DomainError):
-        hypersingular_quadrature(op, lambda x: 1.0, Fraction(0),
-                                 k_lo=0, k_hi=4)
+def _quadrature_oracle(op, f, x, k_lo, k_hi):
+    """The shell sum node by node: one exact f(x - y) per coset y + B_c of
+    each shell k in [max(k_lo, c + 1), k_hi], c the constancy exponent."""
+    p, a = op.p, op.alpha
+    c = f.constancy_radius_exp()
+    fx = f.value_at(x)
+    total = 0j
+    for k in range(max(k_lo, c + 1), k_hi + 1):
+        ys = (Fraction(m) / Fraction(p) ** k
+              for m in range(1, p ** (k - c)) if m % p)
+        shell = sum(f.value_at(x - y) - fx for y in ys)
+        total += float(p) ** (-k * (a + 1) + c) * shell
+    return op.hypersingular_coefficient * total
+
+
+@pytest.mark.parametrize("p, alpha, k_lo, k_hi", [
+    (2, 2.0, -4, 6), (2, 0.7, -1, 3), (3, 1.3, -3, 4), (3, 2.5, 1, 2)])
+def test_quadrature_matches_exact_node_sum(p, alpha, k_lo, k_hi):
+    op = OperatorParams(p, alpha)
+    at = lambda q, l: Ball(PAdicExpansion.from_rational(p, Fraction(q)), l)
+    f = TestFunction(p, (  # overlapping raw terms, complex coefficients
+        (1.0 - 0.5j, at(0, 1)),
+        (-2.0 + 0j, at(0, -1)),
+        (0.25j, at(Fraction(1, p), -1)),
+        (0.75 + 1j, at(Fraction(1, p), -2)),
+        (-1.5 + 0j, at(4, 0)),
+    ))
+    for x in _QUADRATURE_POINTS:
+        val, _ = hypersingular_quadrature(op, f, x, k_lo=k_lo, k_hi=k_hi)
+        ref = _quadrature_oracle(op, f, x, k_lo, k_hi)
+        assert abs(val - ref) <= 1e-15 * abs(ref), (x, val, ref)
 
 
 def test_ball_matrix_structure():
