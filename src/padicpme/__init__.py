@@ -17,16 +17,8 @@ from .fractional import (
 )
 from .functions import (
     GridFunction,
-    Norms,
     RadialFunction,
     TestFunction,
-    convolve_indicators,
-    from_grid,
-    grid_convolve,
-    grid_fourier,
-    grid_fourier_inverse,
-    modulus_of_continuity,
-    norms,
     read_grid_csv,
     read_radial_csv,
     to_grid,
@@ -40,9 +32,6 @@ from .heat import (
     ball_semigroup_expm,
     ball_semigroup_matrix,
     green_kernel,
-    green_kernel_value,
-    green_profile,
-    green_zero_value,
     kernel_Z,
     kernel_mass_estimate,
     resolvent_apply,
@@ -55,11 +44,8 @@ from .padic import (
     GridSpec,
     PAdicExpansion,
     gamma_p,
-    haar_measure,
     rational_abs,
-    rational_fractional_part,
     rational_valuation,
-    unit_ball,
 )
 from .pme import (
     EvolutionResult,

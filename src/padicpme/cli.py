@@ -34,7 +34,7 @@ from .functions import (GridFunction, RadialFunction, TestFunction,
                         read_grid_csv, to_grid, write_grid_csv,
                         write_radial_csv)
 from .heat import KernelParams
-from .padic import LEVEL_GRID_CAP, Ball, GridSpec, PAdicExpansion
+from .padic import Ball, GridSpec, PAdicExpansion
 
 _USAGE_ERRORS = (DomainError, ResourceError, PrecisionError, SupportError)
 _MATRIX_DUMP_CAP = 512
@@ -255,7 +255,7 @@ def build_initial(grid: GridSpec, spec: dict) -> np.ndarray:
         path = spec.get("path")
         if not path:
             raise DomainError("csv initial data needs a 'path' field")
-        return np.real(read_grid_csv(path, grid).values)
+        return pme.real_initial(read_grid_csv(path, grid).values)
     raise DomainError(f"unknown initial kind {kind!r} "
                       "(choices: indicator, radial_power, csv)")
 
@@ -266,7 +266,7 @@ def build_initial(grid: GridSpec, spec: dict) -> np.ndarray:
 
 def cmd_evolve_heat(args) -> int:
     started = time.time()
-    grid = GridSpec(args.p, args.N, args.M, cap=LEVEL_GRID_CAP)
+    grid = GridSpec(args.p, args.N, args.M)
     op = OperatorParams(args.p, args.alpha, grid)
     if args.t_end <= 0:
         raise DomainError("--t-end must be positive")

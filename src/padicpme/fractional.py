@@ -26,6 +26,15 @@ from .padic import (
 )
 
 _POLE_GUARD = 1e-9
+# Largest grid the n x n oracles (ball_matrix, LevelOperator.dense) build:
+# 128 MB of float64 at the cap.
+DENSE_GRID_CAP = 4096
+
+
+def _check_dense(grid: GridSpec) -> None:
+    if grid.dim > DENSE_GRID_CAP:
+        raise ResourceError(f"an n x n matrix at dim {grid.dim} exceeds the "
+                            f"dense cap {DENSE_GRID_CAP}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +80,9 @@ def apply_to_indicator(params: OperatorParams, ball: Ball) -> RadialFunction:
         p^{-l alpha} (1 - 1/p) / (1 - p^{-alpha-1})          for k <= l,
         p^l Gamma_p(alpha+1) p^{-k(alpha+1)}                 for k > l,
 
-    returned as a shell profile with a power tail; evaluate the image at y
-    via value_at(y - c) or through evaluate_indicator_image.
+    returned as a shell profile with a power tail; the image at y is
+    value_at(y - c), and apply_testfunction_at sums it over the terms of a
+    test function.
     """
     p, a = params.p, params.alpha
     if ball.p != p:
@@ -87,13 +97,6 @@ def apply_to_indicator(params: OperatorParams, ball: Ball) -> RadialFunction:
         tail=(complex(tail_c), -(a + 1)),
         head_constant=True,
     )
-
-
-def evaluate_indicator_image(params: OperatorParams, ball: Ball, y) -> complex:
-    """(D^alpha 1_B)(y) exactly, y a PAdicExpansion or Fraction."""
-    profile = apply_to_indicator(params, ball)
-    yv = y.value if isinstance(y, PAdicExpansion) else Fraction(y)
-    return profile.value_at(yv - ball.center.value)
 
 
 def apply_testfunction_at(params: OperatorParams, f: TestFunction, y) -> complex:
@@ -165,7 +168,7 @@ def hypersingular_quadrature(params: OperatorParams, f: TestFunction, x,
             if z.denominator % p:  # |z|_p <= 1: x - b lies in B_{k_hi}
                 sample[z.numerator * pow(z.denominator, -1, size) % size] += c
         sample -= sample[0]  # f(x - y) - f(x); the cell of y = 0 holds f(x)
-        v = GridSpec(p, k_hi, -c_exp, cap=size).valuations
+        v = GridSpec(p, k_hi, -c_exp).valuations  # node cap: p^K <= 2^19
         re = np.bincount(v, sample.real, minlength=K + 1)
         im = np.bincount(v, sample.imag, minlength=K + 1)
         cell = float(p) ** c_exp  # measure of one constancy coset
@@ -198,6 +201,7 @@ def ball_matrix(params: OperatorParams) -> BallOperatorMatrix:
     grid = params.grid
     if grid is None:
         raise DomainError("ball_matrix needs an OperatorParams with a grid")
+    _check_dense(grid)
     p, a = params.p, params.alpha
     N, M, dim = grid.N, grid.M, grid.dim
 
@@ -272,6 +276,7 @@ class LevelOperator:
 
     def dense(self) -> np.ndarray:
         """The n x n matrix, entry by entry; an oracle for small grids."""
+        _check_dense(self.grid)
         p, n = self.grid.p, self.grid.dim
         i = np.arange(n)
         diff = i[:, None] - i[None, :]

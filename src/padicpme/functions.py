@@ -6,10 +6,8 @@ geometric tails.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,12 +20,6 @@ from .padic import (
     rational_abs,
     rational_shell,
 )
-
-
-class Norms(NamedTuple):
-    l1: float
-    l2: float
-    linf: float
 
 
 # ---------------------------------------------------------------------------
@@ -55,10 +47,6 @@ class TestFunction:
                 raise DomainError("all balls must share the prime p")
 
     @classmethod
-    def zero(cls, p: int) -> "TestFunction":
-        return cls(p, ())
-
-    @classmethod
     def indicator(cls, ball: Ball, coeff=1.0) -> "TestFunction":
         return cls(ball.p, ((complex(coeff), ball),))
 
@@ -78,10 +66,6 @@ class TestFunction:
     def scale(self, c) -> "TestFunction":
         c = complex(c)
         return TestFunction(self.p, tuple((c * ci, b) for ci, b in self.terms))
-
-    def translate(self, h: PAdicExpansion) -> "TestFunction":
-        return TestFunction(self.p, tuple(
-            (c, Ball(b.center + h, b.radius_exp)) for c, b in self.terms))
 
     # ---- evaluation ------------------------------------------------------
 
@@ -126,34 +110,8 @@ class TestFunction:
         kept.sort(key=lambda cb: (cb[1].center.value, cb[1].radius_exp))
         return TestFunction(self.p, tuple(kept))
 
-    # ---- integrals and norms ----------------------------------------------
-
     def integral(self) -> complex:
         return sum((c * float(b.measure) for c, b in self.terms), 0j)
-
-    def norms(self, max_terms: int = 65536) -> Norms:
-        g = self.canonicalize(max_terms=max_terms)
-        if not g.terms:
-            return Norms(0.0, 0.0, 0.0)
-        meas = np.array([float(b.measure) for _, b in g.terms])
-        mags = np.array([abs(c) for c, _ in g.terms])
-        return Norms(
-            l1=float(np.sum(mags * meas)),
-            l2=float(math.sqrt(np.sum(mags**2 * meas))),
-            linf=float(np.max(mags)),
-        )
-
-
-def convolve_indicators(b1: Ball, b2: Ball) -> TestFunction:
-    """Exact convolution of two ball indicators.
-
-    1_{B(x0,k)} * 1_{B(x1,l)} = p^{min(k,l)} 1_{B(x0+x1, max(k,l))}.
-    """
-    if b1.p != b2.p:
-        raise DomainError("operands must share the prime p")
-    k, l = b1.radius_exp, b2.radius_exp
-    coeff = float(b1.p) ** min(k, l)
-    return TestFunction.indicator(Ball(b1.center + b2.center, max(k, l)), coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -174,30 +132,8 @@ class GridFunction:
                 f"values must have shape ({self.grid.dim},), got {v.shape}")
         self.values = v
 
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "GridFunction":
-        return cls(grid, np.zeros(grid.dim, dtype=np.complex128))
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
-
     def integral(self) -> complex:
         return complex(np.sum(self.values) * float(self.grid.coset_measure))
-
-    def norms(self) -> Norms:
-        w = float(self.grid.coset_measure)
-        a = np.abs(self.values)
-        return Norms(
-            l1=float(np.sum(a) * w),
-            l2=float(math.sqrt(np.sum(a**2) * w)),
-            linf=float(np.max(a)) if a.size else 0.0,
-        )
-
-    def translate(self, h: PAdicExpansion) -> "GridFunction":
-        """u(x - h) on the grid group Z/p^{N+M}."""
-        h_idx = self.grid.index_of(h)
-        idx = (np.arange(self.grid.dim) - h_idx) % self.grid.dim
-        return GridFunction(self.grid, self.values[idx])
 
 
 def to_grid(f: TestFunction, grid: GridSpec) -> GridFunction:
@@ -221,81 +157,6 @@ def to_grid(f: TestFunction, grid: GridSpec) -> GridFunction:
         step = grid.p ** (grid.N - b.radius_exp)
         out[c_idx % step::step] += c
     return GridFunction(grid, out)
-
-
-def from_grid(u: GridFunction) -> TestFunction:
-    """Represent a grid function as a test function on the coset balls."""
-    grid = u.grid
-    terms = []
-    for i in range(grid.dim):
-        c = u.values[i]
-        if c != 0:
-            terms.append((complex(c), Ball(grid.representative(i), -grid.M)))
-    return TestFunction(grid.p, tuple(terms))
-
-
-def modulus_of_continuity(u: GridFunction, r: int) -> float:
-    """sup over grid shifts |h| <= p^r of the sup norm of u(. - h) - u.
-
-    Grid index h_idx represents h = h_idx * p^{-N}, so |h| <= p^r picks out
-    the indices divisible by p^{N-r} (all of them once r >= N).
-    """
-    grid = u.grid
-    if r < -grid.M:
-        raise DomainError(f"shift radius p^{r} below grid resolution p^-{grid.M}")
-    step = grid.p ** max(grid.N - r, 0)
-    worst = 0.0
-    n = np.arange(grid.dim)
-    for h_idx in range(step, grid.dim, step):
-        shifted = u.values[(n - h_idx) % grid.dim]
-        worst = max(worst, float(np.max(np.abs(shifted - u.values))))
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# grid Fourier analysis
-# ---------------------------------------------------------------------------
-
-def grid_fourier(u: GridFunction, fast: bool = True) -> GridFunction:
-    """Fourier transform on B_N/B_{-M}: (Fu)(xi_j) = p^{-M} sum_i chi(x_i xi_j) u_i.
-
-    With x_i = i p^{-N}, xi_j = j p^{-M}, the phase chi(x_i xi_j) is
-    exp(2 pi i * ij / dim), so Fu = p^{-M} * dim * ifft(u).  The transform
-    lives on the dual grid (N and M swapped).
-    """
-    grid = u.grid
-    dual = grid.dual()
-    w = float(grid.coset_measure)
-    if fast:
-        vals = w * grid.dim * np.fft.ifft(u.values)
-    else:
-        n = np.arange(grid.dim)
-        phases = np.exp(2j * np.pi * np.outer(n, n) / grid.dim)
-        vals = w * phases @ u.values
-    return GridFunction(dual, vals)
-
-
-def grid_fourier_inverse(v: GridFunction, fast: bool = True) -> GridFunction:
-    """Inverse transform back from the dual grid: p^{-N'} sum_j conj-phase."""
-    dual = v.grid
-    grid = dual.dual()
-    w = float(dual.coset_measure)
-    if fast:
-        vals = w * np.fft.fft(v.values)
-    else:
-        n = np.arange(dual.dim)
-        phases = np.exp(-2j * np.pi * np.outer(n, n) / dual.dim)
-        vals = w * phases @ v.values
-    return GridFunction(grid, vals)
-
-
-def grid_convolve(u: GridFunction, v: GridFunction) -> GridFunction:
-    """Haar-weighted cyclic convolution (u * v)_i = p^{-M} sum_k u_k v_{i-k}."""
-    if u.grid != v.grid:
-        raise DomainError("operands must live on the same grid")
-    w = float(u.grid.coset_measure)
-    vals = w * np.fft.ifft(np.fft.fft(u.values) * np.fft.fft(v.values))
-    return GridFunction(u.grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -396,73 +257,10 @@ class RadialFunction:
                 total += abs(c) * (1 - 1 / p) * float(p) ** ((self.k_max + 1) * (1 + s)) / (1 - r)
         return total
 
-    def sup_norm_stored(self) -> float:
-        vals = [abs(self.value_at_zero)] if self.head_constant else []
-        vals += [abs(v) for _, v in self.shell_values]
-        return max(vals) if vals else 0.0
-
-    def scale(self, c) -> "RadialFunction":
-        c = complex(c)
-        return RadialFunction(
-            self.p,
-            tuple((k, c * v) for k, v in self.shell_values),
-            value_at_zero=c * self.value_at_zero,
-            tail=None if self.tail is None else (c * self.tail[0], self.tail[1]),
-            head_constant=self.head_constant,
-        )
-
     def to_grid(self, grid: GridSpec) -> GridFunction:
         if grid.p != self.p:
             raise DomainError("prime mismatch")
         return GridFunction(grid, grid.radial(self.value_at_shell))
-
-
-def radial_sum(a: RadialFunction, b: RadialFunction) -> RadialFunction:
-    """Pointwise sum; both operands must expose values on the union range."""
-    if a.p != b.p:
-        raise DomainError("prime mismatch")
-    ks = {k for k, _ in a.shell_values} | {k for k, _ in b.shell_values}
-    if not ks:
-        return a
-    shells = {k: a.value_at_shell(k) + b.value_at_shell(k) for k in sorted(ks)}
-    tail = None
-    ta, tb = a.tail, b.tail
-    if ta is not None and tb is None:
-        tail = ta
-    elif tb is not None and ta is None:
-        tail = tb
-    elif ta is not None and tb is not None:
-        if ta[1] != tb[1]:
-            raise DomainError("cannot sum tails with different exponents")
-        tail = (ta[0] + tb[0], ta[1])
-    return RadialFunction(
-        a.p, tuple(shells.items()),
-        value_at_zero=a.value_at_zero + b.value_at_zero,
-        tail=tail,
-        head_constant=a.head_constant and b.head_constant,
-    )
-
-
-def norms(obj) -> Norms:
-    """(L1, L2, Lup) for any of the three function kinds."""
-    if isinstance(obj, (TestFunction, GridFunction)):
-        return obj.norms()
-    if isinstance(obj, RadialFunction):
-        p = obj.p
-        l1 = obj.l1_norm()
-        l2sq = 0.0
-        if obj.shell_values:
-            if obj.head_constant:
-                l2sq += abs(obj.shell_values[0][1]) ** 2 * float(p) ** (obj.k_min - 1)
-            for k, v in obj.shell_values:
-                l2sq += abs(v) ** 2 * float(p) ** k * (1 - 1 / p)
-            if obj.tail is not None:
-                c, s = obj.tail
-                r = float(p) ** (1 + 2 * s)
-                l2sq += (abs(c) ** 2 * (1 - 1 / p)
-                         * float(p) ** ((obj.k_max + 1) * (1 + 2 * s)) / (1 - r))
-        return Norms(l1, math.sqrt(l2sq), obj.sup_norm_stored())
-    raise DomainError(f"no norms for objects of type {type(obj).__name__}")
 
 
 # ---------------------------------------------------------------------------

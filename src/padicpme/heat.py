@@ -258,14 +258,6 @@ def kernel_Z(params: KernelParams, shell: int | None = None) -> KernelEvaluation
     return ev
 
 
-def kernel_Z_profile(params: KernelParams, k_min: int, k_max: int) -> RadialFunction:
-    """Radial kernel profile on shells [k_min, k_max] plus the origin."""
-    shells = {k: complex(kernel_Z(params, k).value) for k in range(k_min, k_max + 1)}
-    zero = kernel_Z(params, None).value
-    return RadialFunction(params.p, tuple(shells.items()),
-                          value_at_zero=complex(zero))
-
-
 def ball_integral_of_Z(params: KernelParams, l: int) -> tuple:
     """(integral of Z(t, .) over B_l, certified bound).
 
@@ -622,24 +614,6 @@ def green_kernel(p: int, alpha: float, mu: float,
     return _resolvent_sum(p, alpha, mu, None if shell is None else -int(shell))
 
 
-def green_kernel_value(p: int, alpha: float, mu: float, shell: int) -> float:
-    """E_mu(|x| = p^shell), the value of `green_kernel`."""
-    return green_kernel(p, alpha, mu, shell).value
-
-
-def green_zero_value(p: int, alpha: float, mu: float) -> float:
-    """E_mu(0), the value of `green_kernel`."""
-    return green_kernel(p, alpha, mu).value
-
-
-def green_profile(p: int, alpha: float, mu: float,
-                  k_min: int, k_max: int) -> RadialFunction:
-    shells = {k: complex(green_kernel_value(p, alpha, mu, k))
-              for k in range(k_min, k_max + 1)}
-    return RadialFunction(p, tuple(shells.items()),
-                          value_at_zero=complex(green_zero_value(p, alpha, mu)))
-
-
 def green_tail_constant(p: int, alpha: float, mu: float) -> float:
     """Leading far-field constant: E_mu(x) ~ -Gamma_p(alpha+1) mu^{-2} |x|^{-alpha-1}."""
     _require_green_domain(alpha)
@@ -659,11 +633,12 @@ def smoothness_modulus(p: int, alpha: float, mu: float, r: int,
     _require_green_domain(alpha)
     if j_max is None:
         j_max = r + 60
-    e_r = green_kernel_value(p, alpha, mu, -r)
+    e_r = green_kernel(p, alpha, mu, -r).value
     w = 1 - 1.0 / p
     total = 0.0
     for j in range(r + 1, j_max + 1):
-        total += float(p) ** (-j) * w * abs(green_kernel_value(p, alpha, mu, -j) - e_r)
-    cap = abs(green_zero_value(p, alpha, mu)) + abs(e_r)
+        e_j = green_kernel(p, alpha, mu, -j).value
+        total += float(p) ** (-j) * w * abs(e_j - e_r)
+    cap = abs(green_kernel(p, alpha, mu).value) + abs(e_r)
     total += cap * float(p) ** (-j_max - 1)  # tail of the j-sum
     return 2.0 * total

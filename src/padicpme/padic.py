@@ -3,14 +3,14 @@
 A number is a sparse digit map {exponent j -> digit in [1, p)} encoding
 x = sum_j d_j p^j.  Every number of that shape is a nonnegative rational
 with p-power denominator, so all structural quantities (absolute value,
-fractional part, ball membership, Haar measure) are computed exactly with
-fractions.Fraction.  Real analytic quantities (the gamma factor, kernel
-values) live in ordinary doubles elsewhere in the package.
+ball membership, ball measure) are computed exactly with fractions.Fraction.
+Real analytic quantities (the gamma factor, kernel values) live in ordinary
+doubles elsewhere in the package.  GridSpec is the finite model of a ball
+that all grid code works on.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,27 +63,6 @@ def rational_shell(p: int, q: Fraction):
     return None if v is None else -v
 
 
-def rational_fractional_part(p: int, q: Fraction) -> Fraction:
-    """{q}_p for any rational q.
-
-    The fractional part depends only on q mod Z_p.  Writing q = a / (d p^k)
-    with p not dividing d, the prime-to-p factor d is a unit in Z_p, so
-    {q}_p = (a d^{-1} mod p^k) / p^k with the inverse taken mod p^k.  This
-    covers negative rationals, which have no finite expansion but a
-    perfectly good fractional part.
-    """
-    q = Fraction(q)
-    den = q.denominator
-    k = 0
-    while den % p == 0:
-        den //= p
-        k += 1
-    if k == 0:
-        return Fraction(0)
-    a = q.numerator * pow(den, -1, p**k)
-    return Fraction(a % p**k, p**k)
-
-
 @dataclass(frozen=True)
 class PAdicExpansion:
     """Finite canonical expansion sum_j d_j p^j with digits d_j in [1, p)."""
@@ -111,10 +90,6 @@ class PAdicExpansion:
     @classmethod
     def zero(cls, p: int) -> "PAdicExpansion":
         return cls(p, ())
-
-    @classmethod
-    def one(cls, p: int) -> "PAdicExpansion":
-        return cls(p, ((0, 1),))
 
     @classmethod
     def from_integer(cls, p: int, n: int) -> "PAdicExpansion":
@@ -172,31 +147,13 @@ class PAdicExpansion:
         return sum((Fraction(d) * Fraction(self.p) ** j for j, d in self.digits),
                    Fraction(0))
 
-    def is_zero(self) -> bool:
-        return not self.digits
-
     def valuation(self):
         return self.digits[0][0] if self.digits else None
-
-    def abs_value(self) -> Fraction:
-        """|x|_p = p^{-v} with v the least exponent carrying a digit."""
-        v = self.valuation()
-        if v is None:
-            return Fraction(0)
-        return Fraction(1, self.p**v) if v >= 0 else Fraction(self.p ** (-v))
 
     def shell_exponent(self):
         """k with |x|_p = p^k, None for zero."""
         v = self.valuation()
         return None if v is None else -v
-
-    def fractional_part(self) -> Fraction:
-        return sum((Fraction(d, self.p ** (-j)) for j, d in self.digits if j < 0),
-                   Fraction(0))
-
-    def character(self) -> complex:
-        """Additive character exp(2 pi i {x}_p); the angle {x}_p is exact."""
-        return cmath.exp(2j * cmath.pi * float(self.fractional_part()))
 
     # ---- arithmetic ----------------------------------------------------
 
@@ -226,11 +183,6 @@ class PAdicExpansion:
         return PAdicExpansion(self.p, tuple((j, d) for j, d in self.digits
                                             if j < exponent))
 
-    def distance(self, other: "PAdicExpansion") -> Fraction:
-        """|x - y|_p, computed on the underlying rationals."""
-        self._check_compatible(other)
-        return rational_abs(self.p, self.value - other.value)
-
     def _check_compatible(self, other):
         if not isinstance(other, PAdicExpansion) or other.p != self.p:
             raise DomainError("operands must share the same prime p")
@@ -253,16 +205,6 @@ def _carried(p: int, counts: dict) -> tuple:
             out.append((j, digit))
         j += 1
     return tuple(out)
-
-
-# ---- thin functional API mirrors --------------------------------------
-
-def abs_value(x: PAdicExpansion) -> Fraction:
-    return x.abs_value()
-
-
-def character(x: PAdicExpansion) -> complex:
-    return x.character()
 
 
 @dataclass(frozen=True)
@@ -290,9 +232,6 @@ class Ball:
         p, l = self.p, self.radius_exp
         return Fraction(p**l) if l >= 0 else Fraction(1, p ** (-l))
 
-    def radius(self) -> Fraction:
-        return self.measure  # radius p^l equals the Haar measure
-
     def contains_value(self, q) -> bool:
         return rational_abs(self.p, Fraction(q) - self.center.value) <= self.measure
 
@@ -300,11 +239,6 @@ class Ball:
         if isinstance(x, PAdicExpansion):
             return self.contains_value(x.value)
         return self.contains_value(x)
-
-    def intersects(self, other: "Ball") -> bool:
-        # ultrametric dichotomy: balls are nested or disjoint
-        gap = rational_abs(self.p, self.center.value - other.center.value)
-        return gap <= max(self.measure, other.measure)
 
     def subset_of(self, other: "Ball") -> bool:
         return self.radius_exp <= other.radius_exp and other.contains(self.center)
@@ -324,21 +258,6 @@ class Ball:
         return f"Ball(center={self.center.encode()}, radius_exp={self.radius_exp})"
 
 
-def unit_ball(p: int, radius_exp: int = 0, center: PAdicExpansion | None = None) -> Ball:
-    return Ball(center if center is not None else PAdicExpansion.zero(p), radius_exp)
-
-
-def haar_measure(ball: Ball) -> Fraction:
-    return ball.measure
-
-
-def shell_measure(p: int, k: int) -> Fraction:
-    """Haar measure of the sphere {|x|_p = p^k}: p^k (1 - 1/p)."""
-    check_prime(p)
-    pk = Fraction(p**k) if k >= 0 else Fraction(1, p ** (-k))
-    return pk * (1 - Fraction(1, p))
-
-
 _GAMMA_POLE_GUARD = 1e-9
 
 
@@ -355,8 +274,9 @@ def gamma_p(p: int, z: float) -> float:
     return (1.0 - p ** (z - 1.0)) / (1.0 - p ** (-z))
 
 
-# Largest grid the level-form paths (the implicit PME step and the heat
-# semigroup) accept: they hold O(n) arrays, never an n x n one.
+# Largest grid a GridSpec describes.  Grid paths hold O(n) arrays; the few
+# that build an n x n one (fractional.ball_matrix, LevelOperator.dense)
+# check their own, smaller limit before they allocate.
 LEVEL_GRID_CAP = 2**20
 
 
@@ -373,15 +293,14 @@ class GridSpec:
     p: int
     N: int
     M: int
-    cap: int = 4096
 
     def __post_init__(self):
         check_prime(self.p)
         if self.N + self.M < 1:
             raise DomainError(f"need N + M >= 1, got N={self.N}, M={self.M}")
-        if self.dim > self.cap:
-            raise ResourceError(
-                f"grid dimension p^(N+M) = {self.dim} exceeds cap {self.cap}")
+        if self.dim > LEVEL_GRID_CAP:
+            raise ResourceError(f"grid dimension p^(N+M) = {self.dim} exceeds "
+                                f"cap {LEVEL_GRID_CAP}")
 
     @property
     def dim(self) -> int:
@@ -445,6 +364,3 @@ class GridSpec:
         absolute = np.array(shells + ["0"], dtype=object)[self.valuations]
         return range(self.dim), centers, absolute.tolist()
 
-    def dual(self) -> "GridSpec":
-        """Frequency grid: the character pairing swaps the roles of N and M."""
-        return GridSpec(self.p, self.M, self.N, self.cap)

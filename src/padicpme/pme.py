@@ -33,7 +33,7 @@ from .fractional import LevelOperator, OperatorParams, ball_levels
 # the benchmark's tracer wraps pme.ball_matrix; nothing here calls it
 from .fractional import ball_matrix  # noqa: F401
 from .functions import GridFunction
-from .padic import LEVEL_GRID_CAP, GridSpec, check_prime, gamma_p
+from .padic import GridSpec, check_prime, gamma_p
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class PMEProblem:
 
     @cached_property
     def grid(self) -> GridSpec:
-        return GridSpec(self.p, self.N, self.M, cap=LEVEL_GRID_CAP)
+        return GridSpec(self.p, self.N, self.M)
 
     @cached_property
     def operator(self) -> OperatorParams:
@@ -220,22 +220,30 @@ class EvolutionResult:
     snapshots: list          # ndarray per time, snapshots[0] is u0
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def final(self) -> GridFunction:
-        return GridFunction(self.grid, self.snapshots[-1].astype(np.complex128))
+
+def real_initial(values) -> np.ndarray:
+    """Initial data as a new float64 array.  The flows here are real, so a
+    nonzero imaginary part raises DomainError instead of being dropped."""
+    u = np.asarray(values)
+    if np.iscomplexobj(u):
+        if np.any(u.imag != 0):
+            raise DomainError("initial data must be real, got a nonzero "
+                              "imaginary part")
+        u = u.real
+    return np.array(u, dtype=np.float64)
 
 
 def evolve(problem: PMEProblem, u0) -> EvolutionResult:
-    """March u_t + A phi(u) = 0 from u0 to t_end with step tau."""
+    """March u_t + A phi(u) = 0 from u0 to t_end with step tau; u0 is a
+    real array or a GridFunction on problem.grid with zero imaginary part."""
     grid = problem.grid
     if isinstance(u0, GridFunction):
         if u0.grid != grid:
             raise DomainError("initial state lives on the wrong grid")
-        u = np.real(u0.values).astype(np.float64)
-    else:
-        u = np.asarray(u0, dtype=np.float64).copy()
-        if u.shape != (grid.dim,):
-            raise DomainError(f"initial state must have shape ({grid.dim},)")
+        u0 = u0.values
+    u = real_initial(u0)
+    if u.shape != (grid.dim,):
+        raise DomainError(f"initial state must have shape ({grid.dim},)")
 
     steps_f = problem.t_end / problem.tau
     steps = int(round(steps_f))

@@ -144,10 +144,10 @@ def check_green_tail() -> CheckResult:
     """Far-field exponent -a-1 and amplitude -Gamma_p(a+1)/mu^2."""
     p, a, mu = 2, 2.0, 1.0
     js = list(range(6, 15))
-    logs = [math.log(heat.green_kernel_value(p, a, mu, j)) for j in js]
+    logs = [math.log(heat.green_kernel(p, a, mu, j).value) for j in js]
     xs = [j * math.log(p) for j in js]
     slope = np.polyfit(xs, logs, 1)[0]
-    amp = heat.green_kernel_value(p, a, mu, 14) / (
+    amp = heat.green_kernel(p, a, mu, 14).value / (
         heat.green_tail_constant(p, a, mu) * float(p) ** (-14 * (a + 1)))
     ok = abs(slope - (-(a + 1))) < 0.05 and abs(amp - 1) < 0.01
     return _check("green_tail", ok,

@@ -9,7 +9,7 @@ import pytest
 from padicpme import heat
 from padicpme.cli import build_initial, main
 from padicpme.errors import DomainError
-from padicpme.functions import read_radial_csv
+from padicpme.functions import GridFunction, read_radial_csv, write_grid_csv
 from padicpme.padic import GridSpec
 
 
@@ -223,6 +223,44 @@ def test_evolve_heat_bad_initial(tmp_path):
     assert main(base + ["--initial", '{"kind": "bogus"}']) == 2
     assert main(base + ["--initial",
                         '{"kind": "radial_power", "exponent": -1}']) == 2
+
+
+def test_complex_csv_initial_data_is_refused(tmp_path, capsys):
+    """A grid CSV with a nonzero imaginary part stops evolve and
+    evolve-heat with exit 2 and one error line, before any snapshot; the
+    same data with im = 0 run."""
+    grid = GridSpec(2, 1, 2)
+    re = np.linspace(0.1, 0.8, grid.dim)
+    for name, im in (("complex", re), ("real", np.zeros(grid.dim))):
+        path = tmp_path / f"{name}.csv"
+        write_grid_csv(str(path), GridFunction(grid, re + 1j * im))
+        initial = {"kind": "csv", "path": str(path)}
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"p": 2, "alpha": 2.0, "N": 1, "M": 2,
+                                   "m": 2.0, "tau": 0.05, "t_end": 0.1,
+                                   "initial": initial}))
+        runs = {
+            "evolve": ["evolve", "--config", str(cfg)],
+            "evolve-heat": ["evolve-heat", "--p", "2", "--alpha", "2.0",
+                            "--N", "1", "--M", "2", "--t-end", "0.1",
+                            "--snapshots", "2", "--initial",
+                            json.dumps(initial)],
+        }
+        for command, argv in runs.items():
+            outdir = tmp_path / f"{name}_{command}"
+            capsys.readouterr()
+            rc = main(argv + ["--out", str(outdir)])
+            err = capsys.readouterr().err
+            if name == "complex":
+                assert rc == 2, command
+                assert err.count("error:") == 1 and "imaginary" in err
+                assert not outdir.exists()
+            else:
+                assert rc == 0, command
+                with open(outdir / "snapshot_0000.csv", newline="") as fh:
+                    rows = list(csv.DictReader(fh))
+                assert [float(r["re"]) for r in rows] == re.tolist()
+                assert all(float(r["im"]) == 0.0 for r in rows)
 
 
 def test_evolve_from_config(tmp_path):

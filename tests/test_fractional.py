@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from padicpme.errors import DomainError, ResourceError, SolverError
-from padicpme.fractional import (LevelOperator, OperatorParams,
-                                 apply_radial_power, apply_testfunction_at,
-                                 apply_to_indicator, ball_levels, ball_matrix,
-                                 ball_spectrum, evaluate_indicator_image,
+from padicpme.fractional import (DENSE_GRID_CAP, LevelOperator,
+                                 OperatorParams, apply_radial_power,
+                                 apply_testfunction_at, apply_to_indicator,
+                                 ball_levels, ball_matrix, ball_spectrum,
                                  exterior_constant, hypersingular_quadrature,
                                  mass_of_image, restrict_to_ball)
 from padicpme.functions import TestFunction
@@ -55,8 +55,10 @@ def test_image_of_shifted_ball_recenters():
     p = 2
     c = PAdicExpansion.from_rational(p, Fraction(1, 2))
     op = OperatorParams(p, 2.0)
-    shifted = evaluate_indicator_image(op, Ball(c, 0), Fraction(1, 2))
-    centered = evaluate_indicator_image(op, Ball(_zero(p), 0), Fraction(0))
+    shifted = apply_testfunction_at(op, TestFunction.indicator(Ball(c, 0)),
+                                    Fraction(1, 2))
+    centered = apply_testfunction_at(
+        op, TestFunction.indicator(Ball(_zero(p), 0)), Fraction(0))
     assert shifted == pytest.approx(centered)
 
 
@@ -71,8 +73,8 @@ def test_superposition_linearity():
     f = TestFunction(2, ((2.0 + 0j, b0), (-1.0 + 0j, b1)))
     x = Fraction(1, 2)
     direct = apply_testfunction_at(op, f, x)
-    parts = (2.0 * evaluate_indicator_image(op, b0, x)
-             - 1.0 * evaluate_indicator_image(op, b1, x))
+    parts = (2.0 * apply_testfunction_at(op, TestFunction.indicator(b0), x)
+             - 1.0 * apply_testfunction_at(op, TestFunction.indicator(b1), x))
     assert direct == pytest.approx(parts)
 
 
@@ -151,6 +153,20 @@ def test_ball_matrix_structure():
     off = m[~np.eye(grid.dim, dtype=bool)]
     assert np.all(off < 0) and np.all(np.diag(m) > 0)
     assert np.allclose(m.sum(axis=1), B.lam)
+
+
+def test_dense_oracles_refuse_past_the_dense_cap():
+    """dim 8192 is a valid grid, but an n x n matrix there would take
+    512 MB: both dense oracles refuse before they allocate."""
+    op = OperatorParams(2, 2.0, GridSpec(2, 7, 6))
+    assert op.grid.dim == 2 * DENSE_GRID_CAP
+    with pytest.raises(ResourceError):
+        ball_matrix(op)
+    levels = ball_levels(op)
+    with pytest.raises(ResourceError):
+        levels.dense()
+    x = np.ones(op.grid.dim)  # the level form still applies there
+    assert np.allclose(levels @ x, ball_spectrum(op)[0])
 
 
 # (p, alpha, N, M): dims 8 to 1024, including M < 0 and N = 0

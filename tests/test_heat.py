@@ -13,16 +13,15 @@ from padicpme.functions import GridFunction, TestFunction
 from padicpme.heat import (KernelParams, ball_c_coefficient,
                            ball_integral_of_Z, ball_kernel_ZN,
                            ball_semigroup_expm, ball_semigroup_matrix,
-                           coeff_ck, green_kernel, green_kernel_value,
-                           green_profile, green_tail_constant,
-                           green_zero_value, kernel_Z, kernel_Z_alternating,
-                           kernel_Z_profile, kernel_Z_shell_series,
+                           coeff_ck, green_kernel, green_tail_constant,
+                           kernel_Z, kernel_Z_alternating,
+                           kernel_Z_shell_series,
                            kernel_mass_estimate, linear_split_bound,
                            resolvent_apply,
                            semigroup_matrix, semigroup_on_indicator,
                            smoothness_modulus)
-from padicpme.padic import (LEVEL_GRID_CAP, Ball, GridSpec, PAdicExpansion,
-                            int_valuation)
+from padicpme.padic import Ball, GridSpec, PAdicExpansion, int_valuation
+from padicpme.pme import PMEProblem
 
 
 def test_params_domain():
@@ -96,15 +95,9 @@ def test_kernel_positivity_and_mass():
 
 
 def test_kernel_profile_matches_pointwise():
+    """Far shells of Z(t, .) decay like |x|^{-alpha-1}."""
     params = KernelParams(2, 2.0, 0.5)
-    prof = kernel_Z_profile(params, -4, 6)
-    for j in (-4, 0, 3, 6):
-        assert prof.value_at_shell(j).real == pytest.approx(
-            kernel_Z(params, j).value, rel=1e-12)
-    assert prof.value_at_zero.real == pytest.approx(
-        kernel_Z(params, None).value, rel=1e-12)
-    # far shells decay like |x|^{-alpha-1}
-    ratio = prof.value_at_shell(6).real / prof.value_at_shell(5).real
+    ratio = kernel_Z(params, 6).value / kernel_Z(params, 5).value
     assert ratio == pytest.approx(2.0 ** (-3), rel=1e-2)
 
 
@@ -205,7 +198,7 @@ LARGE_GRIDS = ((2, 2.0, 6, 6), (2, 0.5, 8, 8), (3, 1.5, 4, 4),
 def test_ball_semigroup_invariants_at_scale(p, alpha, N, M):
     """Mass, positivity, L1 contraction and T(s) T(t) = T(s + t) on grids
     no dense matrix could hold."""
-    op = OperatorParams(p, alpha, GridSpec(p, N, M, cap=LEVEL_GRID_CAP))
+    op = OperatorParams(p, alpha, GridSpec(p, N, M))
     n = op.grid.dim
     rng = np.random.default_rng(n)
     point = np.zeros(n)
@@ -241,7 +234,7 @@ def test_ball_semigroup_matches_expm_at_large_times(p, alpha, N, M, t):
 def test_ball_semigroup_weights_at_every_time(p, alpha, N, M):
     """From t = 1e-12 to 1e6 every weight is finite and nonnegative and
     T 1 = 1."""
-    op = OperatorParams(p, alpha, GridSpec(p, N, M, cap=LEVEL_GRID_CAP))
+    op = OperatorParams(p, alpha, GridSpec(p, N, M))
     ones = np.ones(op.grid.dim)
     for t in 10.0 ** np.arange(-12, 7):
         T = ball_semigroup_matrix(op, t)
@@ -412,8 +405,6 @@ def test_green_kernel_against_40_digit_sum(p, alpha, mu):
     ref = _gap_sums_reference(p, gap, shells)
     for j in list(shells) + [None]:
         ev = green_kernel(p, alpha, mu, j)
-        assert ev.value == (green_zero_value(p, alpha, mu) if j is None
-                            else green_kernel_value(p, alpha, mu, j))
         err = abs(mpmath.mpf(ev.value) - ref[j])
         assert err <= ev.truncation_bound, j
         assert err <= 1e-13 * ref[j], j
@@ -447,13 +438,13 @@ def test_ball_c_coefficient_certificate_holds(p, alpha, N, ts):
 def test_green_domain_guards():
     for bad_alpha in (1.0, 0.7):
         with pytest.raises(DomainError):
-            green_kernel_value(2, bad_alpha, 1.0, 0)
+            green_kernel(2, bad_alpha, 1.0, 0)
         with pytest.raises(DomainError):
-            green_zero_value(2, bad_alpha, 1.0)
+            green_kernel(2, bad_alpha, 1.0)
         with pytest.raises(DomainError):
             green_tail_constant(2, bad_alpha, 1.0)
     with pytest.raises(DomainError):
-        green_kernel_value(2, 2.0, 0.0, 0)
+        green_kernel(2, 2.0, 0.0, 0)
 
 
 def test_green_tail_oracle():
@@ -461,18 +452,15 @@ def test_green_tail_oracle():
     # far shells approach tail * p^{-k(alpha+1)}
     k = 14
     expected = green_tail_constant(2, 2.0, 1.0) * 2.0 ** (-3 * k)
-    assert green_kernel_value(2, 2.0, 1.0, k) == pytest.approx(expected,
+    assert green_kernel(2, 2.0, 1.0, k).value == pytest.approx(expected,
                                                                rel=1e-3)
 
 
 def test_green_positive_decreasing():
-    vals = [green_zero_value(3, 1.8, 0.5)]
-    vals += [green_kernel_value(3, 1.8, 0.5, j) for j in range(-8, 9)]
+    vals = [green_kernel(3, 1.8, 0.5).value]
+    vals += [green_kernel(3, 1.8, 0.5, j).value for j in range(-8, 9)]
     assert all(v > 0 for v in vals)
     assert all(b < a for a, b in zip(vals, vals[1:]))
-    prof = green_profile(3, 1.8, 0.5, -2, 2)
-    assert prof.value_at_shell(0).real == pytest.approx(
-        green_kernel_value(3, 1.8, 0.5, 0))
 
 
 def test_smoothness_modulus_decays():
@@ -532,4 +520,14 @@ def test_resolvent_apply_matches_fold_tile_reference(p, N, M, mu):
     vals = rng.standard_normal(op.grid.dim) + 1j * rng.standard_normal(op.grid.dim)
     ref = _resolvent_fold_tile(op, mu, vals)
     got = resolvent_apply(op, mu, GridFunction(op.grid, vals)).values
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_resolvent_apply_takes_data_on_an_equal_grid():
+    """Data on GridSpec(p, N, M) fit an operator on the PMEProblem's grid
+    of the same (p, N, M)."""
+    prob = PMEProblem(3, 1.5, 1, 2, 2.0, 0.1, 0.1)
+    u = GridFunction(GridSpec(3, 1, 2), np.linspace(-1.0, 2.0, 27))
+    got = resolvent_apply(prob.operator, 0.7, u).values
+    ref = _resolvent_fold_tile(prob.operator, 0.7, u.values)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -1,4 +1,3 @@
-import cmath
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +8,10 @@ import hypothesis.strategies as st
 from padicpme.cli import build_initial
 from padicpme.errors import DomainError, ResourceError
 from padicpme.functions import RadialFunction
-from padicpme.padic import (Ball, GridSpec, PAdicExpansion, gamma_p,
-                            haar_measure, int_valuation, rational_abs,
-                            rational_fractional_part, rational_valuation,
-                            shell_measure, unit_ball)
-from padicpme.pme import explicit_solution
+from padicpme.padic import (LEVEL_GRID_CAP, Ball, GridSpec, PAdicExpansion,
+                            gamma_p, int_valuation, rational_abs,
+                            rational_valuation)
+from padicpme.pme import PMEProblem, explicit_solution
 
 from conftest import expansion_strategy, prime_and_expansions
 
@@ -36,21 +34,6 @@ def test_rational_valuation_of_zero_is_none():
     assert rational_valuation(2, Fraction(3, 8)) == -3
 
 
-def test_fractional_part_oracle():
-    # {5/2}_2 = 1/2, {1/24}_2 = 3/8, integers have zero fractional part
-    assert rational_fractional_part(2, Fraction(5, 2)) == Fraction(1, 2)
-    assert rational_fractional_part(2, Fraction(1, 24)) == Fraction(3, 8)
-    assert rational_fractional_part(3, Fraction(7)) == 0
-    assert rational_fractional_part(2, Fraction(-1, 4)) == Fraction(3, 4)
-
-
-def test_character_oracle():
-    x = PAdicExpansion.from_rational(2, Fraction(3, 4))
-    # chi(3/4) = exp(2 pi i 3/4) = -i
-    assert abs(x.character() - (-1j)) < 1e-15
-    assert abs(PAdicExpansion.zero(5).character() - 1) < 1e-15
-
-
 def test_gamma_oracles():
     assert gamma_p(2, 3.0) == pytest.approx(-24 / 7, abs=1e-15)
     assert gamma_p(2, 5.0) == pytest.approx(-480 / 31, abs=1e-14)
@@ -60,9 +43,14 @@ def test_gamma_oracles():
 
 
 def test_shell_measure():
-    assert shell_measure(2, 0) == Fraction(1, 2)
-    assert shell_measure(3, 2) == 6
-    assert haar_measure(unit_ball(7)) == 1
+    """The sphere |x| = p^k is B_k minus B_{k-1}: measure p^k (1 - 1/p)."""
+    def shell(p, k):
+        zero = PAdicExpansion.zero(p)
+        return Ball(zero, k).measure - Ball(zero, k - 1).measure
+    assert shell(2, 0) == Fraction(1, 2)
+    assert shell(3, 2) == 6
+    assert shell(5, -1) == Fraction(4, 25)
+    assert Ball(PAdicExpansion.zero(7), 0).measure == 1
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +61,8 @@ def test_expansion_encode_parse():
     x = PAdicExpansion.from_rational(2, Fraction(5, 2))
     assert x.encode() == "-1:1,1:1"
     assert PAdicExpansion.parse(2, "-1:1,1:1") == x
-    assert PAdicExpansion.parse(3, "0").is_zero()
+    assert PAdicExpansion.parse(3, "0") == PAdicExpansion.zero(3)
+    assert PAdicExpansion.zero(3).encode() == "0"
 
 
 def test_expansion_from_rational_value_round_trip():
@@ -113,8 +102,8 @@ def test_multiplication_matches_rationals(pxy):
 @given(prime_and_expansions())
 def test_ultrametric_inequality(pxy):
     p, x, y = pxy
-    s = (x + y).abs_value()
-    ax, ay = x.abs_value(), y.abs_value()
+    s = rational_abs(p, (x + y).value)
+    ax, ay = rational_abs(p, x.value), rational_abs(p, y.value)
     assert s <= max(ax, ay)
     if ax != ay:
         assert s == max(ax, ay)
@@ -123,15 +112,8 @@ def test_ultrametric_inequality(pxy):
 @given(prime_and_expansions())
 def test_abs_multiplicative(pxy):
     p, x, y = pxy
-    assert (x * y).abs_value() == x.abs_value() * y.abs_value()
-
-
-@given(prime_and_expansions())
-def test_character_additive(pxy):
-    p, x, y = pxy
-    lhs = (x + y).character()
-    rhs = x.character() * y.character()
-    assert abs(lhs - rhs) < 1e-12
+    assert (rational_abs(p, (x * y).value)
+            == rational_abs(p, x.value) * rational_abs(p, y.value))
 
 
 @given(prime_and_expansions(count=1))
@@ -166,7 +148,6 @@ def test_ball_canonical_center():
     b = Ball(c, 0)
     assert b.center.value == Fraction(1, 2)
     assert b.measure == 1
-    assert b.radius() == 1
 
 
 def test_ball_containment():
@@ -176,13 +157,14 @@ def test_ball_containment():
     assert b.contains(PAdicExpansion.from_rational(2, Fraction(6)))
 
 
-@given(prime_and_expansions(), st.integers(-3, 3), st.integers(-3, 3))
-def test_ball_dichotomy(pxy, r1, r2):
+@given(prime_and_expansions(count=3), st.integers(-3, 3), st.integers(-3, 3))
+def test_ball_dichotomy(pxyz, r1, r2):
     """Two balls are nested or disjoint, never partially overlapping."""
-    p, x, y = pxy
+    p, x, y, z = pxyz
     b1, b2 = Ball(x, r1), Ball(y, r2)
-    if b1.intersects(b2):
-        assert b1.subset_of(b2) or b2.subset_of(b1)
+    for w in (x, y, z):
+        if b1.contains(w) and b2.contains(w):
+            assert b1.subset_of(b2) or b2.subset_of(b1)
 
 
 def test_subballs_partition():
@@ -193,7 +175,7 @@ def test_subballs_partition():
     for i, q in enumerate(parts):
         assert q.subset_of(b)
         for r in parts[:i]:
-            assert not q.intersects(r)
+            assert not q.contains(r.center) and not r.contains(q.center)
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +186,21 @@ def test_grid_basic_shape():
     g = GridSpec(2, 1, 2)
     assert g.dim == 8
     assert g.coset_measure == Fraction(1, 4)
-    assert g.dual().N == 2 and g.dual().M == 1
     with pytest.raises(DomainError):
         GridSpec(2, 0, 0)
+    assert GridSpec(2, 10, 10).dim == LEVEL_GRID_CAP
     with pytest.raises(ResourceError):
-        GridSpec(2, 10, 10)
+        GridSpec(2, 10, 11)
+
+
+def test_grid_equality_is_the_triple():
+    """A grid is its (p, N, M): built directly or by a PMEProblem, it is
+    the same grid, also past the dense-matrix size."""
+    for p, N, M in ((2, 1, 2), (3, 2, 1), (2, 7, 7)):
+        prob = PMEProblem(p, 2.0, N, M, 2.0, 0.1, 0.1)
+        assert GridSpec(p, N, M) == prob.grid
+        assert hash(GridSpec(p, N, M)) == hash(prob.grid)
+    assert GridSpec(2, 1, 2) != GridSpec(2, 2, 1)
 
 
 def test_grid_index_round_trip():
@@ -226,7 +218,7 @@ def test_grid_distance_formula():
             if i == j:
                 continue
             xj = g.representative(j)
-            d = xi.distance(xj)
+            d = rational_abs(g.p, xi.value - xj.value)
             v = 0
             m = (i - j) % g.dim
             while m % g.p == 0:
@@ -268,7 +260,8 @@ def test_radial_gathers_match_per_index_references(p, N, M):
 
     u0 = build_initial(grid, {"kind": "radial_power", "exponent": 0.7,
                               "coeff": 1.3})
-    ref = np.array([0.0 if k is None
-                    else 1.3 * float(grid.representative(i).abs_value()) ** 0.7
-                    for i, k in enumerate(shells)])
+    ref = np.array([
+        0.0 if k is None
+        else 1.3 * float(rational_abs(p, grid.representative(i).value)) ** 0.7
+        for i, k in enumerate(shells)])
     assert np.array_equal(u0, ref)

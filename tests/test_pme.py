@@ -104,7 +104,7 @@ def test_evolve_shapes_times_and_diagnostics():
     assert all(b < a for a, b in zip(masses, masses[1:]))
     linf = out.diagnostics["linf"]
     assert all(b <= a + 1e-12 for a, b in zip(linf, linf[1:]))
-    assert out.final.grid == prob.grid
+    assert out.grid == prob.grid
 
 
 def test_evolve_rejects_bad_initial_and_times():
@@ -120,10 +120,27 @@ def test_evolve_rejects_bad_initial_and_times():
 
 
 def test_grid_function_initial_matches_array():
+    """Also on GridSpec(p, N, M) built by hand: it is the problem's grid."""
     prob = _problem()
     u0 = np.linspace(0.0, 1.0, prob.grid.dim)
     a = evolve(prob, u0)
-    b = evolve(prob, GridFunction(prob.grid, u0.astype(np.complex128)))
+    for grid in (prob.grid, GridSpec(2, 1, 2)):
+        b = evolve(prob, GridFunction(grid, u0.astype(np.complex128)))
+        assert np.array_equal(a.snapshots[-1], b.snapshots[-1])
+
+
+def test_evolve_refuses_complex_initial_data():
+    """The flow is real: a nonzero imaginary part is refused, not dropped,
+    whether it comes as a GridFunction or a complex array."""
+    prob = _problem()
+    u0 = np.linspace(0.0, 1.0, prob.grid.dim)
+    for im in (u0, np.where(np.arange(prob.grid.dim) == 3, 1e-300, 0.0)):
+        with pytest.raises(DomainError, match="imaginary"):
+            evolve(prob, GridFunction(prob.grid, u0 + 1j * im))
+        with pytest.raises(DomainError, match="imaginary"):
+            evolve(prob, u0 + 1j * im)
+    a = evolve(prob, u0)
+    b = evolve(prob, u0 + 0j)
     assert np.array_equal(a.snapshots[-1], b.snapshots[-1])
 
 
