@@ -42,8 +42,8 @@ from .heat import (
 from .padic import (
     Ball,
     GridSpec,
-    PAdicExpansion,
     gamma_p,
+    parse_point,
     rational_abs,
     rational_valuation,
 )

@@ -28,13 +28,13 @@ import scipy
 
 from . import heat, pme, verification
 from .errors import (DomainError, PrecisionError, ResourceError, SolverError,
-                     SupportError)
+                     SupportError, check_int, check_real)
 from .fractional import OperatorParams, ball_eigenvalue_floor, ball_matrix
 from .functions import (GridFunction, RadialFunction, TestFunction,
                         read_grid_csv, to_grid, write_grid_csv,
                         write_radial_csv)
 from .heat import KernelParams
-from .padic import Ball, GridSpec, PAdicExpansion
+from .padic import Ball, GridSpec, parse_point
 
 _USAGE_ERRORS = (DomainError, ResourceError, PrecisionError, SupportError)
 _MATRIX_DUMP_CAP = 512
@@ -87,14 +87,6 @@ def _write_artifacts(out: str, write, sidecar: dict, command: str,
     _atomic_json(root + ".json", sidecar)
     _manifest(root + ".manifest.json", command, config,
               [out, root + ".json"], started)
-
-
-def _parse_point(p: int, text: str) -> PAdicExpansion:
-    """Accept either the digit encoding ('0', '-1:1,0:1') or a rational."""
-    text = text.strip()
-    if text == "0" or ":" in text:
-        return PAdicExpansion.parse(p, text)
-    return PAdicExpansion.from_rational(p, Fraction(text))
 
 
 # ---------------------------------------------------------------------------
@@ -236,26 +228,34 @@ def cmd_operator(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_initial(grid: GridSpec, spec: dict) -> np.ndarray:
+    """Initial data from a JSON object; a malformed field raises
+    DomainError."""
+    if not isinstance(spec, dict):
+        raise DomainError(f"initial data must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
+    coeff = float(check_real("coeff", spec.get("coeff", 1.0)))
     if kind == "indicator":
-        radius = int(spec.get("radius_exp", 0))
-        center = _parse_point(grid.p, str(spec.get("center", "0")))
-        coeff = float(spec.get("coeff", 1.0))
-        f = TestFunction.indicator(Ball(center, radius), coeff)
+        radius = check_int("radius_exp", spec.get("radius_exp", 0))
+        center = parse_point(grid.p, str(spec.get("center", "0")))
+        f = TestFunction.indicator(Ball(grid.p, center, radius), coeff)
         return np.real(to_grid(f, grid).values)
     if kind == "radial_power":
-        beta = float(spec.get("exponent", 1.0))
+        beta = float(check_real("exponent", spec.get("exponent", 1.0)))
         if beta <= 0:
             raise DomainError("radial_power initial data needs exponent > 0 "
                               "to stay bounded at the origin")
-        coeff = float(spec.get("coeff", 1.0))
         return grid.radial(lambda k: 0.0 if k is None
                            else coeff * float(Fraction(grid.p) ** k) ** beta)
     if kind == "csv":
         path = spec.get("path")
-        if not path:
+        if not isinstance(path, str) or not path:
             raise DomainError("csv initial data needs a 'path' field")
-        return pme.real_initial(read_grid_csv(path, grid).values)
+        try:
+            values = read_grid_csv(path, grid).values
+        except (OSError, ValueError, IndexError) as exc:
+            raise DomainError(
+                f"cannot read initial data {path}: {exc}") from exc
+        return pme.real_initial(values)
     raise DomainError(f"unknown initial kind {kind!r} "
                       "(choices: indicator, radial_power, csv)")
 
@@ -333,10 +333,7 @@ def cmd_evolve(args) -> int:
         raise DomainError(f"config is not valid JSON: {exc}") from exc
 
     problem = pme.PMEProblem.from_config(cfg)
-    init_spec = cfg.get("initial")
-    if not isinstance(init_spec, dict):
-        raise DomainError("config needs an 'initial' object")
-    u0 = build_initial(problem.grid, init_spec)
+    u0 = build_initial(problem.grid, cfg.get("initial"))
 
     result = pme.evolve(problem, u0)
 

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type checks that
+refuse malformed input with DomainError."""
+
+import math
+from numbers import Integral, Real
 
 
 class DomainError(ValueError):
@@ -23,3 +27,20 @@ class SolverError(RuntimeError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
+
+
+def check_int(name: str, value):
+    """value if it is an integer (not a bool), else DomainError."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def check_real(name: str, value):
+    """value if it is a finite real number (an int or a float, not a
+    bool), else DomainError."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not math.isfinite(value)):
+        raise DomainError(f"{name} must be a finite real number, "
+                          f"got {value!r}")
+    return value

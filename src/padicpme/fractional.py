@@ -18,7 +18,6 @@ from .functions import RadialFunction, TestFunction
 from .padic import (
     Ball,
     GridSpec,
-    PAdicExpansion,
     check_prime,
     gamma_p,
     int_valuation,
@@ -101,11 +100,11 @@ def apply_to_indicator(params: OperatorParams, ball: Ball) -> RadialFunction:
 
 def apply_testfunction_at(params: OperatorParams, f: TestFunction, y) -> complex:
     """(D^alpha f)(y) by exact superposition of indicator images."""
-    yv = y.value if isinstance(y, PAdicExpansion) else Fraction(y)
+    y = Fraction(y)
     total = 0j
     for c, b in f.terms:
         profile = apply_to_indicator(params, b)
-        total += c * profile.value_at(yv - b.center.value)
+        total += c * profile.value_at(y - b.center)
     return total
 
 
@@ -150,7 +149,7 @@ def hypersingular_quadrature(params: OperatorParams, f: TestFunction, x,
     if c_exp is None:
         return 0j, 0.0
     sup = max(abs(c) for c, _ in g.terms)
-    xv = x.value if isinstance(x, PAdicExpansion) else Fraction(x)
+    x = Fraction(x)
 
     lo = max(k_lo, c_exp + 1)
     K = k_hi - c_exp
@@ -164,7 +163,7 @@ def hypersingular_quadrature(params: OperatorParams, f: TestFunction, x,
         size = p**K
         sample = np.zeros(size, dtype=np.complex128)  # f(x - y) per coset
         for c, b in g.terms:
-            z = (xv - b.center.value) * Fraction(p) ** k_hi
+            z = (x - b.center) * Fraction(p) ** k_hi
             if z.denominator % p:  # |z|_p <= 1: x - b lies in B_{k_hi}
                 sample[z.numerator * pow(z.denominator, -1, size) % size] += c
         sample -= sample[0]  # f(x - y) - f(x); the cell of y = 0 holds f(x)
@@ -266,9 +265,6 @@ class LevelOperator:
 
     __matmul__ = apply
 
-    def __rmul__(self, s: float) -> "LevelOperator":
-        return LevelOperator(self.grid, s * self.c, tuple(s * h for h in self.h))
-
     @property
     def nbytes(self) -> int:
         """Bytes of the weights that carry the operator."""
@@ -359,14 +355,13 @@ def exterior_constant(params: OperatorParams, u: TestFunction, N: int) -> comple
     total = 0j
     for c, b in g.terms:
         l = b.radius_exp
-        cv = b.center.value
-        if cv == 0:
+        if b.center == 0:
             if l > N:
                 # whole shells N+1 .. l of B(0, p^l) lie outside B_N
                 total += c * sum((1 - 1 / p) * float(p) ** (-k * a)
                                  for k in range(N + 1, l + 1))
         else:
-            s = rational_shell(p, cv)  # |x| = p^s on the whole ball (s > l)
+            s = rational_shell(p, b.center)  # |x| = p^s on the ball (s > l)
             if s > N:
                 total += c * float(p) ** l * float(p) ** (-s * (a + 1))
     return kappa * total
@@ -379,7 +374,8 @@ def restrict_to_ball(f: TestFunction, ball: Ball) -> TestFunction:
     if not f.terms:
         return f
     r = min(ball.radius_exp, f.constancy_radius_exp())
-    g = TestFunction(f.p, f.terms + ((0j, Ball(ball.center, r)),)).canonicalize()
+    pad = ((0j, Ball(f.p, ball.center, r)),)
+    g = TestFunction(f.p, f.terms + pad).canonicalize()
     kept = tuple((c, b) for c, b in g.terms if b.subset_of(ball))
     return TestFunction(f.p, kept)
 

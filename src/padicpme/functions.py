@@ -12,14 +12,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, PrecisionError, ResourceError
-from .padic import (
-    Ball,
-    GridSpec,
-    PAdicExpansion,
-    check_prime,
-    rational_abs,
-    rational_shell,
-)
+from .padic import Ball, GridSpec, check_prime, rational_abs, rational_shell
+
+# Most balls canonicalize() refines into before it refuses.
+_MAX_CANONICAL_TERMS = 65536
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +66,7 @@ class TestFunction:
     # ---- evaluation ------------------------------------------------------
 
     def value_at(self, x) -> complex:
-        q = x.value if isinstance(x, PAdicExpansion) else Fraction(x)
+        q = Fraction(x)
         return sum((c for c, b in self.terms if b.contains_value(q)), 0j)
 
     def constancy_radius_exp(self):
@@ -82,12 +78,11 @@ class TestFunction:
 
     # ---- canonical form ---------------------------------------------------
 
-    def canonicalize(self, max_terms: int = 65536, tol: float = 0.0) -> "TestFunction":
-        """Rewrite over disjoint balls of the minimum term radius.
-
-        Coefficients within tol of zero are dropped (tol=0 drops only exact
-        zeros).  Raises ResourceError when the refinement would exceed
-        max_terms balls.
+    def canonicalize(self) -> "TestFunction":
+        """Rewrite over disjoint balls of the minimum term radius, sorted
+        by center; exact zero coefficients are dropped.  Raises
+        ResourceError when the refinement would exceed
+        _MAX_CANONICAL_TERMS balls.
         """
         if not self.terms:
             return self
@@ -97,17 +92,13 @@ class TestFunction:
         for c, b in self.terms:
             span = b.radius_exp - r
             total += self.p**span
-            if total > max_terms:
-                raise ResourceError(
-                    f"canonicalization needs more than {max_terms} balls")
+            if total > _MAX_CANONICAL_TERMS:
+                raise ResourceError("canonicalization needs more than "
+                                    f"{_MAX_CANONICAL_TERMS} balls")
             for sub in b.subballs(r):
-                key = (sub.center.digits, r)
-                acc[key] = acc.get(key, 0j) + c
-        kept = []
-        for (digits, rr), c in acc.items():
-            if abs(c) > tol:
-                kept.append((c, Ball(PAdicExpansion(self.p, digits), rr)))
-        kept.sort(key=lambda cb: (cb[1].center.value, cb[1].radius_exp))
+                acc[sub] = acc.get(sub, 0j) + c
+        kept = sorted(((c, sub) for sub, c in acc.items() if abs(c) > 0),
+                      key=lambda cb: cb[1].center)
         return TestFunction(self.p, tuple(kept))
 
     def integral(self) -> complex:
@@ -151,7 +142,7 @@ def to_grid(f: TestFunction, grid: GridSpec) -> GridFunction:
                 f"{b!r} is finer than the grid resolution p^-{grid.M}")
         if b.radius_exp > grid.N:
             raise PrecisionError(f"{b!r} is wider than the grid ball B_{grid.N}")
-        if rational_abs(grid.p, b.center.value) > grid.p**grid.N:
+        if rational_abs(grid.p, b.center) > grid.p**grid.N:
             raise PrecisionError(f"{b!r} lies outside the grid ball B_{grid.N}")
         c_idx = grid.index_of(b.center)
         step = grid.p ** (grid.N - b.radius_exp)
@@ -219,12 +210,7 @@ class RadialFunction:
         raise DomainError(f"shell {k} outside the stored range")
 
     def value_at(self, x) -> complex:
-        if isinstance(x, PAdicExpansion):
-            return self.value_at_shell(x.shell_exponent())
-        q = Fraction(x)
-        if q == 0:
-            return self.value_at_zero
-        return self.value_at_shell(rational_shell(self.p, q))
+        return self.value_at_shell(rational_shell(self.p, x))
 
     def integral(self) -> complex:
         """Integral over Q_p; requires a summable head and tail."""
@@ -268,7 +254,7 @@ class RadialFunction:
 # ---------------------------------------------------------------------------
 
 def write_grid_csv(path: str, u: GridFunction) -> None:
-    """Rows: index, center (exact expansion string), abs (exact rational),
+    """Rows: index, center (digit text of parse_point), abs (exact rational),
     re, im (repr doubles)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

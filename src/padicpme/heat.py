@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -21,11 +22,12 @@ from .errors import DomainError
 from .fractional import (LevelOperator, OperatorParams, ball_eigenvalue_floor,
                          ball_matrix, ball_spectrum)
 from .functions import GridFunction, RadialFunction, TestFunction
-from .padic import Ball, PAdicExpansion, check_prime, gamma_p
+from .padic import Ball, check_prime, gamma_p
 # the benchmark's tracer wraps heat.int_valuation; nothing here calls it
 from .padic import int_valuation  # noqa: F401
 
 _TARGET = 1e-18  # absolute target of the alternating and restricted series
+_LAYER_TARGET = 1e-15  # pointwise target of a truncated indicator expansion
 _MAX_SHELLS = 4000
 _U = 2.0 ** -53  # unit roundoff
 _TAIL = 2.0 ** -60  # a gap sum's tails, relative to its envelope at the knee
@@ -276,16 +278,17 @@ def ball_integral_of_Z(params: KernelParams, l: int) -> tuple:
                    + top * _U * (2 + x * (2 + 3 * abs(w))) + _U * total)
 
 
-def kernel_mass_estimate(params: KernelParams, k_min: int = -25,
-                         k_max: int = 25, known: dict | None = None) -> tuple:
+def kernel_mass_estimate(params: KernelParams,
+                         known: dict | None = None) -> tuple:
     """(mass estimate, certificate) for int Z(t, x) dx from pointwise values.
 
-    The head ball B_{k_min - 1} is integrated in closed form, shells
-    [k_min, k_max] use certified pointwise kernel values (known[k], a
-    kernel_Z result the caller already has, is reused), and the exterior
-    is bounded through 0 <= Z(t, p^k) <= (p^a - 1) t p^{-k(a+1)} / (1 - p^{-a-1}).
+    The head ball B_{-26} is integrated in closed form, shells [-25, 25]
+    use certified pointwise kernel values (known[k], a kernel_Z result the
+    caller already has, is reused), and the exterior is bounded through
+    0 <= Z(t, p^k) <= (p^a - 1) t p^{-k(a+1)} / (1 - p^{-a-1}).
     """
     known = known or {}
+    k_min, k_max = -25, 25
     p, a, t = params.p, params.alpha, params.t
     head, head_bound = ball_integral_of_Z(params, k_min - 1)
     total = head
@@ -319,15 +322,15 @@ class SemigroupExpansion:
 
 
 def semigroup_on_indicator(params: KernelParams, ball: Ball,
-                           k_max: int | None = None,
-                           target: float = 1e-15) -> SemigroupExpansion:
+                           k_max: int | None = None) -> SemigroupExpansion:
     """S(t) applied to a ball indicator, as nested indicator layers.
 
     S(t) 1_{B(x0, p^l)} = e^{-t p^{-l a}} 1_{B(x0, p^l)}
                         + p^l sum_{k > l} p^{-k} c_{-k}(t) 1_{B(x0, p^k)},
     truncated at k_max with pointwise remainder
     t (p^a - 1) p^l p^{-(k_max+1)(a+1)} / (1 - p^{-a-1}) and truncated mass
-    exactly p^l exp(-t p^{-k_max a}).
+    exactly p^l exp(-t p^{-k_max a}).  Without k_max, the first k_max whose
+    remainder is at most _LAYER_TARGET (at most l + 400).
     """
     p, a, t = params.p, params.alpha, params.t
     if ball.p != p:
@@ -340,21 +343,21 @@ def semigroup_on_indicator(params: KernelParams, ball: Ball,
 
     if k_max is None:
         k_max = l + 1
-        while pointwise_tail(k_max) > target and k_max < l + 400:
+        while pointwise_tail(k_max) > _LAYER_TARGET and k_max < l + 400:
             k_max += 1
 
     terms = [(complex(_exp_neg_t_pow(t, p, a, -l)), ball)]
     for k in range(l + 1, k_max + 1):
         ck = coeff_ck(params, -k)
-        terms.append((complex(float(p) ** (l - k) * ck), Ball(ball.center, k)))
+        terms.append((complex(float(p) ** (l - k) * ck),
+                      Ball(p, ball.center, k)))
     deficit = float(p) ** l * (1.0 - _exp_neg_t_pow(t, p, a, -k_max))
     return SemigroupExpansion(TestFunction(p, tuple(terms)),
                               pointwise_tail(k_max), k_max, deficit)
 
 
-def semigroup_apply_testfunction(params: KernelParams, f: TestFunction,
-                                 k_max: int | None = None,
-                                 target: float = 1e-15) -> SemigroupExpansion:
+def semigroup_apply_testfunction(params: KernelParams,
+                                 f: TestFunction) -> SemigroupExpansion:
     """S(t) f by linearity over the (possibly non-canonical) terms of f."""
     if f.p != params.p:
         raise DomainError("prime mismatch")
@@ -363,7 +366,7 @@ def semigroup_apply_testfunction(params: KernelParams, f: TestFunction,
     deficit = 0.0
     k_used = 0
     for c, b in f.terms:
-        part = semigroup_on_indicator(params, b, k_max=k_max, target=target)
+        part = semigroup_on_indicator(params, b)
         terms.extend((c * ci, bi) for ci, bi in part.function.terms)
         bound += abs(c) * part.pointwise_bound
         deficit += abs(c) * part.mass_deficit
@@ -372,21 +375,19 @@ def semigroup_apply_testfunction(params: KernelParams, f: TestFunction,
                               bound, k_used, deficit)
 
 
-def semigroup_indicator_profile(params: KernelParams, ball: Ball,
-                                k_max: int | None = None,
-                                target: float = 1e-15) -> tuple:
+def semigroup_indicator_profile(params: KernelParams, ball: Ball) -> tuple:
     """(radial profile of S(t) 1_B about the ball's center, pointwise bound).
 
     Constant inside the ball (head), with one value per shell l < k <= k_max
     outside; beyond k_max the truncated expansion vanishes and the certified
     pointwise bound covers the discarded layers.
     """
-    exp = semigroup_on_indicator(params, ball, k_max=k_max, target=target)
+    exp = semigroup_on_indicator(params, ball)
     l = ball.radius_exp
     center_val = exp.function.value_at(ball.center)
     shells = {l: center_val}
     for k in range(l + 1, exp.k_max + 1):
-        probe = ball.center + PAdicExpansion(params.p, ((-k, 1),))
+        probe = ball.center + Fraction(params.p) ** -k
         shells[k] = exp.function.value_at(probe)
     profile = RadialFunction(params.p, tuple(shells.items()),
                              value_at_zero=center_val, head_constant=True)
@@ -620,19 +621,18 @@ def green_tail_constant(p: int, alpha: float, mu: float) -> float:
     return -gamma_p(p, alpha + 1.0) / (mu * mu)
 
 
-def smoothness_modulus(p: int, alpha: float, mu: float, r: int,
-                       j_max: int | None = None) -> float:
+def smoothness_modulus(p: int, alpha: float, mu: float, r: int) -> float:
     """Upper modulus of L1 continuity of E_mu at scale |h| = p^{-r}:
 
     Phi(p^{-r}) = 2 sum_{j > r} p^{-j} (1 - 1/p) |E(p^{-j}) - E(p^{-r})|,
 
     covering both the region |x| < |h| (where |x - h| = p^{-r}) and the
-    shell |x| = |h|.  The j-tail is controlled by E's limit at 0.
+    shell |x| = |h|.  The sum runs to j = r + 60; its tail is controlled by
+    E's limit at 0.
     """
     check_prime(p)
     _require_green_domain(alpha)
-    if j_max is None:
-        j_max = r + 60
+    j_max = r + 60
     e_r = green_kernel(p, alpha, mu, -r).value
     w = 1 - 1.0 / p
     total = 0.0

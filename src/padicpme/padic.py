@@ -1,12 +1,13 @@
-"""Exact arithmetic for p-adic numbers with finite expansions.
+"""Exact p-adic structure on the points of Z[1/p].
 
-A number is a sparse digit map {exponent j -> digit in [1, p)} encoding
-x = sum_j d_j p^j.  Every number of that shape is a nonnegative rational
-with p-power denominator, so all structural quantities (absolute value,
-ball membership, ball measure) are computed exactly with fractions.Fraction.
-Real analytic quantities (the gamma factor, kernel values) live in ordinary
-doubles elsewhere in the package.  GridSpec is the finite model of a ball
-that all grid code works on.
+Every point the package handles (ball centers, grid representatives,
+quadrature nodes) is a rational with p-power denominator, held exactly as
+a fractions.Fraction, so all structural quantities (absolute value, ball
+membership, ball measure) are exact.  The digit text "j:d,..." for
+sum_j d_j p^j is a text format only: parse_point reads it and
+GridSpec.csv_columns writes it.  Real analytic quantities (the gamma
+factor, kernel values) live in ordinary doubles elsewhere in the package.
+GridSpec is the finite model of a ball that all grid code works on.
 """
 
 from __future__ import annotations
@@ -63,169 +64,70 @@ def rational_shell(p: int, q: Fraction):
     return None if v is None else -v
 
 
-@dataclass(frozen=True)
-class PAdicExpansion:
-    """Finite canonical expansion sum_j d_j p^j with digits d_j in [1, p)."""
-
-    p: int
-    digits: tuple = ()
-
-    def __post_init__(self):
-        check_prime(self.p)
-        cleaned = []
-        seen = set()
-        for j, d in self.digits:
+def parse_point(p: int, text: str) -> Fraction:
+    """The point a text names: digits "j:d,..." for sum_j d_j p^j (digits
+    in [0, p), distinct exponents; "0" is zero) or a rational such as
+    "3/2".  Either way it is a nonnegative rational whose denominator is a
+    power of p; anything else raises DomainError."""
+    check_prime(p)
+    text = text.strip()
+    if ":" not in text:
+        try:
+            x = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"point {text!r} is neither a rational nor "
+                              "digits j:d,...") from exc
+        if x < 0:
+            raise DomainError(f"point {text} is negative; points are "
+                              "written as nonnegative rationals")
+        _check_denominator(p, x)
+        return x
+    x, seen = Fraction(0), set()
+    for token in text.split(","):
+        j, _, d = token.partition(":")
+        try:
             j, d = int(j), int(d)
-            if not 0 <= d < self.p:
-                raise DomainError(f"digit {d} out of range for p={self.p}")
-            if j in seen:
-                raise DomainError(f"duplicate exponent {j}")
-            seen.add(j)
-            if d:
-                cleaned.append((j, d))
-        object.__setattr__(self, "digits", tuple(sorted(cleaned)))
-
-    # ---- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, p: int) -> "PAdicExpansion":
-        return cls(p, ())
-
-    @classmethod
-    def from_integer(cls, p: int, n: int) -> "PAdicExpansion":
-        if n < 0:
-            raise DomainError("negative integers have no finite expansion")
-        digits, j = [], 0
-        while n:
-            n, d = divmod(n, p)
-            if d:
-                digits.append((j, d))
-            j += 1
-        return cls(p, tuple(digits))
-
-    @classmethod
-    def from_rational(cls, p: int, q) -> "PAdicExpansion":
-        """Exact expansion of a nonnegative rational with p-power denominator."""
-        q = Fraction(q)
-        if q < 0:
-            raise DomainError("negative rationals have no finite expansion")
-        den = q.denominator
-        k = 0
-        while den % p == 0:
-            den //= p
-            k += 1
-        if den != 1:
-            raise DomainError(f"denominator of {q} is not a power of p={p}")
-        return cls.from_integer(p, q.numerator).shift(-k)
-
-    # ---- textual encoding ---------------------------------------------
-
-    def encode(self) -> str:
-        """"j:d,..." sorted by exponent; "0" encodes zero."""
-        if not self.digits:
-            return "0"
-        return ",".join(f"{j}:{d}" for j, d in self.digits)
-
-    @classmethod
-    def parse(cls, p: int, text: str) -> "PAdicExpansion":
-        text = text.strip()
-        if text == "0":
-            return cls.zero(p)
-        pairs = []
-        for token in text.split(","):
-            j, _, d = token.partition(":")
-            try:
-                pairs.append((int(j), int(d)))
-            except ValueError as exc:
-                raise DomainError(f"bad expansion token {token!r}") from exc
-        return cls(p, tuple(pairs))
-
-    # ---- structure -----------------------------------------------------
-
-    @property
-    def value(self) -> Fraction:
-        return sum((Fraction(d) * Fraction(self.p) ** j for j, d in self.digits),
-                   Fraction(0))
-
-    def valuation(self):
-        return self.digits[0][0] if self.digits else None
-
-    def shell_exponent(self):
-        """k with |x|_p = p^k, None for zero."""
-        v = self.valuation()
-        return None if v is None else -v
-
-    # ---- arithmetic ----------------------------------------------------
-
-    def __add__(self, other: "PAdicExpansion") -> "PAdicExpansion":
-        self._check_compatible(other)
-        counts: dict = {}
-        for j, d in self.digits:
-            counts[j] = counts.get(j, 0) + d
-        for j, d in other.digits:
-            counts[j] = counts.get(j, 0) + d
-        return PAdicExpansion(self.p, _carried(self.p, counts))
-
-    def __mul__(self, other: "PAdicExpansion") -> "PAdicExpansion":
-        self._check_compatible(other)
-        counts: dict = {}
-        for j1, d1 in self.digits:
-            for j2, d2 in other.digits:
-                counts[j1 + j2] = counts.get(j1 + j2, 0) + d1 * d2
-        return PAdicExpansion(self.p, _carried(self.p, counts))
-
-    def shift(self, k: int) -> "PAdicExpansion":
-        """Multiply by p^k (digit shift, no carrying needed)."""
-        return PAdicExpansion(self.p, tuple((j + k, d) for j, d in self.digits))
-
-    def keep_below(self, exponent: int) -> "PAdicExpansion":
-        """Drop digits at exponents >= exponent (reduction mod p^exponent Z_p)."""
-        return PAdicExpansion(self.p, tuple((j, d) for j, d in self.digits
-                                            if j < exponent))
-
-    def _check_compatible(self, other):
-        if not isinstance(other, PAdicExpansion) or other.p != self.p:
-            raise DomainError("operands must share the same prime p")
-
-    def __repr__(self):
-        return f"PAdic(p={self.p}, {self.encode()})"
+        except ValueError as exc:
+            raise DomainError(f"bad digit token {token!r}") from exc
+        if not 0 <= d < p:
+            raise DomainError(f"digit {d} out of range for p={p}")
+        if j in seen:
+            raise DomainError(f"duplicate exponent {j}")
+        seen.add(j)
+        x += d * Fraction(p) ** j
+    return x
 
 
-def _carried(p: int, counts: dict) -> tuple:
-    """Schoolbook base-p carrying of a nonnegative digit multiset."""
-    if not counts:
-        return ()
-    out = []
-    carry = 0
-    j = min(counts)
-    hi = max(counts)
-    while j <= hi or carry:
-        carry, digit = divmod(counts.get(j, 0) + carry, p)
-        if digit:
-            out.append((j, digit))
-        j += 1
-    return tuple(out)
+def _check_denominator(p: int, x: Fraction) -> None:
+    den = x.denominator
+    while den % p == 0:
+        den //= p
+    if den != 1:
+        raise DomainError(f"denominator of {x} is not a power of p={p}")
 
 
 @dataclass(frozen=True)
 class Ball:
     """Ball {|x - center| <= p^radius_exp}; the stored center is canonical.
 
-    Two centers describe the same ball iff they agree modulo p^{-radius_exp} Z_p,
-    so the canonical representative keeps only digits at exponents below
-    -radius_exp.  Dataclass equality then coincides with set equality.
+    Two centers describe the same ball iff they differ by an integer
+    multiple of p^{-radius_exp}, so the canonical center is the one in
+    [0, p^{-radius_exp}): for a center a / p^k with p not dividing a it is
+    (a mod p^{k - radius_exp}) / p^k, and 0 when k <= radius_exp.
+    Dataclass equality then coincides with set equality.
     """
 
-    center: PAdicExpansion
+    p: int
+    center: Fraction
     radius_exp: int
 
     def __post_init__(self):
-        object.__setattr__(self, "radius_exp", int(self.radius_exp))
-        object.__setattr__(self, "center", self.center.keep_below(-self.radius_exp))
-
-    @property
-    def p(self) -> int:
-        return self.center.p
+        check_prime(self.p)
+        r = int(self.radius_exp)
+        center = Fraction(self.center)
+        _check_denominator(self.p, center)
+        object.__setattr__(self, "radius_exp", r)
+        object.__setattr__(self, "center", center % Fraction(self.p) ** -r)
 
     @property
     def measure(self) -> Fraction:
@@ -233,29 +135,19 @@ class Ball:
         return Fraction(p**l) if l >= 0 else Fraction(1, p ** (-l))
 
     def contains_value(self, q) -> bool:
-        return rational_abs(self.p, Fraction(q) - self.center.value) <= self.measure
-
-    def contains(self, x) -> bool:
-        if isinstance(x, PAdicExpansion):
-            return self.contains_value(x.value)
-        return self.contains_value(x)
+        return rational_abs(self.p, Fraction(q) - self.center) <= self.measure
 
     def subset_of(self, other: "Ball") -> bool:
-        return self.radius_exp <= other.radius_exp and other.contains(self.center)
+        return (self.radius_exp <= other.radius_exp
+                and other.contains_value(self.center))
 
     def subballs(self, radius_exp: int) -> list:
         """Disjoint refinement into balls of radius p^radius_exp."""
         if radius_exp > self.radius_exp:
             raise DomainError("refinement radius must not exceed the ball radius")
-        span = self.radius_exp - radius_exp
-        out = []
-        for n in range(self.p**span):
-            offset = PAdicExpansion.from_integer(self.p, n).shift(-self.radius_exp)
-            out.append(Ball(self.center + offset, radius_exp))
-        return out
-
-    def __repr__(self):
-        return f"Ball(center={self.center.encode()}, radius_exp={self.radius_exp})"
+        step = Fraction(self.p) ** -self.radius_exp
+        return [Ball(self.p, self.center + n * step, radius_exp)
+                for n in range(self.p ** (self.radius_exp - radius_exp))]
 
 
 _GAMMA_POLE_GUARD = 1e-9
@@ -284,10 +176,10 @@ LEVEL_GRID_CAP = 2**20
 class GridSpec:
     """Finite model of the ball B_N at resolution p^{-M}.
 
-    Coset representatives of B_N / B_{-M} are x = sum_{j=-N}^{M-1} d_j p^j,
-    enumerated by the integer index i = x * p^N in [0, p^{N+M}).  Under this
-    map the quotient group is Z / p^{N+M}: adding representatives with digit
-    carrying and dropping digits at exponents >= M is integer addition mod dim.
+    Coset representatives of B_N / B_{-M} are x = i / p^N for the integer
+    index i in [0, p^{N+M}), the points sum_{j=-N}^{M-1} d_j p^j.  Under
+    this map the quotient group is Z / p^{N+M}: adding representatives and
+    reducing modulo p^M is integer addition mod dim.
     """
 
     p: int
@@ -310,16 +202,16 @@ class GridSpec:
     def coset_measure(self) -> Fraction:
         return Fraction(1, self.p**self.M) if self.M >= 0 else Fraction(self.p ** (-self.M))
 
-    def representative(self, i: int) -> PAdicExpansion:
+    def representative(self, i: int) -> Fraction:
         if not 0 <= i < self.dim:
             raise DomainError(f"index {i} out of range [0, {self.dim})")
-        return PAdicExpansion.from_integer(self.p, i).shift(-self.N)
+        return Fraction(i) / Fraction(self.p) ** self.N
 
-    def index_of(self, x: PAdicExpansion) -> int:
+    def index_of(self, x: Fraction) -> int:
         """Index of the coset of x; digits below -N are not representable."""
-        scaled = x.value * self.p**self.N
+        scaled = Fraction(x) * Fraction(self.p) ** self.N
         if scaled.denominator != 1:
-            raise DomainError(f"{x!r} lies outside B_N at N={self.N}")
+            raise DomainError(f"{x} lies outside B_N at N={self.N}")
         return int(scaled) % self.dim
 
     @cached_property
@@ -345,7 +237,7 @@ class GridSpec:
 
     @cached_property
     def csv_columns(self) -> tuple:
-        """(indices, center encodings, exact |x| strings): the grid-only
+        """(indices, centers as digit text, exact |x| strings): the grid-only
         columns of a grid CSV, built once per grid object; the |x| column
         refers to K + 1 shared strings, one per shell.
 

@@ -28,7 +28,7 @@ from functools import cached_property
 import mpmath
 import numpy as np
 
-from .errors import DomainError, SolverError
+from .errors import DomainError, SolverError, check_int, check_real
 from .fractional import LevelOperator, OperatorParams, ball_levels
 # the benchmark's tracer wraps pme.ball_matrix; nothing here calls it
 from .fractional import ball_matrix  # noqa: F401
@@ -38,12 +38,11 @@ from .padic import GridSpec, check_prime, gamma_p
 
 @dataclass(frozen=True)
 class PhiSpec:
-    """Monotone nonlinearity phi with inverse beta and their derivatives."""
+    """Monotone nonlinearity phi, its inverse beta and beta's derivative."""
 
     m: float
     phi: object
     beta: object
-    phi_prime: object
     beta_prime: object
 
     @classmethod
@@ -61,22 +60,21 @@ class PhiSpec:
             v = np.asarray(v, dtype=np.float64)
             return np.sign(v) * np.abs(v) ** (1.0 / m)
 
-        def phi_prime(u):
-            u = np.asarray(u, dtype=np.float64)
-            with np.errstate(divide="ignore"):
-                return m * np.abs(u) ** (m - 1.0)
-
         def beta_prime(v):
             v = np.asarray(v, dtype=np.float64)
             with np.errstate(divide="ignore"):
                 return (1.0 / m) * np.abs(v) ** (1.0 / m - 1.0)
 
-        return cls(m, phi, beta, phi_prime, beta_prime)
+        return cls(m, phi, beta, beta_prime)
 
 
 @dataclass
 class PMEProblem:
-    """Grid, operator and stepping parameters for one evolution run."""
+    """Grid, operator and stepping parameters for one evolution run.
+
+    p, N, M and max_iters must be ints, the others finite reals (JSON ints
+    included); anything else raises DomainError.
+    """
 
     p: int
     alpha: float
@@ -90,12 +88,20 @@ class PMEProblem:
 
     def __post_init__(self):
         check_prime(self.p)
+        for name in ("N", "M", "max_iters"):
+            check_int(name, getattr(self, name))
+        for name in ("alpha", "m", "tau", "t_end", "newton_tol"):
+            check_real(name, getattr(self, name))
         if not self.alpha > 0:
             raise DomainError("alpha must be positive")
         if not self.m >= 1:
             raise DomainError("m must be >= 1")
         if not self.tau > 0:
             raise DomainError("tau must be positive")
+        if not self.newton_tol > 0:
+            raise DomainError("newton_tol must be positive")
+        if self.max_iters < 1:
+            raise DomainError("max_iters must be at least 1")
 
     @cached_property
     def grid(self) -> GridSpec:
@@ -115,6 +121,8 @@ class PMEProblem:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "PMEProblem":
+        if not isinstance(cfg, dict):
+            raise DomainError("config must be a JSON object")
         required = ["p", "alpha", "N", "M", "m", "tau", "t_end"]
         missing = [k for k in required if k not in cfg]
         if missing:

@@ -32,7 +32,7 @@ from .fractional import (
 )
 from .functions import GridFunction, RadialFunction, TestFunction, to_grid
 from .heat import KernelParams
-from .padic import Ball, GridSpec, PAdicExpansion, gamma_p
+from .padic import Ball, GridSpec, gamma_p
 
 
 @dataclass
@@ -44,10 +44,6 @@ class CheckResult:
 
 def _check(name: str, passed, detail: str) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
-
-
-def _zero(p: int) -> PAdicExpansion:
-    return PAdicExpansion.zero(p)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +157,7 @@ def check_green_tail() -> CheckResult:
 
 def check_indicator_closed_form() -> CheckResult:
     params = OperatorParams(2, 2.0)
-    prof = apply_to_indicator(params, Ball(_zero(2), 0))
+    prof = apply_to_indicator(params, Ball(2, 0, 0))
     expected = {
         None: Fraction(4, 7), 0: Fraction(4, 7),
         1: Fraction(-3, 7), 2: Fraction(-3, 56),
@@ -177,7 +173,7 @@ def check_indicator_closed_form() -> CheckResult:
 
 def check_indicator_vs_quadrature() -> CheckResult:
     params = OperatorParams(2, 2.0)
-    f = TestFunction.indicator(Ball(_zero(2), 0))
+    f = TestFunction.indicator(Ball(2, 0, 0))
     worst = 0.0
     worst_tail = 0.0
     for x in (Fraction(0), Fraction(1, 2), Fraction(1, 4)):
@@ -200,7 +196,7 @@ def check_indicator_vs_quadrature() -> CheckResult:
 def check_indicator_mass() -> CheckResult:
     worst = 0.0
     for (p, a, l) in ((2, 2.0, 0), (2, 2.0, 2), (3, 1.5, 0), (5, 0.7, -1)):
-        worst = max(worst, mass_of_image(OperatorParams(p, a), Ball(_zero(p), l)))
+        worst = max(worst, mass_of_image(OperatorParams(p, a), Ball(p, 0, l)))
     return _check("indicator_mass_cancellation", worst <= 1e-12,
                   f"max |total mass of image| = {worst:.3e} (tol 1e-12)")
 
@@ -208,11 +204,10 @@ def check_indicator_mass() -> CheckResult:
 def check_composite_quadrature() -> CheckResult:
     p = 2
     params = OperatorParams(p, 2.0)
-    half = PAdicExpansion.from_rational(p, Fraction(1, 2))
     f = TestFunction(p, (
-        (1.0 + 0j, Ball(_zero(p), 0)),
-        (-2.0 + 0j, Ball(_zero(p), -1)),
-        (0.5 + 0j, Ball(half, -1)),
+        (1.0 + 0j, Ball(p, 0, 0)),
+        (-2.0 + 0j, Ball(p, 0, -1)),
+        (0.5 + 0j, Ball(p, Fraction(1, 2), -1)),
     ))
     worst = 0.0
     for x in (Fraction(0), Fraction(1, 2)):
@@ -274,14 +269,12 @@ def check_boundary_identity() -> CheckResult:
     p, N, M = 2, 0, 2
     params = OperatorParams(p, 2.0, GridSpec(p, N, M))
     B = ball_matrix(params)
-    ball_N = Ball(_zero(p), N)
-    half = PAdicExpansion.from_rational(p, Fraction(1, 2))
-    quarter = PAdicExpansion.from_rational(p, Fraction(1, 4))
+    ball_N = Ball(p, 0, N)
     cases = {
-        "wide_1": TestFunction.indicator(Ball(_zero(p), 1)),
-        "wide_2": TestFunction.indicator(Ball(_zero(p), 2)),
-        "shifted_half": TestFunction.indicator(Ball(half, 0)),
-        "shifted_quarter": TestFunction.indicator(Ball(quarter, 1)),
+        "wide_1": TestFunction.indicator(Ball(p, 0, 1)),
+        "wide_2": TestFunction.indicator(Ball(p, 0, 2)),
+        "shifted_half": TestFunction.indicator(Ball(p, Fraction(1, 2), 0)),
+        "shifted_quarter": TestFunction.indicator(Ball(p, Fraction(1, 4), 1)),
     }
     worst = 0.0
     for label, psi in cases.items():
@@ -307,7 +300,7 @@ def check_semigroup_indicator_integrals() -> CheckResult:
     """Indicator expansion values vs direct integrals of Z against 1_{B_0}."""
     p, a, t = 2, 2.0, 0.7
     kp = KernelParams(p, a, t)
-    exp = heat.semigroup_on_indicator(kp, Ball(_zero(p), 0))
+    exp = heat.semigroup_on_indicator(kp, Ball(p, 0, 0))
     worst = 0.0
     # at the center: integral of Z over B_0
     direct0, b0 = heat.ball_integral_of_Z(kp, 0)
@@ -327,13 +320,13 @@ def check_semigroup_indicator_integrals() -> CheckResult:
 def check_chapman_kolmogorov() -> CheckResult:
     p, a = 2, 2.0
     t1, t2 = 0.4, 0.6
-    ball = Ball(_zero(p), 0)
+    ball = Ball(p, 0, 0)
     step1 = heat.semigroup_on_indicator(KernelParams(p, a, t1), ball)
     step2 = heat.semigroup_apply_testfunction(KernelParams(p, a, t2), step1.function)
     direct = heat.semigroup_on_indicator(KernelParams(p, a, t1 + t2), ball)
     grid = GridSpec(p, 2, 2)
     worst = 0.0
-    points = [grid.representative(i).value for i in range(grid.dim)]
+    points = [grid.representative(i) for i in range(grid.dim)]
     points += [Fraction(p**3), Fraction(1, p**4)]
     for x in points:
         worst = max(worst, abs(step2.function.value_at(x)
@@ -355,7 +348,7 @@ def check_c0_continuity() -> CheckResult:
     shell series: two independent evaluation routes.
     """
     p, a = 2, 2.0
-    ball = Ball(_zero(p), 0)
+    ball = Ball(p, 0, 0)
     prev = None
     worst = 0.0
     vals = []

@@ -346,3 +346,75 @@ def test_build_initial_kinds(tmp_path):
         build_initial(grid, {"kind": "csv"})
     with pytest.raises(DomainError):
         build_initial(grid, {})
+
+
+_GOOD_CONFIG = {"p": 2, "alpha": 2.0, "N": 1, "M": 2, "m": 2.0, "tau": 0.05,
+                "t_end": 0.1, "initial": {"kind": "indicator", "coeff": 1.0,
+                                          "center": "1/2", "radius_exp": -1}}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("alpha", "2.0"), ("max_iters", "abc"), ("N", 1.5), ("center", "abc"),
+    ("radius_exp", "x"), ("newton_tol", -1), ("newton_tol", float("nan")),
+    ("max_iters", 0), ("tau", True), ("coeff", "1.0"), ("center", "1/3"),
+    ("center", "-1/2"), ("center", "0:3"), ("initial", [1])])
+def test_evolve_malformed_config_exits_2(tmp_path, capsys, key, value):
+    """A malformed config stops evolve with exit 2 and one error line,
+    before any output: exit 1 is reserved for solver refusals."""
+    cfg = json.loads(json.dumps(_GOOD_CONFIG))
+    if key in cfg["initial"]:
+        cfg["initial"][key] = value
+    else:
+        cfg[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    outdir = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["evolve", "--config", str(path), "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("initial", [
+    {"kind": "indicator", "center": "abc"},
+    {"kind": "indicator", "radius_exp": "x"},
+    {"kind": "indicator", "radius_exp": 0.5},
+    {"kind": "radial_power", "exponent": "1"},
+    {"kind": "radial_power", "coeff": float("inf")},
+    {"kind": "csv", "path": 3},
+    {"kind": "csv", "path": "missing.csv"},
+    [1], "indicator"])
+def test_evolve_heat_malformed_initial_exits_2(tmp_path, capsys, initial):
+    outdir = tmp_path / "out"
+    capsys.readouterr()
+    rc = main(["evolve-heat", "--p", "2", "--alpha", "2.0", "--N", "1",
+               "--M", "1", "--t-end", "1.0", "--initial",
+               json.dumps(initial), "--out", str(outdir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not outdir.exists()
+
+
+def test_digit_and_rational_centers_agree(tmp_path):
+    """The digit text -1:1,0:1 and the rational 3/2 name one point; JSON
+    ints stay valid for the real fields."""
+    snaps = []
+    for name, center in (("digits", "-1:1,0:1"), ("rational", "3/2")):
+        cfg = dict(_GOOD_CONFIG, alpha=2, m=2,
+                   initial={"kind": "indicator", "center": center,
+                            "radius_exp": -1})
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        outdir = tmp_path / name
+        assert main(["evolve", "--config", str(path),
+                     "--out", str(outdir)]) == 0
+        snaps.append([(outdir / f"snapshot_{j:04d}.csv").read_bytes()
+                      for j in range(3)])
+    assert snaps[0] == snaps[1]
+    with open(tmp_path / "digits" / "snapshot_0000.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    # B(3/2, 2^-1) holds the cells 3/2 and 7/2 of the grid 2^-1 Z / 4 Z
+    assert [r["center"] for r in rows if float(r["re"]) == 1.0] == [
+        "-1:1,0:1", "-1:1,0:1,1:1"]

@@ -11,12 +11,8 @@ from padicpme.fractional import (DENSE_GRID_CAP, LevelOperator,
                                  exterior_constant, hypersingular_quadrature,
                                  mass_of_image, restrict_to_ball)
 from padicpme.functions import TestFunction
-from padicpme.padic import Ball, GridSpec, PAdicExpansion, gamma_p
+from padicpme.padic import Ball, GridSpec, gamma_p
 from padicpme.pme import _BP_CLIP
-
-
-def _zero(p):
-    return PAdicExpansion.zero(p)
 
 
 def test_params_domain():
@@ -30,7 +26,7 @@ def test_params_domain():
 
 def test_indicator_image_frozen_values():
     """p=2, alpha=2, unit ball: 4/7 inside, -3/7 and -3/56 outside."""
-    prof = apply_to_indicator(OperatorParams(2, 2.0), Ball(_zero(2), 0))
+    prof = apply_to_indicator(OperatorParams(2, 2.0), Ball(2, 0, 0))
     assert prof.value_at_zero.real == pytest.approx(4 / 7, abs=1e-15)
     assert prof.value_at_shell(0).real == pytest.approx(4 / 7, abs=1e-15)
     assert prof.value_at_shell(1).real == pytest.approx(-3 / 7, abs=1e-15)
@@ -43,8 +39,8 @@ def test_indicator_image_frozen_values():
 def test_indicator_image_scales_with_radius():
     """Dilation: the image of 1_{B_l} is p^{-l a} times the rescaled image."""
     p, a, l = 3, 1.5, 2
-    prof0 = apply_to_indicator(OperatorParams(p, a), Ball(_zero(p), 0))
-    profl = apply_to_indicator(OperatorParams(p, a), Ball(_zero(p), l))
+    prof0 = apply_to_indicator(OperatorParams(p, a), Ball(p, 0, 0))
+    profl = apply_to_indicator(OperatorParams(p, a), Ball(p, 0, l))
     assert profl.value_at_zero.real == pytest.approx(
         float(p) ** (-l * a) * prof0.value_at_zero.real)
     assert profl.value_at_shell(l + 1).real == pytest.approx(
@@ -53,23 +49,23 @@ def test_indicator_image_scales_with_radius():
 
 def test_image_of_shifted_ball_recenters():
     p = 2
-    c = PAdicExpansion.from_rational(p, Fraction(1, 2))
+    c = Fraction(1, 2)
     op = OperatorParams(p, 2.0)
-    shifted = apply_testfunction_at(op, TestFunction.indicator(Ball(c, 0)),
+    shifted = apply_testfunction_at(op, TestFunction.indicator(Ball(p, c, 0)),
                                     Fraction(1, 2))
     centered = apply_testfunction_at(
-        op, TestFunction.indicator(Ball(_zero(p), 0)), Fraction(0))
+        op, TestFunction.indicator(Ball(p, 0, 0)), Fraction(0))
     assert shifted == pytest.approx(centered)
 
 
 def test_image_mass_cancels():
-    assert mass_of_image(OperatorParams(2, 2.0), Ball(_zero(2), 0)) < 1e-14
-    assert mass_of_image(OperatorParams(5, 0.7), Ball(_zero(5), -1)) < 1e-14
+    assert mass_of_image(OperatorParams(2, 2.0), Ball(2, 0, 0)) < 1e-14
+    assert mass_of_image(OperatorParams(5, 0.7), Ball(5, 0, -1)) < 1e-14
 
 
 def test_superposition_linearity():
     op = OperatorParams(2, 2.0)
-    b0, b1 = Ball(_zero(2), 0), Ball(_zero(2), 1)
+    b0, b1 = Ball(2, 0, 0), Ball(2, 0, 1)
     f = TestFunction(2, ((2.0 + 0j, b0), (-1.0 + 0j, b1)))
     x = Fraction(1, 2)
     direct = apply_testfunction_at(op, f, x)
@@ -92,7 +88,7 @@ _QUADRATURE_POINTS = tuple(Fraction(q) for q in ("0", "1/2", "4", "1/3", "2/7"))
 
 def test_quadrature_certificate_honest():
     op = OperatorParams(2, 2.0)
-    f = TestFunction.indicator(Ball(_zero(2), 0))
+    f = TestFunction.indicator(Ball(2, 0, 0))
     for x in _QUADRATURE_POINTS:
         val, tail = hypersingular_quadrature(op, f, x, k_lo=-4, k_hi=12)
         closed = apply_testfunction_at(op, f, x)
@@ -101,7 +97,7 @@ def test_quadrature_certificate_honest():
 
 def test_quadrature_node_cap():
     op = OperatorParams(2, 2.0)
-    f = TestFunction.indicator(Ball(_zero(2), -4))
+    f = TestFunction.indicator(Ball(2, 0, -4))
     with pytest.raises(ResourceError):
         hypersingular_quadrature(op, f, Fraction(0), k_lo=-4, k_hi=40)
 
@@ -125,7 +121,7 @@ def _quadrature_oracle(op, f, x, k_lo, k_hi):
     (2, 2.0, -4, 6), (2, 0.7, -1, 3), (3, 1.3, -3, 4), (3, 2.5, 1, 2)])
 def test_quadrature_matches_exact_node_sum(p, alpha, k_lo, k_hi):
     op = OperatorParams(p, alpha)
-    at = lambda q, l: Ball(PAdicExpansion.from_rational(p, Fraction(q)), l)
+    at = lambda q, l: Ball(p, q, l)
     f = TestFunction(p, (  # overlapping raw terms, complex coefficients
         (1.0 - 0.5j, at(0, 1)),
         (-2.0 + 0j, at(0, -1)),
@@ -193,17 +189,14 @@ def test_level_apply_matches_ball_matrix(p, alpha, N, M):
 
 @pytest.mark.parametrize("p, alpha, N, M", LEVEL_GRIDS)
 def test_level_dense_and_operators(p, alpha, N, M):
-    """dense() is the ball matrix entry by entry; @ applies, a scalar
-    scales every weight, and nbytes counts the K + 1 weights."""
+    """dense() is the ball matrix entry by entry; @ applies, and nbytes
+    counts the K + 1 weights."""
     op = OperatorParams(p, alpha, GridSpec(p, N, M))
     B = ball_matrix(op).matrix
     levels = ball_levels(op)
     assert np.max(np.abs(levels.dense() - B)) <= 1e-14 * np.max(np.abs(B))
     x = np.random.default_rng(p).standard_normal(len(B))
     assert np.array_equal(levels @ x, levels.apply(x))
-    scaled = 2.5 * levels
-    assert scaled.c == 2.5 * levels.c
-    assert scaled.h == tuple(2.5 * h for h in levels.h)
     assert levels.nbytes == 8 * (N + M + 1)
 
 
@@ -273,24 +266,23 @@ def test_level_solve_rejects_bad_pivots():
 
 def test_restrict_to_ball():
     p = 2
-    psi = TestFunction.indicator(Ball(_zero(p), 2))
-    inner = restrict_to_ball(psi, Ball(_zero(p), 0))
+    psi = TestFunction.indicator(Ball(p, 0, 2))
+    inner = restrict_to_ball(psi, Ball(p, 0, 0))
     assert inner.canonicalize() == TestFunction.indicator(
-        Ball(_zero(p), 0)).canonicalize()
+        Ball(p, 0, 0)).canonicalize()
     # support wholly outside the ball restricts to zero
-    far = TestFunction.indicator(
-        Ball(PAdicExpansion.from_rational(p, Fraction(1, 4)), -2))
-    assert restrict_to_ball(far, Ball(_zero(p), 0)).canonicalize().terms == ()
+    far = TestFunction.indicator(Ball(p, Fraction(1, 4), -2))
+    assert restrict_to_ball(far, Ball(p, 0, 0)).canonicalize().terms == ()
 
 
 def test_exterior_constant_hand_values():
     """At p=2, alpha=2, N=0 the exterior parts of wide indicators reduce to
     geometric sums with known closed forms."""
     op = OperatorParams(2, 2.0, GridSpec(2, 0, 2))
-    ball_N = Ball(_zero(2), 0)
-    psi1 = TestFunction.indicator(Ball(_zero(2), 1))
+    ball_N = Ball(2, 0, 0)
+    psi1 = TestFunction.indicator(Ball(2, 0, 1))
     r1 = exterior_constant(op, psi1 - restrict_to_ball(psi1, ball_N), 0)
     assert r1.real == pytest.approx(-3 / 7, abs=1e-15)
-    psi2 = TestFunction.indicator(Ball(_zero(2), 2))
+    psi2 = TestFunction.indicator(Ball(2, 0, 2))
     r2 = exterior_constant(op, psi2 - restrict_to_ball(psi2, ball_N), 0)
     assert r2.real == pytest.approx(-15 / 28, abs=1e-15)

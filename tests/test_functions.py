@@ -10,17 +10,14 @@ from padicpme.errors import DomainError, PrecisionError
 from padicpme.functions import (GridFunction, RadialFunction, TestFunction,
                                 read_grid_csv, read_radial_csv, to_grid,
                                 write_grid_csv, write_radial_csv)
-from padicpme.padic import Ball, GridSpec, PAdicExpansion, rational_abs
+from padicpme.padic import Ball, GridSpec, rational_abs
 
-from conftest import expansion_strategy
-
-
-def _zero(p):
-    return PAdicExpansion.zero(p)
+from conftest import digit_text, point_strategy
 
 
 def _tf_strategy(p=2):
-    balls = st.builds(Ball, expansion_strategy(p, -2, 2), st.integers(-2, 2))
+    balls = st.builds(Ball, st.just(p), point_strategy(p, -2, 2),
+                      st.integers(-2, 2))
     coeffs = st.integers(-3, 3).map(complex)
     term = st.tuples(coeffs, balls)
     return st.lists(term, max_size=4).map(lambda ts: TestFunction(p, tuple(ts)))
@@ -31,16 +28,16 @@ def _tf_strategy(p=2):
 # ---------------------------------------------------------------------------
 
 def test_indicator_values():
-    f = TestFunction.indicator(Ball(_zero(2), 0))
+    f = TestFunction.indicator(Ball(2, 0, 0))
     assert f.value_at(Fraction(1)) == 1
     assert f.value_at(Fraction(1, 2)) == 0
     assert f.integral() == 1
 
 
-@given(_tf_strategy(), expansion_strategy(2, -3, 3))
+@given(_tf_strategy(), point_strategy(2, -3, 3))
 def test_canonicalize_preserves_values(f, x):
     g = f.canonicalize()
-    assert abs(f.value_at(x.value) - g.value_at(x.value)) < 1e-12
+    assert abs(f.value_at(x) - g.value_at(x)) < 1e-12
 
 
 @given(_tf_strategy())
@@ -55,12 +52,13 @@ def test_canonical_terms_disjoint(f):
     balls = [b for _, b in g.terms]
     for i, b1 in enumerate(balls):
         for b2 in balls[:i]:
-            assert not b1.contains(b2.center) and not b2.contains(b1.center)
+            assert not b1.contains_value(b2.center)
+            assert not b2.contains_value(b1.center)
 
 
 def test_integral_is_linear_in_terms():
-    b = Ball(_zero(2), 1)
-    f = TestFunction(2, ((2.0 + 0j, b), (1.0 + 0j, Ball(_zero(2), 0))))
+    b = Ball(2, 0, 1)
+    f = TestFunction(2, ((2.0 + 0j, b), (1.0 + 0j, Ball(2, 0, 0))))
     assert f.integral() == pytest.approx(2 * 2 + 1 * 1)
 
 
@@ -71,8 +69,8 @@ def test_integral_is_linear_in_terms():
 def test_to_grid_round_trip():
     grid = GridSpec(2, 1, 2)
     f = TestFunction(2, (
-        (1.0 + 0j, Ball(_zero(2), 0)),
-        (-0.5 + 0j, Ball(PAdicExpansion.from_rational(2, Fraction(1, 2)), -1)),
+        (1.0 + 0j, Ball(2, 0, 0)),
+        (-0.5 + 0j, Ball(2, Fraction(1, 2), -1)),
     ))
     u = to_grid(f, grid)
     for i in range(grid.dim):
@@ -82,14 +80,13 @@ def test_to_grid_round_trip():
 
 def test_to_grid_rejects_out_of_window():
     grid = GridSpec(2, 1, 1)
-    too_fine = TestFunction.indicator(Ball(_zero(2), -2))
+    too_fine = TestFunction.indicator(Ball(2, 0, -2))
     with pytest.raises(PrecisionError):
         to_grid(too_fine, grid)
-    too_wide = TestFunction.indicator(Ball(_zero(2), 3))
+    too_wide = TestFunction.indicator(Ball(2, 0, 3))
     with pytest.raises(PrecisionError):
         to_grid(too_wide, grid)
-    far_center = TestFunction.indicator(
-        Ball(PAdicExpansion.from_rational(2, Fraction(1, 8)), 0))
+    far_center = TestFunction.indicator(Ball(2, Fraction(1, 8), 0))
     with pytest.raises(PrecisionError):
         to_grid(far_center, grid)
 
@@ -164,8 +161,8 @@ def test_grid_csv_matches_row_by_row_reference(tmp_path, p, N, M):
         w = csv.writer(fh)
         w.writerow(["index", "center", "abs", "re", "im"])
         for i in range(grid.dim):
-            w.writerow([i, grid.representative(i).encode(),
-                        str(rational_abs(p, grid.representative(i).value)),
+            x = Fraction(i) / Fraction(p) ** N
+            w.writerow([i, digit_text(p, x), str(rational_abs(p, x)),
                         repr(float(u.values[i].real)),
                         repr(float(u.values[i].imag))])
     for name in ("a.csv", "b.csv"):

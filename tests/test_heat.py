@@ -20,7 +20,7 @@ from padicpme.heat import (KernelParams, ball_c_coefficient,
                            resolvent_apply,
                            semigroup_matrix, semigroup_on_indicator,
                            smoothness_modulus)
-from padicpme.padic import Ball, GridSpec, PAdicExpansion, int_valuation
+from padicpme.padic import Ball, GridSpec, int_valuation
 from padicpme.pme import PMEProblem
 
 
@@ -113,7 +113,7 @@ def test_semigroup_expansion_mass_accounting():
     """Truncated expansion mass + deficit telescopes to the exact p^l."""
     p, l = 2, 1
     params = KernelParams(p, 2.0, 0.7)
-    ball = Ball(PAdicExpansion.zero(p), l)
+    ball = Ball(p, 0, l)
     for k_max in (l + 2, l + 6, l + 15):
         exp = semigroup_on_indicator(params, ball, k_max=k_max)
         assert exp.k_max == k_max
@@ -128,7 +128,7 @@ def test_semigroup_expansion_mass_accounting():
 def test_semigroup_expansion_value_vs_ball_integral():
     """S(t) 1_{B_0} at the center equals the ball integral of the kernel."""
     params = KernelParams(2, 2.0, 0.3)
-    exp = semigroup_on_indicator(params, Ball(PAdicExpansion.zero(2), 0))
+    exp = semigroup_on_indicator(params, Ball(2, 0, 0))
     direct, bound = ball_integral_of_Z(params, 0)
     assert abs(exp.function.value_at(Fraction(0)).real - direct) <= (
         exp.pointwise_bound + bound + 1e-14)
@@ -477,10 +477,10 @@ def test_semigroup_matrix_agrees_with_testfunction_route():
     K = semigroup_matrix(op, t).dense()
     params = KernelParams(2, 2.0, t)
     j = 2
-    ball_j = Ball(grid.representative(j), -grid.M)
+    ball_j = Ball(2, grid.representative(j), -grid.M)
     exp = semigroup_on_indicator(params, ball_j, k_max=40)
     for i in range(grid.dim):
-        want = exp.function.value_at(grid.representative(i).value).real
+        want = exp.function.value_at(grid.representative(i)).real
         assert K[i, j] == pytest.approx(want, abs=exp.pointwise_bound + 1e-10)
 
 

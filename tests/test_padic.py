@@ -8,12 +8,12 @@ import hypothesis.strategies as st
 from padicpme.cli import build_initial
 from padicpme.errors import DomainError, ResourceError
 from padicpme.functions import RadialFunction
-from padicpme.padic import (LEVEL_GRID_CAP, Ball, GridSpec, PAdicExpansion,
-                            gamma_p, int_valuation, rational_abs,
-                            rational_valuation)
+from padicpme.padic import (LEVEL_GRID_CAP, Ball, GridSpec, gamma_p,
+                            int_valuation, parse_point, rational_abs,
+                            rational_shell, rational_valuation)
 from padicpme.pme import PMEProblem, explicit_solution
 
-from conftest import expansion_strategy, prime_and_expansions
+from conftest import digit_text, prime_and_points
 
 
 # ---------------------------------------------------------------------------
@@ -45,97 +45,73 @@ def test_gamma_oracles():
 def test_shell_measure():
     """The sphere |x| = p^k is B_k minus B_{k-1}: measure p^k (1 - 1/p)."""
     def shell(p, k):
-        zero = PAdicExpansion.zero(p)
-        return Ball(zero, k).measure - Ball(zero, k - 1).measure
+        return Ball(p, 0, k).measure - Ball(p, 0, k - 1).measure
     assert shell(2, 0) == Fraction(1, 2)
     assert shell(3, 2) == 6
     assert shell(5, -1) == Fraction(4, 25)
-    assert Ball(PAdicExpansion.zero(7), 0).measure == 1
+    assert Ball(7, 0, 0).measure == 1
 
 
 # ---------------------------------------------------------------------------
-# expansion structure
+# points and their digit text
 # ---------------------------------------------------------------------------
 
 def test_expansion_encode_parse():
-    x = PAdicExpansion.from_rational(2, Fraction(5, 2))
-    assert x.encode() == "-1:1,1:1"
-    assert PAdicExpansion.parse(2, "-1:1,1:1") == x
-    assert PAdicExpansion.parse(3, "0") == PAdicExpansion.zero(3)
-    assert PAdicExpansion.zero(3).encode() == "0"
+    assert digit_text(2, Fraction(5, 2)) == "-1:1,1:1"
+    assert parse_point(2, "-1:1,1:1") == Fraction(5, 2)
+    assert parse_point(2, " 1:1,-1:1 ") == Fraction(5, 2)  # any order
+    assert parse_point(3, "0") == 0
+    assert parse_point(3, "0:0,2:1") == 9                   # zero digits
+    assert digit_text(3, Fraction(0)) == "0"
 
 
 def test_expansion_from_rational_value_round_trip():
-    for num, den in [(5, 2), (7, 8), (1, 1), (12, 1), (31, 16)]:
-        x = PAdicExpansion.from_rational(2, Fraction(num, den))
-        assert x.value == Fraction(num, den)
+    for text in ["5/2", "7/8", "1", "12", "31/16", "0", "1.5", "3/6"]:
+        assert parse_point(2, text) == Fraction(text)
 
 
 def test_expansion_rejects_bad_digits():
     with pytest.raises(DomainError):
-        PAdicExpansion(2, ((0, 2),))    # digit out of range
+        parse_point(2, "0:2")          # digit out of range
     with pytest.raises(DomainError):
-        PAdicExpansion(2, ((0, 1), (0, 1)))  # duplicate exponent
+        parse_point(2, "0:1,0:1")      # duplicate exponent
     with pytest.raises(DomainError):
-        PAdicExpansion(4, ((0, 1),))    # not a prime
+        parse_point(2, "0:1,x:1")      # not an exponent
+    with pytest.raises(DomainError):
+        parse_point(2, "0:1,")         # empty token
+    with pytest.raises(DomainError):
+        parse_point(4, "0:1")          # not a prime
 
 
 def test_negative_rational_needs_fraction_helpers():
-    # expansions encode nonnegative p-power rationals only
-    with pytest.raises(DomainError):
-        PAdicExpansion.from_rational(2, Fraction(1, 3))
+    # a point is written as a nonnegative rational with p-power denominator
+    for text in ["1/3", "-1/2", "abc", "1/0", "", "nan"]:
+        with pytest.raises(DomainError):
+            parse_point(2, text)
     assert rational_abs(2, Fraction(-5, 4)) == 4
 
 
-@given(prime_and_expansions())
-def test_addition_matches_rationals(pxy):
-    p, x, y = pxy
-    assert (x + y).value == x.value + y.value
-
-
-@given(prime_and_expansions())
-def test_multiplication_matches_rationals(pxy):
-    p, x, y = pxy
-    assert (x * y).value == x.value * y.value
-
-
-@given(prime_and_expansions())
+@given(prime_and_points())
 def test_ultrametric_inequality(pxy):
     p, x, y = pxy
-    s = rational_abs(p, (x + y).value)
-    ax, ay = rational_abs(p, x.value), rational_abs(p, y.value)
+    s = rational_abs(p, x + y)
+    ax, ay = rational_abs(p, x), rational_abs(p, y)
     assert s <= max(ax, ay)
     if ax != ay:
         assert s == max(ax, ay)
 
 
-@given(prime_and_expansions())
+@given(prime_and_points())
 def test_abs_multiplicative(pxy):
     p, x, y = pxy
-    assert (rational_abs(p, (x * y).value)
-            == rational_abs(p, x.value) * rational_abs(p, y.value))
+    assert rational_abs(p, x * y) == rational_abs(p, x) * rational_abs(p, y)
 
 
-@given(prime_and_expansions(count=1))
+@given(prime_and_points(count=1))
 def test_encode_parse_round_trip(px):
     p, x = px
-    assert PAdicExpansion.parse(p, x.encode()) == x
-
-
-@given(prime_and_expansions(count=1), st.integers(-3, 3))
-def test_shift_scales_value(px, k):
-    p, x = px
-    assert x.shift(k).value == x.value * Fraction(p) ** k
-
-
-@given(prime_and_expansions(count=1), st.integers(-5, 5))
-def test_keep_below_splits_exactly(px, e):
-    p, x = px
-    low = x.keep_below(e)
-    assert all(j < e for j, _ in low.digits)
-    rest = x.value - low.value
-    # the remainder is divisible by p^e
-    assert rest == 0 or rational_valuation(p, rest) >= e
+    assert parse_point(p, digit_text(p, x)) == x
+    assert parse_point(p, str(x)) == x
 
 
 # ---------------------------------------------------------------------------
@@ -144,38 +120,55 @@ def test_keep_below_splits_exactly(px, e):
 
 def test_ball_canonical_center():
     # B(5/2, radius p^0) keeps only digits below exponent 0: center 1/2
-    c = PAdicExpansion.from_rational(2, Fraction(5, 2))
-    b = Ball(c, 0)
-    assert b.center.value == Fraction(1, 2)
+    b = Ball(2, Fraction(5, 2), 0)
+    assert b.center == Fraction(1, 2)
     assert b.measure == 1
+    assert Ball(2, 4, -3).center == 4            # 4 < 2^3: already canonical
+    assert Ball(3, Fraction(-1, 3), 0).center == Fraction(2, 3)
+    assert Ball(5, 25, 0).center == 0
+    with pytest.raises(DomainError):
+        Ball(2, Fraction(1, 3), 0)               # outside Z[1/2]
 
 
 def test_ball_containment():
-    b = Ball(PAdicExpansion.zero(2), 0)
+    b = Ball(2, 0, 0)
     assert b.contains_value(Fraction(1))
     assert b.contains_value(Fraction(1, 2)) is False
-    assert b.contains(PAdicExpansion.from_rational(2, Fraction(6)))
+    assert b.contains_value(6)
+    assert Ball(2, Fraction(1, 2), -1).contains_value(Fraction(-3, 2))
 
 
-@given(prime_and_expansions(count=3), st.integers(-3, 3), st.integers(-3, 3))
+@given(prime_and_points(count=3), st.integers(-3, 3), st.integers(-3, 3))
 def test_ball_dichotomy(pxyz, r1, r2):
     """Two balls are nested or disjoint, never partially overlapping."""
     p, x, y, z = pxyz
-    b1, b2 = Ball(x, r1), Ball(y, r2)
+    b1, b2 = Ball(p, x, r1), Ball(p, y, r2)
     for w in (x, y, z):
-        if b1.contains(w) and b2.contains(w):
+        if b1.contains_value(w) and b2.contains_value(w):
             assert b1.subset_of(b2) or b2.subset_of(b1)
 
 
+@given(prime_and_points(count=1), st.integers(-4, 4), st.integers(-50, 50))
+def test_ball_center_is_defined_modulo_the_radius(px, r, n):
+    """B(c, p^r) = B(c + n p^{-r}, p^r) for every integer n, and the
+    canonical center is the one in [0, p^{-r})."""
+    p, c = px
+    b = Ball(p, c, r)
+    assert b == Ball(p, c + n * Fraction(p) ** -r, r)
+    assert 0 <= b.center < Fraction(p) ** -r
+    assert b.contains_value(c)
+
+
 def test_subballs_partition():
-    b = Ball(PAdicExpansion.zero(3), 1)
+    b = Ball(3, 0, 1)
     parts = b.subballs(-1)
     assert len(parts) == 9
     assert sum(q.measure for q in parts) == b.measure
     for i, q in enumerate(parts):
         assert q.subset_of(b)
         for r in parts[:i]:
-            assert not q.contains(r.center) and not r.contains(q.center)
+            assert not q.contains_value(r.center)
+            assert not r.contains_value(q.center)
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +197,15 @@ def test_grid_equality_is_the_triple():
 
 
 def test_grid_index_round_trip():
-    g = GridSpec(3, 1, 2)
-    for i in range(g.dim):
-        assert g.index_of(g.representative(i)) == i
+    for g in (GridSpec(3, 1, 2), GridSpec(2, -1, 3)):
+        for i in range(g.dim):
+            x = g.representative(i)
+            assert x == Fraction(i) / Fraction(g.p) ** g.N
+            assert g.index_of(x) == i
+            # a representative plus any multiple of p^M is the same coset
+            assert g.index_of(x - 2 * Fraction(g.p) ** g.M) == i
+    with pytest.raises(DomainError):
+        GridSpec(3, 1, 2).index_of(Fraction(1, 9))  # a digit below -N
 
 
 def test_grid_distance_formula():
@@ -218,7 +217,7 @@ def test_grid_distance_formula():
             if i == j:
                 continue
             xj = g.representative(j)
-            d = rational_abs(g.p, xi.value - xj.value)
+            d = rational_abs(g.p, xi - xj)
             v = 0
             m = (i - j) % g.dim
             while m % g.p == 0:
@@ -242,7 +241,8 @@ def test_grid_shell_exponent_of_index():
 def test_radial_gathers_match_per_index_references(p, N, M):
     """Every radial gather equals its per-cell loop over the exact shells."""
     grid = GridSpec(p, N, M)
-    shells = [grid.representative(i).shell_exponent() for i in range(grid.dim)]
+    shells = [rational_shell(p, grid.representative(i))
+              for i in range(grid.dim)]
     K = N + M
     assert grid.valuations.tolist() == [K] + [int_valuation(i, p) for i
                                               in range(1, grid.dim)]
@@ -262,6 +262,6 @@ def test_radial_gathers_match_per_index_references(p, N, M):
                               "coeff": 1.3})
     ref = np.array([
         0.0 if k is None
-        else 1.3 * float(rational_abs(p, grid.representative(i).value)) ** 0.7
+        else 1.3 * float(rational_abs(p, grid.representative(i))) ** 0.7
         for i, k in enumerate(shells)])
     assert np.array_equal(u0, ref)
