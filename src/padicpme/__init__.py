@@ -50,7 +50,6 @@ from .padic import (
 from .pme import (
     EvolutionResult,
     ExplicitSolution,
-    PhiSpec,
     PMEProblem,
     StationaryResult,
     evolve,

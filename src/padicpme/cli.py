@@ -78,15 +78,59 @@ def _manifest(path: str, command: str, config: dict, artifacts: list,
     })
 
 
-def _write_artifacts(out: str, write, sidecar: dict, command: str,
-                     config: dict, started: float) -> None:
+def _config(args, **over) -> dict:
+    """The manifest's config: the parsed arguments but command, func and
+    out, with over's entries in place of theirs."""
+    skip = ("command", "func", "out")
+    return {**{k: v for k, v in vars(args).items() if k not in skip}, **over}
+
+
+def _write_artifacts(out: str, write, sidecar: dict, args,
+                     started: float) -> None:
     """Write the data file out through write(tmp), its JSON sidecar
     <root>.json and a manifest <root>.manifest.json listing both."""
     root, _ = os.path.splitext(out)
     _atomic_write(out, write)
     _atomic_json(root + ".json", sidecar)
-    _manifest(root + ".manifest.json", command, config,
+    _manifest(root + ".manifest.json", args.command, _config(args),
               [out, root + ".json"], started)
+
+
+def _write_run(outdir: str, grid: GridSpec, snapshots, diagnostics: dict,
+               command: str, config: dict, started: float) -> None:
+    """Write each array that snapshots yields to outdir/snapshot_jjjj.csv,
+    one at a time, then diagnostics.json (after the last snapshot, so a
+    generator may still fill diagnostics) and a manifest listing them."""
+    os.makedirs(outdir, exist_ok=True)
+    artifacts = []
+    for j, u in enumerate(snapshots):
+        path = os.path.join(outdir, f"snapshot_{j:04d}.csv")
+        u_grid = GridFunction(grid, u.astype(np.complex128))
+        _atomic_write(path, lambda tmp: write_grid_csv(tmp, u_grid))
+        artifacts.append(path)
+    path = os.path.join(outdir, "diagnostics.json")
+    _atomic_json(path, diagnostics)
+    _manifest(os.path.join(outdir, "manifest.json"), command, config,
+              artifacts + [path], started)
+    print(f"wrote {len(artifacts)} snapshots to {outdir} "
+          f"(final mass {diagnostics['mass'][-1]:.12f})")
+
+
+def _shell_table(p: int, S: int, evaluate, tail=None) -> tuple:
+    """A certified radial kernel, evaluate(k) on the shells |x| = p^k for
+    k in [-S, S] and evaluate(None) at 0: returns the shell evaluations,
+    the profile and the sidecar fields of the values and their bounds."""
+    shells = {k: evaluate(k) for k in range(-S, S + 1)}
+    zero = evaluate(None)
+    prof = RadialFunction(p, tuple((k, ev.value) for k, ev in shells.items()),
+                          value_at_zero=zero.value, tail=tail,
+                          head_constant=True)
+    return shells, prof, {
+        "value_at_zero": zero.value,
+        "zero_truncation_bound": zero.truncation_bound,
+        "shell_truncation_bounds": {str(k): ev.truncation_bound
+                                    for k, ev in shells.items()},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -94,13 +138,12 @@ def _write_artifacts(out: str, write, sidecar: dict, command: str,
 # ---------------------------------------------------------------------------
 
 def cmd_kernel(args) -> int:
-    p, alpha = args.p, args.alpha
+    if args.shells < 0:
+        raise DomainError(f"--shells must be nonnegative, got {args.shells}")
     if args.mu is not None:
         if args.t is not None or args.ball is not None:
             raise DomainError("--mu computes the resolvent kernel; "
                               "--t and --ball do not apply")
-        if alpha <= 1.0:
-            raise DomainError("resolvent kernel E_mu needs alpha > 1")
         return _kernel_resolvent(args)
     if args.t is None:
         raise DomainError("--t is required unless --mu is given")
@@ -113,10 +156,8 @@ def _kernel_heat(args) -> int:
     started = time.time()
     p, alpha, t, S = args.p, args.alpha, args.t, args.shells
     params = KernelParams(p, alpha, t)
-    shells = {k: heat.kernel_Z(params, k) for k in range(-S, S + 1)}
-    zero = heat.kernel_Z(params, None)
-    prof = RadialFunction(p, tuple((k, ev.value) for k, ev in shells.items()),
-                          value_at_zero=zero.value, head_constant=True)
+    shells, prof, fields = _shell_table(
+        p, S, lambda k: heat.kernel_Z(params, k))
     mass, mass_bound = heat.kernel_mass_estimate(params, known=shells)
     agreement = max((ev.series_gap for ev in shells.values()
                      if ev.series_gap is not None), default=0.0)
@@ -125,15 +166,11 @@ def _kernel_heat(args) -> int:
     _write_artifacts(out, lambda tmp: write_radial_csv(tmp, prof), {
         "kind": "heat_kernel",
         "p": p, "alpha": alpha, "t": t, "shells": S,
-        "value_at_zero": zero.value,
-        "zero_truncation_bound": zero.truncation_bound,
-        "shell_truncation_bounds": {str(k): ev.truncation_bound
-                                    for k, ev in shells.items()},
+        **fields,
         "mass": mass,
         "mass_certificate": mass_bound,
         "series_agreement_max": agreement,
-    }, "kernel", {"p": p, "alpha": alpha, "t": t, "shells": S,
-                  "ball": None, "mu": None}, started)
+    }, args, started)
     print(f"wrote {out} (mass {mass:.12f}, certificate {mass_bound:.3e})")
     return 0
 
@@ -158,8 +195,7 @@ def _kernel_ball(args) -> int:
         "pointwise_certificate": bound,
         "mass_over_ball": mass,
         "mass_certificate": mass_bound,
-    }, "kernel", {"p": p, "alpha": alpha, "t": t, "shells": S,
-                  "ball": N, "mu": None}, started)
+    }, args, started)
     print(f"wrote {out} (mass over B_{N}: {mass:.12f}, "
           f"certificate {mass_bound:.3e})")
     return 0
@@ -168,27 +204,19 @@ def _kernel_ball(args) -> int:
 def _kernel_resolvent(args) -> int:
     started = time.time()
     p, alpha, mu, S = args.p, args.alpha, args.mu, args.shells
-    if mu <= 0:
-        raise DomainError("--mu must be positive")
-    shells = {k: heat.green_kernel(p, alpha, mu, k) for k in range(-S, S + 1)}
-    zero = heat.green_kernel(p, alpha, mu)
     tail_c = heat.green_tail_constant(p, alpha, mu)
-    prof = RadialFunction(p, tuple((k, ev.value) for k, ev in shells.items()),
-                          value_at_zero=zero.value,
-                          tail=(tail_c, -(alpha + 1.0)), head_constant=True)
+    _, prof, fields = _shell_table(
+        p, S, lambda k: heat.green_kernel(p, alpha, mu, k),
+        tail=(tail_c, -(alpha + 1.0)))
     out = args.out or "kernel.csv"
     _write_artifacts(out, lambda tmp: write_radial_csv(tmp, prof), {
         "kind": "resolvent_kernel",
         "p": p, "alpha": alpha, "mu": mu, "shells": S,
-        "value_at_zero": zero.value,
-        "zero_truncation_bound": zero.truncation_bound,
-        "shell_truncation_bounds": {str(k): ev.truncation_bound
-                                    for k, ev in shells.items()},
+        **fields,
         "tail_constant": tail_c,
         "tail_exponent": -(alpha + 1.0),
-    }, "kernel", {"p": p, "alpha": alpha, "t": None, "shells": S,
-                  "ball": None, "mu": mu}, started)
-    print(f"wrote {out} (E_mu at zero: {zero.value:.12f})")
+    }, args, started)
+    print(f"wrote {out} (E_mu at zero: {fields['value_at_zero']:.12f})")
     return 0
 
 
@@ -217,8 +245,7 @@ def cmd_operator(args) -> int:
         "lambda": B.lam,
         "row_sum_max_deviation": float(
             np.max(np.abs(B.matrix.sum(axis=1) - B.lam))),
-    }, "operator",
-        {"p": args.p, "alpha": args.alpha, "N": args.N, "M": args.M}, started)
+    }, args, started)
     print(f"wrote {out} ({grid.dim}x{grid.dim}, lambda {B.lam:.12e})")
     return 0
 
@@ -268,7 +295,7 @@ def cmd_evolve_heat(args) -> int:
     started = time.time()
     grid = GridSpec(args.p, args.N, args.M)
     op = OperatorParams(args.p, args.alpha, grid)
-    if args.t_end <= 0:
+    if not check_real("--t-end", args.t_end) > 0:
         raise DomainError("--t-end must be positive")
     if args.snapshots < 1:
         raise DomainError("--snapshots must be at least 1")
@@ -278,43 +305,26 @@ def cmd_evolve_heat(args) -> int:
         raise DomainError(f"--initial is not valid JSON: {exc}") from exc
     u0 = build_initial(grid, init_spec)
 
-    outdir = args.out or "evolve_heat_out"
-    os.makedirs(outdir, exist_ok=True)
     meas = float(grid.coset_measure)
-    artifacts = []
-    diags = {"times": [], "mass": [], "l1": [], "linf": []}
-    for j in range(args.snapshots + 1):
-        t = args.t_end * j / args.snapshots
-        if j == 0:
-            u = u0.copy()
-        else:
-            T = heat.ball_semigroup_matrix(op, t)
-            u = T @ u0
-        path = os.path.join(outdir, f"snapshot_{j:04d}.csv")
-        u_grid = GridFunction(grid, u.astype(np.complex128))
-        _atomic_write(path, lambda tmp: write_grid_csv(tmp, u_grid))
-        artifacts.append(path)
-        diags["times"].append(t)
-        diags["mass"].append(float(np.sum(u) * meas))
-        diags["l1"].append(float(np.sum(np.abs(u)) * meas))
-        diags["linf"].append(float(np.max(np.abs(u))))
-
-    diag_path = os.path.join(outdir, "diagnostics.json")
-    _atomic_json(diag_path, {
+    times = [args.t_end * j / args.snapshots
+             for j in range(args.snapshots + 1)]
+    diags = {
         "kind": "heat_evolution",
         "p": args.p, "alpha": args.alpha, "N": args.N, "M": args.M,
         "t_end": args.t_end, "snapshots": args.snapshots,
         "lambda": ball_eigenvalue_floor(args.p, args.alpha, args.N),
-        **diags,
-    })
-    artifacts.append(diag_path)
-    _manifest(os.path.join(outdir, "manifest.json"), "evolve-heat",
-              {"p": args.p, "alpha": args.alpha, "N": args.N, "M": args.M,
-               "t_end": args.t_end, "snapshots": args.snapshots,
-               "initial": init_spec},
-              artifacts, started)
-    print(f"wrote {args.snapshots + 1} snapshots to {outdir} "
-          f"(final mass {diags['mass'][-1]:.12f})")
+        "times": times, "mass": [], "l1": [], "linf": [],
+    }
+
+    def snapshots():
+        for j, t in enumerate(times):
+            u = heat.ball_semigroup_matrix(op, t) @ u0 if j else u0
+            for key, x in zip(("mass", "l1", "linf"), pme.norms(u, meas)):
+                diags[key].append(x)
+            yield u
+
+    _write_run(args.out or "evolve_heat_out", grid, snapshots(), diags,
+               args.command, _config(args, initial=init_spec), started)
     return 0
 
 
@@ -336,29 +346,11 @@ def cmd_evolve(args) -> int:
     u0 = build_initial(problem.grid, cfg.get("initial"))
 
     result = pme.evolve(problem, u0)
-
-    outdir = args.out or "evolve_out"
-    os.makedirs(outdir, exist_ok=True)
-    artifacts = []
-    for j, (t, snap) in enumerate(zip(result.times, result.snapshots)):
-        path = os.path.join(outdir, f"snapshot_{j:04d}.csv")
-        u_grid = GridFunction(problem.grid, snap.astype(np.complex128))
-        _atomic_write(path, lambda tmp: write_grid_csv(tmp, u_grid))
-        artifacts.append(path)
-
-    diag_path = os.path.join(outdir, "diagnostics.json")
-    _atomic_json(diag_path, {
-        "kind": "pme_evolution",
-        "config": problem.to_config(),
-        "times": result.times,
-        **result.diagnostics,
-    })
-    artifacts.append(diag_path)
-    _manifest(os.path.join(outdir, "manifest.json"), "evolve",
-              {"config_path": os.path.abspath(args.config), **cfg},
-              artifacts, started)
-    print(f"wrote {len(result.snapshots)} snapshots to {outdir} "
-          f"(final mass {result.diagnostics['mass'][-1]:.12f})")
+    diags = {"kind": "pme_evolution", "config": problem.to_config(),
+             "times": result.times, **result.diagnostics}
+    _write_run(args.out or "evolve_out", problem.grid, result.snapshots,
+               diags, args.command,
+               {"config_path": os.path.abspath(args.config), **cfg}, started)
     return 0
 
 
@@ -368,10 +360,6 @@ def cmd_evolve(args) -> int:
 
 def cmd_verify(args) -> int:
     names = sorted(verification.SUITES) if args.suite == "all" else [args.suite]
-    for name in names:
-        if name not in verification.SUITES:
-            raise DomainError(f"unknown suite {name!r}; choices: "
-                              f"{sorted(verification.SUITES) + ['all']}")
     failed = []
     for name in names:
         for res in verification.run_suite(name):
@@ -415,10 +403,7 @@ def cmd_explicit(args) -> int:
         "amplitude": sol.amplitude,
         "time_factor": sol.time_factor(args.t),
         "residual_sup": residual,
-    }, "explicit",
-        {"p": args.p, "alpha": args.alpha, "m": args.m,
-         "t0": args.t0, "t": args.t, "k_min": args.k_min,
-         "k_max": args.k_max, "companion": args.companion}, started)
+    }, args, started)
     print(f"wrote {out} (residual sup {residual:.3e})")
     return 0
 

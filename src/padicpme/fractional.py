@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, SolverError
+from .errors import DomainError, ResourceError, SolverError, check_real
 from .functions import RadialFunction, TestFunction
 from .padic import (
     Ball,
@@ -46,7 +46,7 @@ class OperatorParams:
 
     def __post_init__(self):
         check_prime(self.p)
-        if not self.alpha > 0:
+        if not check_real("alpha", self.alpha) > 0:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
         if self.grid is not None and self.grid.p != self.p:
             raise DomainError("grid prime differs from operator prime")

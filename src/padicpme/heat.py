@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .errors import DomainError
+from .errors import DomainError, check_real
 from .fractional import (LevelOperator, OperatorParams, ball_eigenvalue_floor,
                          ball_matrix, ball_spectrum)
 from .functions import GridFunction, RadialFunction, TestFunction
@@ -53,9 +53,9 @@ class KernelParams:
 
     def __post_init__(self):
         check_prime(self.p)
-        if not self.alpha > 0:
+        if not check_real("alpha", self.alpha) > 0:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
-        if not self.t >= 0:
+        if not check_real("t", self.t) >= 0:
             raise DomainError(f"time must be nonnegative, got {self.t}")
 
     @property
@@ -598,9 +598,11 @@ def resolvent_apply(op: OperatorParams, mu: float, u: GridFunction) -> GridFunct
 # Green function (alpha > 1)
 # ---------------------------------------------------------------------------
 
-def _require_green_domain(alpha: float):
-    if not alpha > 1:
+def _require_green_domain(alpha: float, mu: float):
+    if not check_real("alpha", alpha) > 1:
         raise DomainError(f"the Green kernel needs alpha > 1, got {alpha}")
+    if not check_real("mu", mu) > 0:
+        raise DomainError("mu must be positive")
 
 
 def green_kernel(p: int, alpha: float, mu: float,
@@ -609,15 +611,13 @@ def green_kernel(p: int, alpha: float, mu: float,
     E_mu(p^j) = sum_{k <= -j} p^k a_k, a sum of resolvent gaps >= 0.
     E_mu(0) is finite precisely because alpha > 1."""
     check_prime(p)
-    _require_green_domain(alpha)
-    if not mu > 0:
-        raise DomainError("mu must be positive")
+    _require_green_domain(alpha, mu)
     return _resolvent_sum(p, alpha, mu, None if shell is None else -int(shell))
 
 
 def green_tail_constant(p: int, alpha: float, mu: float) -> float:
     """Leading far-field constant: E_mu(x) ~ -Gamma_p(alpha+1) mu^{-2} |x|^{-alpha-1}."""
-    _require_green_domain(alpha)
+    _require_green_domain(alpha, mu)
     return -gamma_p(p, alpha + 1.0) / (mu * mu)
 
 
@@ -631,7 +631,7 @@ def smoothness_modulus(p: int, alpha: float, mu: float, r: int) -> float:
     E's limit at 0.
     """
     check_prime(p)
-    _require_green_domain(alpha)
+    _require_green_domain(alpha, mu)
     j_max = r + 60
     e_r = green_kernel(p, alpha, mu, -r).value
     w = 1 - 1.0 / p

@@ -3,7 +3,8 @@
 Each implicit Euler step solves the monotone system
 tau A v + beta(v) = u with v = phi(u_next) by damped Newton from a cold
 linearization. The operator is m-accretive, so the solution is unique;
-where Newton fails, the step raises SolverError with its residual.
+a Newton that stalls short of its target is accepted only at its computed
+rounding floor, else the step raises SolverError with its residual.
 A is held in level form (fractional.LevelOperator), so every Newton system
 is solved exactly by the O(n) class-tree solve and no n x n array is built.
 The update is taken as u_next = u - tau A v, so the discrete mass identity
@@ -36,44 +37,25 @@ from .functions import GridFunction
 from .padic import GridSpec, check_prime, gamma_p
 
 
-@dataclass(frozen=True)
-class PhiSpec:
-    """Monotone nonlinearity phi, its inverse beta and beta's derivative."""
+def beta(v, m: float) -> np.ndarray:
+    """beta = phi^{-1} for phi(u) = sign(u) |u|^m: sign(v) |v|^{1/m}."""
+    v = np.asarray(v, dtype=np.float64)
+    return np.sign(v) * np.abs(v) ** (1.0 / m)
 
-    m: float
-    phi: object
-    beta: object
-    beta_prime: object
 
-    @classmethod
-    def power(cls, m: float) -> "PhiSpec":
-        """phi(u) = sign(u) |u|^m, beta = phi^{-1} = sign(v) |v|^{1/m}."""
-        m = float(m)
-        if not m >= 1:
-            raise DomainError(f"power nonlinearity needs m >= 1, got {m}")
-
-        def phi(u):
-            u = np.asarray(u, dtype=np.float64)
-            return np.sign(u) * np.abs(u) ** m
-
-        def beta(v):
-            v = np.asarray(v, dtype=np.float64)
-            return np.sign(v) * np.abs(v) ** (1.0 / m)
-
-        def beta_prime(v):
-            v = np.asarray(v, dtype=np.float64)
-            with np.errstate(divide="ignore"):
-                return (1.0 / m) * np.abs(v) ** (1.0 / m - 1.0)
-
-        return cls(m, phi, beta, beta_prime)
+def beta_prime(v, m: float) -> np.ndarray:
+    """beta'(v) = |v|^{1/m - 1} / m, +inf at v = 0 for m > 1."""
+    v = np.asarray(v, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        return (1.0 / m) * np.abs(v) ** (1.0 / m - 1.0)
 
 
 @dataclass
 class PMEProblem:
     """Grid, operator and stepping parameters for one evolution run.
 
-    p, N, M and max_iters must be ints, the others finite reals (JSON ints
-    included); anything else raises DomainError.
+    p, N and M must be ints, the others finite reals (JSON ints included);
+    anything else raises DomainError.
     """
 
     p: int
@@ -83,14 +65,12 @@ class PMEProblem:
     m: float
     tau: float
     t_end: float
-    newton_tol: float = 1e-12
-    max_iters: int = 80
 
     def __post_init__(self):
         check_prime(self.p)
-        for name in ("N", "M", "max_iters"):
+        for name in ("N", "M"):
             check_int(name, getattr(self, name))
-        for name in ("alpha", "m", "tau", "t_end", "newton_tol"):
+        for name in ("alpha", "m", "tau", "t_end"):
             check_real(name, getattr(self, name))
         if not self.alpha > 0:
             raise DomainError("alpha must be positive")
@@ -98,10 +78,6 @@ class PMEProblem:
             raise DomainError("m must be >= 1")
         if not self.tau > 0:
             raise DomainError("tau must be positive")
-        if not self.newton_tol > 0:
-            raise DomainError("newton_tol must be positive")
-        if self.max_iters < 1:
-            raise DomainError("max_iters must be at least 1")
 
     @cached_property
     def grid(self) -> GridSpec:
@@ -115,10 +91,6 @@ class PMEProblem:
     def levels(self) -> LevelOperator:
         return ball_levels(self.operator)
 
-    @cached_property
-    def phi_spec(self) -> PhiSpec:
-        return PhiSpec.power(self.m)
-
     @classmethod
     def from_config(cls, cfg: dict) -> "PMEProblem":
         if not isinstance(cfg, dict):
@@ -127,18 +99,13 @@ class PMEProblem:
         missing = [k for k in required if k not in cfg]
         if missing:
             raise DomainError(f"config is missing keys: {missing}")
-        kwargs = {k: cfg[k] for k in required}
         # other keys are ignored, so configs with retired options still load
-        for k in ("newton_tol", "max_iters"):
-            if k in cfg:
-                kwargs[k] = cfg[k]
-        return cls(**kwargs)
+        return cls(**{k: cfg[k] for k in required})
 
     def to_config(self) -> dict:
         return {
             "p": self.p, "alpha": self.alpha, "N": self.N, "M": self.M,
             "m": self.m, "tau": self.tau, "t_end": self.t_end,
-            "newton_tol": self.newton_tol, "max_iters": self.max_iters,
         }
 
 
@@ -151,25 +118,53 @@ class StationaryResult:
     residual: float
 
 
+_NEWTON_TOL = 1e-12      # residual target, relative to max(1, max|f|)
+_MAX_ITERS = 80
 _BP_CLIP = 1e16
 _MIN_DAMPING = 2.0 ** (-45)
 
 
-def _newton_solve(A: LevelOperator, phi: PhiSpec, f: np.ndarray, eps: float,
-                  scale: float, tol: float, max_iters: int) -> tuple:
-    """Damped Newton for G(v) = eps v + scale A v + beta(v) - f = 0."""
+def _rounding_floor(A: LevelOperator, m: float, f: np.ndarray, eps: float,
+                    scale: float, v: np.ndarray) -> float:
+    """Bound on the rounding of the computed G(v) = eps v + s A v +
+    beta(v) - f: (p + 2)(K + 3) u max_i(|eps v| + s |A| |v| + |beta(v)| +
+    |f|)_i, u = 2^-53, |A| the level operator with weights |c| and |h_L|.
+
+    A.apply folds each class sum from p rows K - L times, (p - 1) K
+    roundings relative to the sums of |v|, and tiles back with two per
+    level and two for c v: ((p + 1) K + 2) u (|A| |v|)_i in cell i.  The
+    scalings, beta's power and G's three additions add eight roundings of
+    the cell's magnitudes; (p + 2)(K + 3) covers both and second order.
+    Worst case, it sat 5e2-5e6 times above the residual Newton reached on
+    radial_power steps, so it only judges a Newton that has already stalled.
+    """
+    gamma = (A.grid.p + 2) * (len(A.h) + 3) * 2.0 ** -53
+    absA = LevelOperator(A.grid, abs(A.c), tuple(abs(h) for h in A.h))
+    size = (np.abs(eps * v) + scale * absA.apply(np.abs(v))
+            + np.abs(beta(v, m)) + np.abs(f))
+    return gamma * float(np.max(size))
+
+
+def _newton_solve(A: LevelOperator, m: float, f: np.ndarray, eps: float,
+                  scale: float) -> tuple:
+    """Damped Newton for G(v) = eps v + scale A v + beta(v) - f = 0: the
+    (v, iterations, residual) that meet the target, or a stalled v (the
+    stalled iteration counts) within _rounding_floor; else SolverError."""
 
     def G(v):
-        return eps * v + scale * A.apply(v) + phi.beta(v) - f
+        return eps * v + scale * A.apply(v) + beta(v, m) - f
 
     v = A.solve(eps + 1.0, f, scale)  # beta'(v) ~ 1 linearization
-    target = tol * max(1.0, float(np.max(np.abs(f))))
+    target = _NEWTON_TOL * max(1.0, float(np.max(np.abs(f))))
     g = G(v)
     res = float(np.max(np.abs(g)))
-    for it in range(1, max_iters + 1):
-        if res <= target:
-            return v, it - 1, res
-        bp = phi.beta_prime(v)
+    its = 0
+    while res > target:
+        if its == _MAX_ITERS:
+            stall = f"Newton did not converge in {_MAX_ITERS} iterations"
+            break
+        its += 1
+        bp = beta_prime(v, m)
         bp = np.where(np.isfinite(bp), bp, _BP_CLIP)
         try:
             d = A.solve(eps + np.clip(bp, 0.0, _BP_CLIP), -g, scale)
@@ -184,11 +179,15 @@ def _newton_solve(A: LevelOperator, phi: PhiSpec, f: np.ndarray, eps: float,
                 break
             theta *= 0.5
         else:
-            raise SolverError("Newton line search stalled", residual=res)
+            stall = "Newton line search stalled"
+            break
         v, g, res = v_new, g_new, res_new
-    if res <= target:
-        return v, max_iters, res
-    raise SolverError(f"Newton did not converge in {max_iters} iterations",
+    else:
+        return v, its, res
+    floor = _rounding_floor(A, m, f, eps, scale, v)
+    if res <= floor:
+        return v, its, res
+    raise SolverError(f"{stall} above the rounding floor {floor:.3e}",
                       residual=res)
 
 
@@ -196,9 +195,9 @@ def stationary_solve(problem: PMEProblem, f: np.ndarray, epsilon: float,
                      operator_scale: float = 1.0) -> StationaryResult:
     """Solve eps v + s A v + beta(v) = f; w = f - eps v - s A v.
 
-    One damped Newton run from the cold linearization; a SolverError from
-    it (no convergence in max_iters, a stalled line search or a singular
-    Newton system) propagates with the last residual.
+    One damped Newton run from the cold linearization to max|G(v)| <=
+    1e-12 max(1, max|f|), or to its rounding floor if it stalls first;
+    else SolverError propagates with the last residual.
     """
     A = problem.levels
     f = np.asarray(f, dtype=np.float64)
@@ -206,9 +205,7 @@ def stationary_solve(problem: PMEProblem, f: np.ndarray, epsilon: float,
     if f.shape != (n,):
         raise DomainError(f"forcing term must have shape ({n},)")
 
-    v, its, res = _newton_solve(A, problem.phi_spec, f, epsilon,
-                                operator_scale, problem.newton_tol,
-                                problem.max_iters)
+    v, its, res = _newton_solve(A, problem.m, f, epsilon, operator_scale)
     av = operator_scale * A.apply(v)
     return StationaryResult(v=v, w=f - epsilon * v - av, w_free=f - av,
                             iterations=its, residual=res)
@@ -241,6 +238,12 @@ def real_initial(values) -> np.ndarray:
     return np.array(u, dtype=np.float64)
 
 
+def norms(u: np.ndarray, meas: float) -> tuple:
+    """(mass, L1 norm, sup norm) of grid values u on cells of measure meas."""
+    return (float(np.sum(u) * meas), float(np.sum(np.abs(u)) * meas),
+            float(np.max(np.abs(u))))
+
+
 def evolve(problem: PMEProblem, u0) -> EvolutionResult:
     """March u_t + A phi(u) = 0 from u0 to t_end with step tau; u0 is a
     real array or a GridFunction on problem.grid with zero imaginary part."""
@@ -269,9 +272,8 @@ def evolve(problem: PMEProblem, u0) -> EvolutionResult:
         snaps.append(u.copy())
         diags["newton_iterations"].append(res.iterations)
         diags["residual"].append(res.residual)
-        diags["mass"].append(float(np.sum(u) * meas))
-        diags["l1"].append(float(np.sum(np.abs(u)) * meas))
-        diags["linf"].append(float(np.max(np.abs(u))))
+        for key, x in zip(("mass", "l1", "linf"), norms(u, meas)):
+            diags[key].append(x)
     return EvolutionResult(grid, times, snaps, diags)
 
 
@@ -321,9 +323,9 @@ def explicit_rho(p: int, alpha: float, m: float) -> float:
     rho = -[Gamma_p(1 + alpha/(m-1)) / ((m-1) Gamma_p(1 + alpha m/(m-1)))]^{1/(m-1)}.
     """
     check_prime(p)
-    if not m > 1:
+    if not check_real("m", m) > 1:
         raise DomainError("the separable profile needs m > 1")
-    if not alpha > 0:
+    if not check_real("alpha", alpha) > 0:
         raise DomainError("alpha must be positive")
     nu = 1.0 / (m - 1.0)
     num = gamma_p(p, 1.0 + alpha * nu)
@@ -361,6 +363,7 @@ class ExplicitSolution:
         return abs(self.rho) if self.companion else self.rho
 
     def time_factor(self, t: float) -> float:
+        check_real("t", t)
         base = self.t0 + t if self.companion else self.t0 - t
         if not base > 0:
             raise DomainError(f"profile undefined at t={t} (T={self.t0})")
@@ -379,9 +382,9 @@ class ExplicitSolution:
 def explicit_solution(p: int, alpha: float, m: float, t0: float,
                       companion: bool = False,
                       rho_override: float | None = None) -> ExplicitSolution:
-    rho = explicit_rho(p, alpha, m) if rho_override is None else float(rho_override)
-    if not t0 > 0:
+    if not check_real("t0", t0) > 0:
         raise DomainError("t0 must be positive")
+    rho = explicit_rho(p, alpha, m) if rho_override is None else float(rho_override)
     return ExplicitSolution(p, alpha, m, t0, rho, companion)
 
 

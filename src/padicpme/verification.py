@@ -514,8 +514,7 @@ def check_resolvent_positivity() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def _solver_problem(m: float = 2.0, tau: float = 0.1) -> pme.PMEProblem:
-    return pme.PMEProblem(p=2, alpha=2.0, N=1, M=2, m=m, tau=tau,
-                          t_end=tau, newton_tol=1e-13)
+    return pme.PMEProblem(p=2, alpha=2.0, N=1, M=2, m=m, tau=tau, t_end=tau)
 
 
 def check_stationary_inequalities() -> CheckResult:
@@ -593,8 +592,7 @@ def check_linear_reduction() -> CheckResult:
 
 def check_evolve_invariants() -> CheckResult:
     rng = np.random.default_rng(408)
-    prob = pme.PMEProblem(p=2, alpha=2.0, N=1, M=2, m=2.0, tau=0.05,
-                          t_end=0.5, newton_tol=1e-13)
+    prob = pme.PMEProblem(p=2, alpha=2.0, N=1, M=2, m=2.0, tau=0.05, t_end=0.5)
     u0 = rng.uniform(0.0, 1.0, prob.grid.dim)
     out = pme.evolve(prob, u0)
     min_val = min(float(s.min()) for s in out.snapshots)
@@ -609,8 +607,7 @@ def check_evolve_invariants() -> CheckResult:
 
 
 def check_refinement_order() -> CheckResult:
-    prob = pme.PMEProblem(p=2, alpha=2.0, N=1, M=2, m=2.0, tau=0.1,
-                          t_end=0.4, newton_tol=1e-13)
+    prob = pme.PMEProblem(p=2, alpha=2.0, N=1, M=2, m=2.0, tau=0.1, t_end=0.4)
     u0 = np.full(prob.grid.dim, 0.2)
     u0[::2] += 1.0  # localized bump pattern on the grid
     ladder = pme.refinement_ladder(prob, u0, halvings=3)

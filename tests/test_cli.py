@@ -354,10 +354,9 @@ _GOOD_CONFIG = {"p": 2, "alpha": 2.0, "N": 1, "M": 2, "m": 2.0, "tau": 0.05,
 
 
 @pytest.mark.parametrize("key, value", [
-    ("alpha", "2.0"), ("max_iters", "abc"), ("N", 1.5), ("center", "abc"),
-    ("radius_exp", "x"), ("newton_tol", -1), ("newton_tol", float("nan")),
-    ("max_iters", 0), ("tau", True), ("coeff", "1.0"), ("center", "1/3"),
-    ("center", "-1/2"), ("center", "0:3"), ("initial", [1])])
+    ("alpha", "2.0"), ("N", 1.5), ("center", "abc"), ("radius_exp", "x"),
+    ("tau", True), ("coeff", "1.0"), ("center", "1/3"), ("center", "-1/2"),
+    ("center", "0:3"), ("initial", [1])])
 def test_evolve_malformed_config_exits_2(tmp_path, capsys, key, value):
     """A malformed config stops evolve with exit 2 and one error line,
     before any output: exit 1 is reserved for solver refusals."""
@@ -374,6 +373,51 @@ def test_evolve_malformed_config_exits_2(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert not outdir.exists()
+
+
+def test_evolve_ignores_retired_newton_keys(tmp_path):
+    """The Newton tolerance and iteration cap are no longer options: a
+    config that still carries them writes the snapshots of one without."""
+    snaps = []
+    for name, extra in (("plain", {}),
+                        ("legacy", {"newton_tol": 1e-3, "max_iters": 1})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(_GOOD_CONFIG, **extra)))
+        outdir = tmp_path / name
+        assert main(["evolve", "--config", str(path),
+                     "--out", str(outdir)]) == 0
+        snaps.append([(outdir / f"snapshot_{j:04d}.csv").read_bytes()
+                      for j in range(3)])
+        diag = _read_json(outdir / "diagnostics.json")
+        assert set(diag["config"]) == {"p", "alpha", "N", "M", "m", "tau",
+                                       "t_end"}
+    assert snaps[0] == snaps[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve-heat", "--p", "2", "--alpha", "2.0", "--N", "1", "--M", "1",
+     "--t-end", "inf"],
+    ["evolve-heat", "--p", "2", "--alpha", "inf", "--N", "1", "--M", "1",
+     "--t-end", "1.0"],
+    ["kernel", "--p", "2", "--alpha", "2", "--t", "inf"],
+    ["kernel", "--p", "2", "--alpha", "inf", "--t", "1.0"],
+    ["kernel", "--p", "2", "--alpha", "2", "--t", "inf", "--ball", "1"],
+    ["kernel", "--p", "5", "--alpha", "3", "--mu", "inf"],
+    ["kernel", "--p", "5", "--alpha", "3", "--mu", "0"],
+    ["kernel", "--p", "2", "--alpha", "2", "--t", "1.0", "--shells", "-1"],
+    ["operator", "--p", "2", "--alpha", "inf", "--N", "1", "--M", "1"],
+    ["explicit", "--p", "2", "--alpha", "2.0", "--m", "inf", "--t0", "1.0",
+     "--t", "0.5"],
+    ["explicit", "--p", "2", "--alpha", "2.0", "--m", "2.0", "--t0", "1.0",
+     "--t", "inf", "--companion"]])
+def test_non_finite_parameters_exit_2(tmp_path, capsys, argv):
+    """A non-finite real parameter (or a negative shell count) is a usage
+    error: exit 2, one error line and nothing written."""
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "run.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("initial", [

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -9,11 +11,11 @@ from padicpme.errors import DomainError, SolverError
 from padicpme.fractional import ball_matrix
 from padicpme.functions import GridFunction
 from padicpme.padic import GridSpec
-from padicpme.pme import (EvolutionResult, PhiSpec, PMEProblem,
-                          StationaryResult, evolve, explicit_rho,
-                          explicit_solution, implicit_step,
-                          refinement_ladder, residual_check_explicit,
-                          stationary_solve)
+from padicpme.pme import (_MAX_ITERS, _NEWTON_TOL, EvolutionResult,
+                          PMEProblem, StationaryResult, beta, beta_prime,
+                          evolve, explicit_rho, explicit_solution,
+                          implicit_step, refinement_ladder,
+                          residual_check_explicit, stationary_solve)
 
 
 def _problem(**over):
@@ -23,16 +25,18 @@ def _problem(**over):
 
 
 def test_phi_power_identity_and_odd_symmetry():
-    lin = PhiSpec.power(1.0)
+    """beta inverts phi(u) = sign(u) |u|^m, is odd, and beta' is
+    |v|^{1/m - 1} / m, infinite at 0 for m > 1."""
     u = np.array([-2.0, -0.5, 0.0, 0.3, 4.0])
-    assert np.array_equal(lin.phi(u), u)
-    assert np.array_equal(lin.beta(u), u)
-    sq = PhiSpec.power(2.0)
-    assert np.allclose(sq.phi(u), np.sign(u) * u * u)
-    assert np.allclose(sq.beta(sq.phi(u)), u)
-    assert np.allclose(sq.phi(-u), -sq.phi(u))
-    with pytest.raises(DomainError):
-        PhiSpec.power(0.5)
+    assert np.array_equal(beta(u, 1.0), u)
+    assert np.array_equal(beta_prime(u, 1.0), np.ones(5))
+    assert np.allclose(beta(np.sign(u) * u * u, 2.0), u)
+    assert np.array_equal(beta(-u, 2.0), -beta(u, 2.0))
+    bp = beta_prime(u, 2.0)
+    assert bp[2] == np.inf
+    assert np.allclose(np.delete(bp, 2), 0.5 / np.sqrt(np.abs(np.delete(u, 2))))
+    # JSON ints give the same bits as floats
+    assert np.array_equal(beta(u, 2), beta(u, 2.0))
 
 
 def test_problem_domain_and_config_round_trip():
@@ -44,13 +48,14 @@ def test_problem_domain_and_config_round_trip():
         _problem(alpha=-1.0)
     prob = _problem()
     cfg = prob.to_config()
-    assert "epsilon_schedule" not in cfg
-    assert "grid_cap" not in cfg
+    # the step takes only the paper's parameters
+    assert set(cfg) == {"p", "alpha", "N", "M", "m", "tau", "t_end"}
     again = PMEProblem.from_config(cfg)
     assert again == prob
-    # configs written while the epsilon ladder and the grid_cap option
-    # existed still load; the retired keys are ignored
-    legacy = dict(cfg, epsilon_schedule=[0.5, 0.25, 0.125], grid_cap=4096)
+    # configs written while the epsilon ladder, the grid_cap option and
+    # the Newton knobs existed still load; the retired keys are ignored
+    legacy = dict(cfg, epsilon_schedule=[0.5, 0.25, 0.125], grid_cap=4096,
+                  newton_tol=1e-13, max_iters=5)
     assert PMEProblem.from_config(legacy) == prob
     with pytest.raises(DomainError) as exc:
         PMEProblem.from_config({"p": 2, "alpha": 2.0})
@@ -66,13 +71,13 @@ def test_stationary_residual_and_defects():
     assert res.residual < 1e-10
     v, w, w_free = res.v, res.w, res.w_free
     A = ball_matrix(prob.operator).matrix
-    beta = prob.phi_spec.beta
+    bv = beta(v, prob.m)
     # v solves eps v + A v + beta(v) = f, and the defects match their
     # definitions, so w coincides with beta(v)
-    assert np.max(np.abs(0.1 * v + A @ v + beta(v) - f)) < 1e-10
+    assert np.max(np.abs(0.1 * v + A @ v + bv - f)) < 1e-10
     assert np.allclose(w, f - 0.1 * v - A @ v, atol=1e-12)
     assert np.allclose(w_free, f - A @ v, atol=1e-12)
-    assert np.allclose(w, beta(v), atol=1e-10)
+    assert np.allclose(w, bv, atol=1e-10)
 
 
 def test_implicit_step_contracts():
@@ -239,7 +244,7 @@ def test_p5_radial_power_evolve_converges_by_newton(monkeypatch):
     u0 = build_initial(prob.grid, {"kind": "radial_power", "exponent": 1.0})
     out = evolve(prob, u0)
     assert len(out.snapshots) == 6
-    assert max(out.diagnostics["newton_iterations"]) <= prob.max_iters
+    assert max(out.diagnostics["newton_iterations"]) <= _MAX_ITERS
     _assert_monotone_nonneg(out.snapshots)
 
 
@@ -253,7 +258,7 @@ def test_implicit_step_on_large_grids(p, N, M):
     v = u + rng.uniform(-0.5, 0.5, prob.grid.dim)
     un, res = implicit_step(prob, u)
     vn, _ = implicit_step(prob, v)
-    assert res.residual <= prob.newton_tol
+    assert res.residual <= _NEWTON_TOL
     assert np.sum(np.abs(un - vn)) <= np.sum(np.abs(u - v)) * (1 + 1e-12)
     assert np.max(np.abs(un)) <= np.max(np.abs(u)) * (1 + 1e-12)
     assert np.sum(un) < np.sum(u)
@@ -284,28 +289,65 @@ def test_clipped_corners_at_m8_are_refused_not_wrong(N, M, alpha, scale,
     with v near 0, so the clipped Newton step overshoots there. On gapped
     data of size 1e-6 Newton stalls far above its target; on this unit
     signed datum it converges only linearly and is still 8.7 times above
-    the target after max_iters. Either way the step must refuse with the
-    residual it reached rather than return a value."""
+    the target after its 80 iterations. Both stalls sit far above the
+    rounding floor of G(v), so the step must refuse with the residual it
+    reached rather than return a value."""
     prob = _problem(N=N, M=M, alpha=alpha, m=8.0, tau=0.1, t_end=0.1)
     u = scale * _step_data(np.random.default_rng(seed), kind, prob.grid.dim)
     with pytest.raises(SolverError) as exc:
         implicit_step(prob, u)
     assert exc.value.residual is not None
-    assert exc.value.residual > prob.newton_tol * max(1.0, scale)
+    assert exc.value.residual > _NEWTON_TOL * max(1.0, scale)
 
 
-def test_radial_power_at_dim_5_8_is_refused_not_wrong():
-    """p = 5, N = M = 4 (dim 390625), m = 2, tau = 0.1, data |x|: the
-    absolute Newton target 1e-12 max|u| = 6.25e-10 sits at the rounding
-    floor of G(v) at this size, and Newton stalls near 1.65e-9 (ROADMAP.md
-    item 3, relative Newton targets). The step must refuse with the
-    residual it reached rather than return a value."""
-    prob = _problem(p=5, N=4, M=4, m=2.0, tau=0.1, t_end=0.1)
+@pytest.mark.parametrize("p, N, M, steps", [
+    (5, 4, 4, 1), (3, 6, 5, 2), (3, 5, 6, 3)])
+def test_radial_power_at_the_rounding_floor_solves(p, N, M, steps):
+    """m = 2, tau = 0.1, data |x| on dims 5^8, 3^11 and 3^11: at this size
+    the target 1e-12 max|u| sits at the rounding floor of G(v), and the
+    last step stalls above it (these steps were once refused). The stalled
+    iterate is accepted at its computed rounding floor and keeps
+    u_next = beta(v) to 1e-10 max|u|, the sup bound, nonnegativity and
+    mass decay."""
+    prob = _problem(p=p, N=N, M=M, m=2.0, tau=0.1, t_end=0.1 * steps)
     u = build_initial(prob.grid, {"kind": "radial_power", "exponent": 1.0})
-    with pytest.raises(SolverError) as exc:
-        implicit_step(prob, u)
-    assert exc.value.residual is not None
-    assert exc.value.residual > prob.newton_tol * np.max(np.abs(u))
+    residuals = []
+    for _ in range(steps):
+        u_next, res = implicit_step(prob, u)
+        assert (np.max(np.abs(beta(res.v, prob.m) - u_next))
+                <= 1e-10 * np.max(np.abs(u)))
+        assert np.max(u_next) <= np.max(u)
+        assert np.all(u_next >= 0.0)
+        assert np.sum(u_next) < np.sum(u)
+        residuals.append(res.residual / np.max(np.abs(u)))
+        u = u_next
+    assert residuals[-1] > _NEWTON_TOL
+
+
+def test_rounding_floor_bounds_the_rounding_of_G():
+    """The computed G(v) = eps v + s A v + beta(v) - f differs from the
+    exact one, summed in rationals, by no more than _rounding_floor; m = 1
+    keeps beta(v) = v exact."""
+    rng = np.random.default_rng(3)
+    for p, N, M in ((2, 3, 3), (3, 2, 2), (5, 1, 2)):
+        A = PMEProblem(p=p, alpha=1.5, N=N, M=M, m=1.0, tau=1.0,
+                       t_end=1.0).levels
+        for scale, eps in ((1.0, 0.0), (1e3, 0.3), (1e-3, 1.0)):
+            v = rng.uniform(-1.0, 1.0, A.grid.dim) * 10.0 ** rng.integers(
+                -3, 4, A.grid.dim)
+            f = rng.uniform(-1.0, 1.0, A.grid.dim)
+            g = eps * v + scale * A.apply(v) + beta(v, 1.0) - f
+            fv, idx = [Fraction(x) for x in v], np.arange(A.grid.dim)
+            exact = []
+            for i in idx:
+                av = Fraction(A.c) * fv[i]
+                for L, h in enumerate(A.h):
+                    same = np.flatnonzero((idx - i) % p**L == 0)
+                    av += Fraction(h) * sum(fv[j] for j in same)
+                exact.append((Fraction(eps) + 1) * fv[i]
+                             + Fraction(scale) * av - Fraction(f[i]))
+            err = max(abs(Fraction(x) - e) for x, e in zip(g, exact))
+            assert 0 < err <= pme._rounding_floor(A, 1.0, f, eps, scale, v)
 
 
 _STEP_GRIDS = ((2, 2, 2), (2, 1, 4), (2, 3, 3), (3, 1, 2), (3, 2, 2))
@@ -333,7 +375,7 @@ def test_implicit_step_refuses_or_keeps_invariants(grid, alpha, m, tau, scale,
     prob = PMEProblem(p=p, alpha=alpha, N=N, M=M, m=m, tau=tau, t_end=tau)
     rng = np.random.default_rng(seed)
     u, w = (scale * _step_data(rng, kind, prob.grid.dim) for kind in kinds)
-    cell_slack = 4 * prob.newton_tol * max(1.0, scale)
+    cell_slack = 4 * _NEWTON_TOL * max(1.0, scale)
     slack = prob.grid.dim * cell_slack
     steps = []
     for x in (u, w):
@@ -344,7 +386,7 @@ def test_implicit_step_refuses_or_keeps_invariants(grid, alpha, m, tau, scale,
             continue
         assert np.all(np.isfinite(x_next))
         # the step equation: u_next = beta(v) with u - u_next = tau A v
-        assert np.max(np.abs(prob.phi_spec.beta(res.v) - x_next)) <= cell_slack
+        assert np.max(np.abs(beta(res.v, m) - x_next)) <= cell_slack
         assert np.sum(np.abs(x_next)) <= np.sum(np.abs(x)) + slack
         assert np.max(np.abs(x_next)) <= np.max(np.abs(x)) + cell_slack
         if np.all(x >= 0):
