@@ -278,11 +278,9 @@ def build_initial(grid: GridSpec, spec: dict) -> np.ndarray:
         if not isinstance(path, str) or not path:
             raise DomainError("csv initial data needs a 'path' field")
         try:
-            values = read_grid_csv(path, grid).values
-        except (OSError, ValueError, IndexError) as exc:
-            raise DomainError(
-                f"cannot read initial data {path}: {exc}") from exc
-        return pme.real_initial(values)
+            return pme.real_initial(read_grid_csv(path, grid).values)
+        except (OSError, ValueError, DomainError) as exc:
+            raise DomainError(f"initial data {path}: {exc}") from exc
     raise DomainError(f"unknown initial kind {kind!r} "
                       "(choices: indicator, radial_power, csv)")
 

@@ -253,33 +253,100 @@ class RadialFunction:
 # CSV serialization
 # ---------------------------------------------------------------------------
 
+def _digit_texts(p: int, count: int, shift: int) -> list:
+    """Digit text of every n < p^count, digit j at exponent j + shift; ""
+    for n = 0.  The texts of the n below p^{j+1} with top digit d are those
+    of the n below p^j with "j+shift:d" appended."""
+    texts = [""]
+    for j in range(count):
+        below = texts[1:]
+        for d in range(1, p):
+            digit = f"{j + shift}:{d}"
+            texts.append(digit)
+            texts += [t + "," + digit for t in below]
+    return texts
+
+
+def _distinct_reprs(x: np.ndarray) -> tuple:
+    """(texts, codes): the repr of each distinct double of x, and for every
+    entry the position of its repr in texts.  Doubles are told apart by
+    their bits, so -0.0 and 0.0 keep their own repr."""
+    bits, codes = np.unique(np.ascontiguousarray(x).view(np.uint64),
+                            return_inverse=True)
+    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()],
+                     dtype=object)
+    return texts, codes.reshape(-1)
+
+
 def write_grid_csv(path: str, u: GridFunction) -> None:
     """Rows: index, center (digit text of parse_point), abs (exact rational),
-    re, im (repr doubles)."""
+    re, im (repr doubles), as csv.writer writes them: lines end in \\r\\n
+    and a center with more than one digit is double-quoted.
+
+    With K = N + M and k = ceil(K / 2) the rows go out in blocks of p^k.
+    In block h the center of index h p^k + l is the digit text of l
+    followed by that of h with exponents shifted by k, so two tables of p^k
+    and p^(K-k) texts give every center.  Rounding k up writes a K = 1 grid
+    as one block, not as p blocks of one row.
+    """
+    grid = u.grid
+    p, N, K = grid.p, grid.N, grid.N + grid.M
+    k = (K + 1) // 2
+    step = p**k
+    low = _digit_texts(p, k, -N)
+    centers = ["0"] + [f'"{t}"' if "," in t else t for t in low[1:]]
+    shells = [str(Fraction(p) ** (N - v)) for v in range(K)] + ["0"]
+    valuations = grid.valuations
+    absolute = [shells[v] for v in valuations[:step].tolist()]
+    re_texts, re_codes = _distinct_reprs(u.values.real)
+    im_texts, im_codes = _distinct_reprs(u.values.imag)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "center", "abs", "re", "im"])
-        w.writerows((i, x, a, repr(re), repr(im)) for i, x, a, re, im
-                    in zip(*u.grid.csv_columns, u.values.real.tolist(),
-                           u.values.imag.tolist()))
+        fh.write("index,center,abs,re,im\r\n")
+        for h, high in enumerate(_digit_texts(p, K - k, k - N)):
+            start = h * step
+            block = slice(start, start + step)
+            if h:
+                centers = [f'"{high}"' if "," in high else high] + [
+                    f'"{t},{high}"' for t in low[1:]]
+                absolute[0] = shells[valuations[start]]
+            fh.write("".join([
+                f"{i},{c},{a},{r},{m}\r\n" for i, c, a, r, m in zip(
+                    range(start, start + step), centers, absolute,
+                    re_texts[re_codes[block]].tolist(),
+                    im_texts[im_codes[block]].tolist())]))
 
 
 def read_grid_csv(path: str, grid: GridSpec) -> GridFunction:
+    """Values of a grid CSV, one row per index of the grid; a repeated,
+    missing, short or non-numeric row raises DomainError."""
     vals = np.zeros(grid.dim, dtype=np.complex128)
-    seen = 0
+    seen = bytearray(grid.dim)
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, [])
         if header[:1] != ["index"]:
             raise DomainError(f"unexpected grid CSV header {header}")
         for row in r:
-            i = int(row[0])
+            if len(row) < 5:
+                raise DomainError(f"grid CSV line {r.line_num} has "
+                                  f"{len(row)} fields, expected 5")
+            try:
+                i = int(row[0])
+                value = complex(float(row[3]), float(row[4]))
+            except ValueError as exc:
+                raise DomainError(
+                    f"grid CSV line {r.line_num}: {exc}") from None
             if not 0 <= i < grid.dim:
                 raise DomainError(f"index {i} outside grid of dim {grid.dim}")
-            vals[i] = complex(float(row[3]), float(row[4]))
-            seen += 1
-    if seen != grid.dim:
-        raise DomainError(f"grid CSV has {seen} rows, expected {grid.dim}")
+            if seen[i]:
+                raise DomainError(f"grid CSV line {r.line_num} repeats "
+                                  f"index {i}")
+            seen[i] = 1
+            vals[i] = value
+    missing = seen.count(0)
+    if missing:
+        raise DomainError(f"grid CSV has {grid.dim - missing} rows, "
+                          f"expected {grid.dim}")
     return GridFunction(grid, vals)
 
 

@@ -5,7 +5,7 @@ quadrature nodes) is a rational with p-power denominator, held exactly as
 a fractions.Fraction, so all structural quantities (absolute value, ball
 membership, ball measure) are exact.  The digit text "j:d,..." for
 sum_j d_j p^j is a text format only: parse_point reads it and
-GridSpec.csv_columns writes it.  Real analytic quantities (the gamma
+functions.write_grid_csv writes it.  Real analytic quantities (the gamma
 factor, kernel values) live in ordinary doubles elsewhere in the package.
 GridSpec is the finite model of a ball that all grid code works on.
 """
@@ -234,25 +234,4 @@ class GridSpec:
         K = self.N + self.M
         shells = [f(self.N - v) for v in range(K)] + [f(None)]
         return np.array(shells)[self.valuations]
-
-    @cached_property
-    def csv_columns(self) -> tuple:
-        """(indices, centers as digit text, exact |x| strings): the grid-only
-        columns of a grid CSV, built once per grid object; the |x| column
-        refers to K + 1 shared strings, one per shell.
-
-        The centers of the indices below p^{L+1} with top digit d are those
-        of the indices below p^L with the digit d at exponent L - N appended.
-        """
-        p, N = self.p, self.N
-        centers = ["0"]
-        for L in range(N + self.M):
-            low = centers[1:]
-            for d in range(1, p):
-                suffix = f",{L - N}:{d}"
-                centers.append(suffix[1:])
-                centers += [c + suffix for c in low]
-        shells = [str(Fraction(p) ** (N - v)) for v in range(N + self.M)]
-        absolute = np.array(shells + ["0"], dtype=object)[self.valuations]
-        return range(self.dim), centers, absolute.tolist()
 

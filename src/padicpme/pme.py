@@ -228,14 +228,20 @@ class EvolutionResult:
 
 def real_initial(values) -> np.ndarray:
     """Initial data as a new float64 array.  The flows here are real, so a
-    nonzero imaginary part raises DomainError instead of being dropped."""
+    nonzero imaginary part raises DomainError instead of being dropped, and
+    so does a nan or inf value."""
     u = np.asarray(values)
     if np.iscomplexobj(u):
         if np.any(u.imag != 0):
             raise DomainError("initial data must be real, got a nonzero "
                               "imaginary part")
         u = u.real
-    return np.array(u, dtype=np.float64)
+    u = np.array(u, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(u))
+    if bad.size:
+        raise DomainError(f"initial data must be finite: {bad.size} value(s)"
+                          f" are nan or inf, the first at index {bad[0]}")
+    return u
 
 
 def norms(u: np.ndarray, meas: float) -> tuple:

@@ -263,6 +263,35 @@ def test_complex_csv_initial_data_is_refused(tmp_path, capsys):
                 assert all(float(r["im"]) == 0.0 for r in rows)
 
 
+def test_non_finite_csv_initial_data_is_refused(tmp_path, capsys):
+    """A grid CSV with a nan or inf cell stops evolve and evolve-heat with
+    exit 2 and one error line naming the file, before any snapshot."""
+    grid = GridSpec(2, 1, 2)
+    for bad in (np.nan, np.inf):
+        re = np.linspace(0.1, 0.8, grid.dim)
+        re[5] = bad
+        path = tmp_path / f"{bad}.csv"
+        write_grid_csv(str(path), GridFunction(grid, re))
+        initial = {"kind": "csv", "path": str(path)}
+        cfg = tmp_path / f"{bad}.json"
+        cfg.write_text(json.dumps({"p": 2, "alpha": 2.0, "N": 1, "M": 2,
+                                   "m": 2.0, "tau": 0.05, "t_end": 0.1,
+                                   "initial": initial}))
+        with pytest.raises(DomainError, match="finite"):
+            build_initial(grid, initial)
+        for argv in (["evolve", "--config", str(cfg)],
+                     ["evolve-heat", "--p", "2", "--alpha", "2.0", "--N", "1",
+                      "--M", "2", "--t-end", "0.1", "--initial",
+                      json.dumps(initial)]):
+            outdir = tmp_path / f"{bad}_{argv[0]}"
+            capsys.readouterr()
+            assert main(argv + ["--out", str(outdir)]) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1 and "finite" in err
+            assert str(path) in err
+            assert not outdir.exists()
+
+
 def test_evolve_from_config(tmp_path):
     cfg = {"p": 2, "alpha": 2.0, "N": 1, "M": 1, "m": 2.0,
            "tau": 0.05, "t_end": 0.1,

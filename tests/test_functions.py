@@ -146,29 +146,70 @@ def test_grid_csv_round_trip(tmp_path):
     assert np.array_equal(u.values, v.values)   # repr round-trip is exact
 
 
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310,
+                     2.2250738585072014e-308, 1e300, 0.1, -1.5])
+
+
 @pytest.mark.parametrize("p, N, M", [(2, 1, 2), (3, 2, -1), (5, 0, 2),
                                      (5, 2, 2), (3, -1, 3), (2, 3, -1),
-                                     (2, 0, 3)])
+                                     (2, 0, 3), (2, 1, 0), (7, 0, 1),
+                                     (7, 1, 1), (7, 2, 1), (2, 4, 5),
+                                     (3, 3, 4), (2, -2, 8)])
 def test_grid_csv_matches_row_by_row_reference(tmp_path, p, N, M):
-    """The cached grid columns write the same bytes as building every row
-    from its representative, and later writes on the grid reuse them."""
+    """write_grid_csv writes the same bytes as csv.writer building every
+    row from its representative: on grids with odd and even K = N + M, and
+    on values with signed zeros, infinities, nan, subnormals and long runs
+    of repeats."""
     grid = GridSpec(p, N, M)
     rng = np.random.default_rng(p)
-    u = GridFunction(grid, rng.standard_normal(grid.dim)
-                     + 1j * rng.standard_normal(grid.dim))
-    ref = tmp_path / "ref.csv"
-    with open(ref, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "center", "abs", "re", "im"])
-        for i in range(grid.dim):
-            x = Fraction(i) / Fraction(p) ** N
-            w.writerow([i, digit_text(p, x), str(rational_abs(p, x)),
-                        repr(float(u.values[i].real)),
-                        repr(float(u.values[i].imag))])
-    for name in ("a.csv", "b.csv"):
-        write_grid_csv(str(tmp_path / name), u)
-        assert (tmp_path / name).read_bytes() == ref.read_bytes()
-    assert grid.csv_columns is grid.csv_columns
+    n = grid.dim
+    runs = np.repeat(rng.standard_normal(3), -(-n // 3))[:n]
+    cases = [
+        (rng.standard_normal(n), rng.standard_normal(n)),
+        (rng.choice(_SPECIAL, n), rng.choice(_SPECIAL, n)),
+        (runs, np.full(n, -0.0)),
+        (grid.radial(lambda k: 0.0 if k is None else 2.0 ** k), np.zeros(n)),
+    ]
+    for case, (re, im) in enumerate(cases):
+        values = np.empty(n, dtype=np.complex128)
+        values.real, values.imag = re, im   # re + 1j * im turns inf into nan
+        u = GridFunction(grid, values)
+        ref = tmp_path / f"ref{case}.csv"
+        with open(ref, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["index", "center", "abs", "re", "im"])
+            for i in range(n):
+                x = Fraction(i) / Fraction(p) ** N
+                w.writerow([i, digit_text(p, x), str(rational_abs(p, x)),
+                            repr(float(u.values[i].real)),
+                            repr(float(u.values[i].imag))])
+        out = tmp_path / f"out{case}.csv"
+        write_grid_csv(str(out), u)
+        assert out.read_bytes() == ref.read_bytes(), case
+
+
+def test_grid_csv_reader_refuses_malformed_rows(tmp_path):
+    """A repeated index, a short row and a non-numeric value each raise
+    DomainError naming the line, not a silent zero or a bare
+    IndexError / ValueError."""
+    grid = GridSpec(2, 1, 1)
+    path = tmp_path / "u.csv"
+    write_grid_csv(str(path), GridFunction(grid, np.arange(1.0, 5.0)))
+    lines = path.read_bytes().split(b"\r\n")
+    bad = {
+        "repeats index 1": lines[:3] + [lines[2]] + lines[4:],
+        "line 3 has 3 fields": lines[:2] + [b"1,-1:1,2"] + lines[3:],
+        "line 4: could not convert": (lines[:3] + [lines[3] + b"x"]
+                                      + lines[4:]),
+        "line 2: invalid literal": [lines[0], b"zero" + lines[1][1:]]
+                                   + lines[2:],
+    }
+    for message, rows in bad.items():
+        path.write_bytes(b"\r\n".join(rows))
+        with pytest.raises(DomainError, match=message):
+            read_grid_csv(str(path), grid)
+    path.write_bytes(b"\r\n".join(lines))
+    assert read_grid_csv(str(path), grid).values.tolist() == [1, 2, 3, 4]
 
 
 def test_grid_csv_wrong_grid_rejected(tmp_path):

@@ -149,6 +149,21 @@ def test_evolve_refuses_complex_initial_data():
     assert np.array_equal(a.snapshots[-1], b.snapshots[-1])
 
 
+def test_evolve_refuses_non_finite_initial_data():
+    """A nan or inf cell is refused with DomainError before any step,
+    whether it comes as an array or a GridFunction."""
+    prob = _problem()
+    for bad in (np.nan, np.inf, -np.inf):
+        u0 = np.linspace(0.0, 1.0, prob.grid.dim)
+        u0[2] = bad
+        with pytest.raises(DomainError, match="finite.* index 2"):
+            pme.real_initial(u0)
+        with pytest.raises(DomainError, match="finite"):
+            evolve(prob, u0)
+        with pytest.raises(DomainError, match="finite"):
+            evolve(prob, GridFunction(prob.grid, u0.astype(np.complex128)))
+
+
 def test_linear_case_reduces_to_backward_euler():
     """m = 1: each step is exactly the linear solve (I + tau A)^{-1}."""
     prob = _problem(m=1.0, tau=0.01, t_end=0.01)
