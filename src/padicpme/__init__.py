@@ -2,8 +2,7 @@
 semigroup and resolvent, and an implicit solver for the fractional
 porous-medium equation, on Q_p and on finite balls."""
 
-from .errors import (DomainError, PrecisionError, ResourceError, SolverError,
-                     SupportError)
+from .errors import DomainError, PrecisionError, ResourceError, SolverError
 from .fractional import (
     OperatorParams,
     apply_radial_power,

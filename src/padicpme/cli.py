@@ -23,12 +23,12 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
-import scipy
 
 from . import heat, pme, verification
 from .errors import (DomainError, PrecisionError, ResourceError, SolverError,
-                     SupportError, check_int, check_real)
+                     check_int, check_real)
 from .fractional import OperatorParams, ball_eigenvalue_floor, ball_matrix
 from .functions import (GridFunction, RadialFunction, TestFunction,
                         read_grid_csv, to_grid, write_grid_csv,
@@ -36,7 +36,7 @@ from .functions import (GridFunction, RadialFunction, TestFunction,
 from .heat import KernelParams
 from .padic import Ball, GridSpec, parse_point
 
-_USAGE_ERRORS = (DomainError, ResourceError, PrecisionError, SupportError)
+_USAGE_ERRORS = (DomainError, ResourceError, PrecisionError)
 _MATRIX_DUMP_CAP = 512
 
 
@@ -74,7 +74,7 @@ def _manifest(path: str, command: str, config: dict, artifacts: list,
             started, datetime.timezone.utc).isoformat(),
         "wall_seconds": time.time() - started,
         "seed": 0,  # all randomized checks use fixed internal seeds
-        "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
+        "versions": {"numpy": np.__version__, "mpmath": mpmath.__version__},
     })
 
 

@@ -13,10 +13,6 @@ class PrecisionError(ValueError):
     """Input cannot be represented exactly at the requested grid resolution."""
 
 
-class SupportError(ValueError):
-    """Function support violates a precondition of the operation."""
-
-
 class ResourceError(RuntimeError):
     """Requested computation exceeds a configured size cap."""
 

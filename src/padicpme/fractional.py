@@ -243,23 +243,20 @@ class LevelOperator:
         return cls(grid, float(top),
                    tuple(float(g) * p ** (L - K) for L, g in enumerate(gaps)))
 
-    def class_sums(self, x: np.ndarray) -> list:
-        """[S_0, ..., S_{K-1}], S_L[r] = sum of x over the class r mod p^L."""
-        p = self.grid.p
-        sums = []
-        for _ in self.h:
-            x = np.add.reduce(x.reshape(p, -1), 0)
-            sums.append(x)
-        return sums[::-1]
-
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A x for real or complex x of shape (dim,)."""
+        """A x for real or complex x of shape (dim,).
+
+        The class sums S_L[r] = sum of x over the class r mod p^L are
+        folded from the top level down, then each weight h_L is tiled back
+        over its classes from level 0 up."""
         if x.shape != (self.grid.dim,):
             raise DomainError(f"level operator needs shape ({self.grid.dim},)")
         p = self.grid.p
-        sums = self.class_sums(x)
-        t = self.h[0] * sums[0]
-        for h, s in zip(self.h[1:], sums[1:]):
+        sums = [x]
+        for _ in self.h:
+            sums.append(np.add.reduce(sums[-1].reshape(p, -1), 0))
+        t = self.h[0] * sums[-1]
+        for h, s in zip(self.h[1:], sums[-2:0:-1]):
             t = (s.reshape(p, -1) * h + t).ravel()
         return (x.reshape(p, -1) * self.c + t).ravel()
 

@@ -56,9 +56,6 @@ class TestFunction:
     def __sub__(self, other: "TestFunction") -> "TestFunction":
         return self + other.scale(-1.0)
 
-    def __neg__(self) -> "TestFunction":
-        return self.scale(-1.0)
-
     def scale(self, c) -> "TestFunction":
         c = complex(c)
         return TestFunction(self.p, tuple((c * ci, b) for ci, b in self.terms))

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, check_real
 from .fractional import (LevelOperator, OperatorParams, ball_eigenvalue_floor,
@@ -121,7 +120,6 @@ class KernelEvaluation:
 
     value: float
     truncation_bound: float
-    shells_used: int
     series_gap: float | None = None
 
 
@@ -176,7 +174,7 @@ def _gap_sum(p: int, a: float, gaps, knee: float, lower: float,
     bound = tails + float(terms @ rel) + 3 * _U * value
     if not (math.isfinite(value) and math.isfinite(bound)):
         raise ArithmeticError("kernel series leaves the double range")
-    return KernelEvaluation(value, bound, n)
+    return KernelEvaluation(value, bound)
 
 
 def kernel_Z_shell_series(params: KernelParams, shell: int | None = None) -> KernelEvaluation:
@@ -232,7 +230,7 @@ def kernel_Z_alternating(params: KernelParams, shell: int) -> KernelEvaluation:
             rem = scale * zpow * z / (fact * (m + 1)) / (1 - z / (m + 2))
             if rem <= max(_TARGET, 1e-17 * (1 + abs(total))):
                 roundoff = 3e-16 * m * max_abs
-                return KernelEvaluation(total, rem + roundoff, m)
+                return KernelEvaluation(total, rem + roundoff)
         if m > 500:
             raise ArithmeticError("alternating kernel series failed to converge")
 
@@ -536,11 +534,13 @@ def ball_semigroup_expm(op: OperatorParams, t: float) -> np.ndarray:
     On grid functions the restricted generator acts exactly as B - lam I
     (the matrix B keeps the constant-mode eigenvalue lam that the
     mass-conserving flow subtracts), so this equals ball_semigroup_matrix(op,
-    t).dense(); it is the independent dense oracle of that path.
+    t).dense(); it is the independent dense oracle of that path.  B - lam I
+    is symmetric, so its exponential is (V e^{-t w}) V^T from the
+    eigendecomposition B - lam I = V diag(w) V^T of the dense entries.
     """
     B = ball_matrix(op)
-    A = B.matrix - B.lam * np.eye(B.grid.dim)
-    return scipy.linalg.expm(-t * A)
+    w, V = np.linalg.eigh(B.matrix - B.lam * np.eye(B.grid.dim))
+    return (V * np.exp(-t * w)) @ V.T
 
 
 def _resolvent_gaps(p: int, a: float, mu: float, k) -> tuple:

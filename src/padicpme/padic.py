@@ -135,7 +135,10 @@ class Ball:
         return Fraction(p**l) if l >= 0 else Fraction(1, p ** (-l))
 
     def contains_value(self, q) -> bool:
-        return rational_abs(self.p, Fraction(q) - self.center) <= self.measure
+        """|q - center|_p <= p^radius_exp, i.e. p does not divide the
+        denominator of (q - center) p^radius_exp."""
+        return ((Fraction(q) - self.center)
+                * Fraction(self.p) ** self.radius_exp).denominator % self.p != 0
 
     def subset_of(self, other: "Ball") -> bool:
         return (self.radius_exp <= other.radius_exp

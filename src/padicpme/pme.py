@@ -23,7 +23,7 @@ precision rather than trusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import mpmath
@@ -296,9 +296,7 @@ def refinement_ladder(problem: PMEProblem, u0: np.ndarray,
     runs = []
     taus = []
     for r in range(halvings + 1):
-        cfg = problem.to_config()
-        cfg["tau"] = problem.tau / 2**r
-        sub = PMEProblem.from_config(cfg)
+        sub = replace(problem, tau=problem.tau / 2**r)
         runs.append(evolve(sub, u0))
         taus.append(sub.tau)
 
@@ -386,12 +384,11 @@ class ExplicitSolution:
 
 
 def explicit_solution(p: int, alpha: float, m: float, t0: float,
-                      companion: bool = False,
-                      rho_override: float | None = None) -> ExplicitSolution:
+                      companion: bool = False) -> ExplicitSolution:
     if not check_real("t0", t0) > 0:
         raise DomainError("t0 must be positive")
-    rho = explicit_rho(p, alpha, m) if rho_override is None else float(rho_override)
-    return ExplicitSolution(p, alpha, m, t0, rho, companion)
+    return ExplicitSolution(p, alpha, m, t0, explicit_rho(p, alpha, m),
+                            companion)
 
 
 def residual_check_explicit(p: int, alpha: float, m: float, t0: float, t: float,

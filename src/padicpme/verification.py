@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import heat, pme
 from .fractional import (
@@ -460,6 +459,12 @@ def check_resolvent_inversion() -> CheckResult:
 
 
 def check_resolvent_vs_laplace() -> CheckResult:
+    """R_mu u = int_0^inf e^{-mu t} S(t) u dt against the shell-sum path.
+
+    The Laplace integral is a 100-node Gauss-Laguerre rule in x = mu t,
+    (1/mu) sum_i w_i S(x_i / mu) u, over the full-space semigroup; with 40
+    nodes it would miss by ~7e-6, with 100 it misses by ~1e-11.
+    """
     p, a, mu = 2, 2.0, 1.0
     op = OperatorParams(p, a, GridSpec(p, 0, 2))
     rng = np.random.default_rng(31)
@@ -467,18 +472,10 @@ def check_resolvent_vs_laplace() -> CheckResult:
     u = GridFunction(op.grid, uv + 0j)
     direct = heat.resolvent_apply(op, mu, u).values.real
 
-    cache: dict = {}
-
-    def s_of_t(t: float) -> np.ndarray:
-        if t not in cache:
-            cache[t] = (heat.semigroup_matrix(op, t) @ uv)
-        return cache[t]
-
-    worst = 0.0
-    for i in range(op.grid.dim):
-        val, _ = quad(lambda t: math.exp(-mu * t) * s_of_t(t)[i],
-                      0.0, np.inf, limit=300, epsabs=1e-10, epsrel=1e-10)
-        worst = max(worst, abs(val - direct[i]))
+    x, w = np.polynomial.laguerre.laggauss(100)
+    laplace = sum(wi * (heat.semigroup_matrix(op, xi / mu) @ uv)
+                  for xi, wi in zip(x, w)) / mu
+    worst = float(np.max(np.abs(laplace - direct)))
     return _check("resolvent_vs_laplace", worst <= 1e-5,
                   f"max |shell-sum path - Laplace quadrature| = {worst:.3e} "
                   "(tol 1e-5)")

@@ -1,7 +1,10 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ def test_kernel_heat_artifacts(tmp_path):
     assert man["command"] == "kernel"
     assert sorted(man["artifacts"]) == man["artifacts"]
     assert str(out) in man["artifacts"] and str(tmp_path / "zprof.json") in man["artifacts"]
-    assert "numpy" in man["versions"] and "scipy" in man["versions"]
+    assert "numpy" in man["versions"] and "mpmath" in man["versions"]
     assert man["wall_seconds"] >= 0
 
 
@@ -491,3 +494,22 @@ def test_digit_and_rational_centers_agree(tmp_path):
     # B(3/2, 2^-1) holds the cells 3/2 and 7/2 of the grid 2^-1 Z / 4 Z
     assert [r["center"] for r in rows if float(r["re"]) == 1.0] == [
         "-1:1,0:1", "-1:1,0:1,1:1"]
+
+
+def test_verify_all_runs_without_scipy():
+    """The runtime needs numpy and mpmath only: with scipy made
+    unimportable, verify all passes and loads no scipy module."""
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from padicpme.cli import main\n"
+        "assert main(['verify', 'all']) == 0\n"
+        "loaded = [m for m, mod in sys.modules.items() if mod is not None\n"
+        "          and (m == 'scipy' or m.startswith('scipy.'))]\n"
+        "assert not loaded, loaded\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
+    assert "all checks passed" in run.stdout

@@ -138,6 +138,19 @@ def test_ball_containment():
     assert Ball(2, Fraction(1, 2), -1).contains_value(Fraction(-3, 2))
 
 
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(-10**4, 10**4),
+       st.integers(0, 4), st.integers(-4, 4), st.integers(-10**6, 10**6),
+       st.integers(1, 10**6))
+def test_ball_containment_is_the_absolute_value_rule(p, n, k, r, a, b):
+    """x lies in B(c, p^r) iff |x - c|_p <= p^r, also for x outside
+    Z[1/p] (such as 1/3 at p = 2)."""
+    ball = Ball(p, Fraction(n, p**k), r)
+    q = Fraction(a, b)
+    for x in (q, ball.center + q * Fraction(p) ** -r):
+        assert ball.contains_value(x) == (
+            rational_abs(p, x - ball.center) <= ball.measure)
+
+
 @given(prime_and_points(count=3), st.integers(-3, 3), st.integers(-3, 3))
 def test_ball_dichotomy(pxyz, r1, r2):
     """Two balls are nested or disjoint, never partially overlapping."""
