@@ -279,41 +279,52 @@ class LevelOperator:
         return out
 
     def solve(self, d, b: np.ndarray, scale: float) -> np.ndarray:
-        """Exact solution x of (diag(d) + scale A) x = b.
+        """Exact solution x of (diag(d) + scale A) x = b for real b of
+        shape (dim,) and d a scalar or a real array of that shape.
 
         Bottom-up Sherman-Morrison over the class tree: a class's block is
         the direct sum of its children's blocks plus g 1 1^T, g = scale h_L,
         so with Q the children's sum of 1^T M^{-1} 1 its pivot is 1 + g Q.
-        The leaves' pivots are d + scale c.  With S the children's sum of
-        1^T M^{-1} b, a class's correction is gamma = g S / pivot, and a
+        The leaves' pivots are D = d + scale c.  With S the children's sum
+        of 1^T M^{-1} b, a class's correction is gamma = g S / pivot, and a
         top-down pass accumulates phi = phi_parent / pivot + gamma, so
-        x = (b - phi) / (d + scale c) on the leaves.  For d >= 0,
-        scale >= 0 and h_L <= 0 every pivot of the SPD system is positive;
-        a non-positive or non-finite one raises SolverError.
+        x = (b - phi) / D on the leaves.  The pair (1 / D, b / D) is held
+        as one (2, dim) array, so each level folds Q and S in one
+        reduction.  For d >= 0, scale >= 0 and h_L <= 0 every pivot of the
+        SPD system is positive.  Each level's pivots are checked as they
+        are formed, the leaves' before anything divides by them: a
+        non-positive, infinite or NaN pivot raises SolverError.
         """
         p, n = self.grid.p, self.grid.dim
-        D = np.broadcast_to(np.asarray(d, dtype=np.float64) + scale * self.c,
-                            (n,))
-        pivots, gammas = [D], []
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = 1.0 / D
-            s = b / D
-            for h in self.h[::-1]:
-                g = scale * h
-                Q = np.add.reduce(q.reshape(p, -1), 0)
-                S = np.add.reduce(s.reshape(p, -1), 0)
-                piv = 1.0 + g * Q
-                q, s = Q / piv, S / piv
-                pivots.append(piv)
-                gammas.append(g * s)
-        flat = np.concatenate(pivots)
-        if not np.all((flat > 0) & (flat < np.inf)):
-            raise SolverError("level solve hit a non-positive or non-finite "
-                              "pivot")
+        D = np.asarray(d, dtype=np.float64) + scale * self.c
+        _check_pivots(D)
+        qs = np.empty((2, n))
+        np.divide(1.0, D, out=qs[0])
+        np.divide(b, D, out=qs[1])
+        pivots, gammas = [], []
+        for h in self.h[::-1]:
+            g = scale * h
+            qs = np.add.reduce(qs.reshape(2, p, -1), 1)
+            piv = g * qs[0]
+            piv += 1.0
+            _check_pivots(piv)
+            qs /= piv
+            pivots.append(piv)
+            gammas.append(g * qs[1])
         phi = gammas[-1]
-        for piv, gam in zip(pivots[-2:0:-1], gammas[-2::-1]):
-            phi = (phi / piv.reshape(p, -1) + gam.reshape(p, -1)).ravel()
-        return ((b.reshape(p, -1) - phi) / D.reshape(p, -1)).ravel()
+        for piv, gam in zip(pivots[-2::-1], gammas[-2::-1]):
+            phi = phi / piv.reshape(p, -1)
+            phi += gam.reshape(p, -1)
+            phi = phi.ravel()
+        x = (b.reshape(p, -1) - phi).ravel()
+        x /= D
+        return x
+
+
+def _check_pivots(piv: np.ndarray) -> None:
+    if not (piv.min() > 0 and piv.max() < np.inf):
+        raise SolverError("level solve hit a non-positive or non-finite "
+                          "pivot")
 
 
 def ball_spectrum(params: OperatorParams) -> np.ndarray:

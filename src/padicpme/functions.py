@@ -12,7 +12,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, PrecisionError, ResourceError
-from .padic import Ball, GridSpec, check_prime, rational_abs, rational_shell
+from .padic import (Ball, GridSpec, check_prime, int_valuation, rational_abs,
+                    rational_shell)
 
 # Most balls canonicalize() refines into before it refuses.
 _MAX_CANONICAL_TERMS = 65536
@@ -64,7 +65,10 @@ class TestFunction:
 
     def value_at(self, x) -> complex:
         q = Fraction(x)
-        return sum((c for c, b in self.terms if b.contains_value(q)), 0j)
+        a, b = q.numerator, q.denominator
+        vb = int_valuation(b, self.p)
+        return sum((c for c, ball in self.terms
+                    if ball.contains_reduced(a, b, vb)), 0j)
 
     def constancy_radius_exp(self):
         """Largest r such that the function is constant on every ball of

@@ -135,10 +135,26 @@ class Ball:
         return Fraction(p**l) if l >= 0 else Fraction(1, p ** (-l))
 
     def contains_value(self, q) -> bool:
-        """|q - center|_p <= p^radius_exp, i.e. p does not divide the
-        denominator of (q - center) p^radius_exp."""
-        return ((Fraction(q) - self.center)
-                * Fraction(self.p) ** self.radius_exp).denominator % self.p != 0
+        """|q - center|_p <= p^radius_exp."""
+        q = Fraction(q)
+        return self.contains_reduced(q.numerator, q.denominator,
+                                     int_valuation(q.denominator, self.p))
+
+    def contains_reduced(self, a: int, b: int, vb: int) -> bool:
+        """contains_value(a / b) for a / b in lowest terms, b > 0 and
+        vb = v_p(b), in integers only.  With the center n / p^k and
+        e = vb + k - radius_exp, a / b - n / p^k = (a p^k - n b) / (b p^k)
+        has |.|_p <= p^radius_exp iff e <= 0 or p^e divides a p^k - n b."""
+        n, pk, shift = self._membership
+        e = vb + shift
+        return e <= 0 or (a * pk - n * b) % self.p**e == 0
+
+    @cached_property
+    def _membership(self) -> tuple:
+        """(n, p^k, k - radius_exp) for the canonical center n / p^k."""
+        pk = self.center.denominator
+        return (self.center.numerator, pk,
+                int_valuation(pk, self.p) - self.radius_exp)
 
     def subset_of(self, other: "Ball") -> bool:
         return (self.radius_exp <= other.radius_exp

@@ -45,9 +45,14 @@ def beta(v, m: float) -> np.ndarray:
 
 def beta_prime(v, m: float) -> np.ndarray:
     """beta'(v) = |v|^{1/m - 1} / m, +inf at v = 0 for m > 1."""
-    v = np.asarray(v, dtype=np.float64)
     with np.errstate(divide="ignore"):
-        return (1.0 / m) * np.abs(v) ** (1.0 / m - 1.0)
+        return _beta_prime(np.asarray(v, dtype=np.float64), m)
+
+
+def _beta_prime(v: np.ndarray, m: float) -> np.ndarray:
+    """beta_prime on a float64 array; at v = 0 with m > 1 the power
+    divides by zero, and the caller silences numpy's warning."""
+    return (1.0 / m) * np.abs(v) ** (1.0 / m - 1.0)
 
 
 @dataclass
@@ -148,45 +153,51 @@ def _rounding_floor(A: LevelOperator, m: float, f: np.ndarray, eps: float,
 def _newton_solve(A: LevelOperator, m: float, f: np.ndarray, eps: float,
                   scale: float) -> tuple:
     """Damped Newton for G(v) = eps v + scale A v + beta(v) - f = 0: the
-    (v, iterations, residual) that meet the target, or a stalled v (the
-    stalled iteration counts) within _rounding_floor; else SolverError."""
+    (v, scale A v, iterations, residual) that meet the target, or a stalled
+    v (the stalled iteration counts) within _rounding_floor; else
+    SolverError.  A line search ends at the first trial v + theta d that
+    rounds back to v: rounding is monotone, so every shorter step does too.
+    """
 
     def G(v):
-        return eps * v + scale * A.apply(v) + beta(v, m) - f
+        sav = scale * A.apply(v)
+        return (eps * v + sav if eps else sav) + beta(v, m) - f, sav
 
-    v = A.solve(eps + 1.0, f, scale)  # beta'(v) ~ 1 linearization
-    target = _NEWTON_TOL * max(1.0, float(np.max(np.abs(f))))
-    g = G(v)
-    res = float(np.max(np.abs(g)))
-    its = 0
-    while res > target:
-        if its == _MAX_ITERS:
-            stall = f"Newton did not converge in {_MAX_ITERS} iterations"
-            break
-        its += 1
-        bp = beta_prime(v, m)
-        bp = np.where(np.isfinite(bp), bp, _BP_CLIP)
-        try:
-            d = A.solve(eps + np.clip(bp, 0.0, _BP_CLIP), -g, scale)
-        except SolverError as exc:
-            raise SolverError(f"singular Newton system: {exc}", residual=res)
-        theta = 1.0
-        while theta >= _MIN_DAMPING:
-            v_new = v + theta * d
-            g_new = G(v_new)
-            res_new = float(np.max(np.abs(g_new)))
-            if res_new <= (1 - 0.25 * theta) * res or res_new <= target:
+    with np.errstate(divide="ignore"):  # beta' is +inf at v = 0 for m > 1
+        v = A.solve(eps + 1.0, f, scale)  # beta'(v) ~ 1 linearization
+        target = _NEWTON_TOL * max(1.0, float(np.abs(f).max()))
+        g, sav = G(v)
+        res = float(np.abs(g).max())
+        its = 0
+        while res > target:
+            if its == _MAX_ITERS:
+                stall = f"Newton did not converge in {_MAX_ITERS} iterations"
                 break
-            theta *= 0.5
+            its += 1
+            bp = np.fmin(_beta_prime(v, m), _BP_CLIP)
+            try:
+                d = A.solve(eps + bp, -g, scale)
+            except SolverError as exc:
+                raise SolverError(f"singular Newton system: {exc}",
+                                  residual=res)
+            theta = 1.0
+            v_new = v + d
+            while theta >= _MIN_DAMPING and not np.array_equal(v_new, v):
+                g_new, sav_new = G(v_new)
+                res_new = float(np.abs(g_new).max())
+                if res_new <= (1 - 0.25 * theta) * res or res_new <= target:
+                    break
+                theta *= 0.5
+                v_new = v + theta * d
+            else:
+                stall = "Newton line search stalled"
+                break
+            v, g, sav, res = v_new, g_new, sav_new, res_new
         else:
-            stall = "Newton line search stalled"
-            break
-        v, g, res = v_new, g_new, res_new
-    else:
-        return v, its, res
+            return v, sav, its, res
     floor = _rounding_floor(A, m, f, eps, scale, v)
     if res <= floor:
-        return v, its, res
+        return v, sav, its, res
     raise SolverError(f"{stall} above the rounding floor {floor:.3e}",
                       residual=res)
 
@@ -199,14 +210,13 @@ def stationary_solve(problem: PMEProblem, f: np.ndarray, epsilon: float,
     1e-12 max(1, max|f|), or to its rounding floor if it stalls first;
     else SolverError propagates with the last residual.
     """
-    A = problem.levels
     f = np.asarray(f, dtype=np.float64)
     n = problem.grid.dim
     if f.shape != (n,):
         raise DomainError(f"forcing term must have shape ({n},)")
 
-    v, its, res = _newton_solve(A, problem.m, f, epsilon, operator_scale)
-    av = operator_scale * A.apply(v)
+    v, av, its, res = _newton_solve(problem.levels, problem.m, f, epsilon,
+                                    operator_scale)
     return StationaryResult(v=v, w=f - epsilon * v - av, w_free=f - av,
                             iterations=its, residual=res)
 

@@ -259,9 +259,20 @@ def test_level_solve_rejects_bad_pivots():
         levels.solve(-2.0 * levels.c, b, 1.0)    # negative leaf pivot
     with pytest.raises(SolverError):
         levels.solve(np.inf, b, 1.0)             # infinite leaf pivot
+    with pytest.raises(SolverError):
+        levels.solve(np.nan, b, 1.0)             # NaN leaf pivot
+    one_nan = np.ones(27)
+    one_nan[13] = np.nan
+    with pytest.raises(SolverError):
+        levels.solve(one_nan, b, 1.0)            # one NaN leaf pivot
     d = np.full(27, -0.9 * levels.c)  # leaves pass, a class pivot fails
     with pytest.raises(SolverError):
         levels.solve(d, b, 1.0)
+    for L in (0, 2):                  # NaN class pivots, top and bottom
+        h = list(levels.h)
+        h[L] = np.nan
+        with pytest.raises(SolverError):
+            LevelOperator(levels.grid, levels.c, tuple(h)).solve(1.0, b, 1.0)
 
 
 def test_restrict_to_ball():

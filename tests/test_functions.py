@@ -34,6 +34,20 @@ def test_indicator_values():
     assert f.integral() == 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@given(data=st.data(), a=st.integers(-10**4, 10**4),
+       b=st.integers(1, 10**3), j=st.integers(0, 4))
+def test_value_at_is_the_sum_over_containing_balls(p, data, a, b, j):
+    """value_at(x) = sum of c over the terms whose ball holds x, by the
+    absolute-value rule, for any rational x (negative, or with primes
+    other than p in its denominator)."""
+    f = data.draw(_tf_strategy(p))
+    x = Fraction(a, b * p**j)
+    expected = sum((c for c, ball in f.terms
+                    if rational_abs(p, x - ball.center) <= ball.measure), 0j)
+    assert f.value_at(x) == expected
+
+
 @given(_tf_strategy(), point_strategy(2, -3, 3))
 def test_canonicalize_preserves_values(f, x):
     g = f.canonicalize()

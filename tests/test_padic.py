@@ -140,13 +140,15 @@ def test_ball_containment():
 
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(-10**4, 10**4),
        st.integers(0, 4), st.integers(-4, 4), st.integers(-10**6, 10**6),
-       st.integers(1, 10**6))
-def test_ball_containment_is_the_absolute_value_rule(p, n, k, r, a, b):
+       st.integers(1, 10**6), st.integers(0, 6))
+def test_ball_containment_is_the_absolute_value_rule(p, n, k, r, a, b, j):
     """x lies in B(c, p^r) iff |x - c|_p <= p^r, also for x outside
-    Z[1/p] (such as 1/3 at p = 2)."""
+    Z[1/p] (such as 1/3 at p = 2): negative points, denominators that
+    mix p^j with other primes, radii of both signs."""
     ball = Ball(p, Fraction(n, p**k), r)
-    q = Fraction(a, b)
-    for x in (q, ball.center + q * Fraction(p) ** -r):
+    q = Fraction(a, b * p**j)
+    for x in (q, -q, ball.center + q * Fraction(p) ** -r,
+              ball.center - q * Fraction(p) ** (j - r)):
         assert ball.contains_value(x) == (
             rational_abs(p, x - ball.center) <= ball.measure)
 

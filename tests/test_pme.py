@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from padicpme import fractional, pme
 from padicpme.cli import build_initial
 from padicpme.errors import DomainError, SolverError
-from padicpme.fractional import ball_matrix
+from padicpme.fractional import LevelOperator, ball_matrix
 from padicpme.functions import GridFunction
 from padicpme.padic import GridSpec
 from padicpme.pme import (_MAX_ITERS, _NEWTON_TOL, EvolutionResult,
@@ -337,6 +337,28 @@ def test_radial_power_at_the_rounding_floor_solves(p, N, M, steps):
         residuals.append(res.residual / np.max(np.abs(u)))
         u = u_next
     assert residuals[-1] > _NEWTON_TOL
+
+
+def test_stalled_step_applies_A_once_to_its_result(monkeypatch):
+    """The (5, 4, 4) step of the test above stalls at its rounding floor.
+    Its last line search ends at the first trial v + theta d that rounds
+    back to v, since every shorter step rounds to v too, and w reuses the
+    s A v of the accepted iterate. So A is applied to the returned v
+    exactly once, by the residual evaluation that accepted it."""
+    prob = _problem(p=5, N=4, M=4, m=2.0, tau=0.1, t_end=0.1)
+    u = build_initial(prob.grid, {"kind": "radial_power", "exponent": 1.0})
+    seen = []
+    apply = LevelOperator.apply
+
+    def recording(self, x):
+        if self is prob.levels:
+            seen.append(x.copy())
+        return apply(self, x)
+
+    monkeypatch.setattr(LevelOperator, "apply", recording)
+    _, res = implicit_step(prob, u)
+    assert res.residual > _NEWTON_TOL * np.max(np.abs(u))  # it stalled
+    assert sum(np.array_equal(x, res.v) for x in seen) == 1
 
 
 def test_rounding_floor_bounds_the_rounding_of_G():
