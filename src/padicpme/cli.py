@@ -265,7 +265,7 @@ def build_initial(grid: GridSpec, spec: dict) -> np.ndarray:
         radius = check_int("radius_exp", spec.get("radius_exp", 0))
         center = parse_point(grid.p, str(spec.get("center", "0")))
         f = TestFunction.indicator(Ball(grid.p, center, radius), coeff)
-        return np.real(to_grid(f, grid).values)
+        return np.real(to_grid(f, grid))
     if kind == "radial_power":
         beta = float(check_real("exponent", spec.get("exponent", 1.0)))
         if beta <= 0:

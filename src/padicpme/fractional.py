@@ -133,8 +133,10 @@ def hypersingular_quadrature(params: OperatorParams, f: TestFunction, x,
                              k_lo: int, k_hi: int) -> tuple:
     """Shell quadrature for D^alpha f at x with a certified truncation bound.
 
-    f is constant on the cosets of B_c, c = f.constancy_radius_exp(), so
-    shells k <= c contribute exactly zero.  y -> f(x - y) is sampled once on
+    The sample needs f over disjoint cosets of one radius, and the tail
+    bound its exact sup|f|, so f is canonicalized first.  f is constant on
+    the cosets of B_c, c = f.constancy_radius_exp(), so shells k <= c
+    contribute exactly zero.  y -> f(x - y) is sampled once on
     the p^K cosets of B_{k_hi} / B_c (K = k_hi - c), the coset of y at index
     y p^{k_hi} mod p^K: each canonical term lands on one index.  Cell i != 0
     lies on the shell k_hi - v_p(i), so one bincount over the valuations
@@ -351,17 +353,16 @@ def ball_levels(params: OperatorParams) -> LevelOperator:
 def exterior_constant(params: OperatorParams, u: TestFunction, N: int) -> complex:
     """R_N(u) = kappa * int_{|x| > p^N} |x|^{-alpha-1} u(x) dx, exactly.
 
-    Canonical balls either avoid the exterior region, sit in a single shell
-    (|x| constant on them), or are centered at 0 and decompose into whole
-    shells; all three cases integrate in closed form.
+    Term by term: a ball that contains 0 has canonical center 0 and splits
+    into whole shells, and any other ball lies in the shell of its center
+    (|x| constant on it); both integrate in closed form.
     """
     p, a = params.p, params.alpha
     if u.p != p:
         raise DomainError("prime mismatch")
     kappa = params.hypersingular_coefficient
-    g = u.canonicalize()
     total = 0j
-    for c, b in g.terms:
+    for c, b in u.terms:
         l = b.radius_exp
         if b.center == 0:
             if l > N:
@@ -376,16 +377,13 @@ def exterior_constant(params: OperatorParams, u: TestFunction, N: int) -> comple
 
 
 def restrict_to_ball(f: TestFunction, ball: Ball) -> TestFunction:
-    """f * 1_B as a test function (exact multiplication by an indicator)."""
+    """f * 1_B, exactly: balls are nested or disjoint, so a term on B_i
+    keeps the smaller of B_i and B when they are nested and drops otherwise."""
     if f.p != ball.p:
         raise DomainError("prime mismatch")
-    if not f.terms:
-        return f
-    r = min(ball.radius_exp, f.constancy_radius_exp())
-    pad = ((0j, Ball(f.p, ball.center, r)),)
-    g = TestFunction(f.p, f.terms + pad).canonicalize()
-    kept = tuple((c, b) for c, b in g.terms if b.subset_of(ball))
-    return TestFunction(f.p, kept)
+    return TestFunction(f.p, tuple(
+        (c, b if b.radius_exp <= ball.radius_exp else ball) for c, b in f.terms
+        if b.subset_of(ball) or ball.subset_of(b)))
 
 
 def mass_of_image(params: OperatorParams, ball: Ball) -> float:

@@ -27,7 +27,8 @@ _MAX_CANONICAL_TERMS = 65536
 class TestFunction:
     """Finite complex combination of ball indicators sum_i c_i 1_{B_i}.
 
-    Terms may overlap; canonicalize() rewrites the list over disjoint balls
+    Terms may overlap; balls are nested or disjoint, so most code works
+    term by term, and canonicalize() rewrites the list over disjoint balls
     of one common radius.  Keeping the raw list legal makes long operator
     expansions cheap to build and exact to evaluate.
     """
@@ -112,7 +113,8 @@ class TestFunction:
 
 @dataclass
 class GridFunction:
-    """Complex values on the coset grid B_N / B_{-M}, one per representative."""
+    """Complex values on the coset grid B_N / B_{-M}, one per
+    representative: the record of a grid CSV.  Computations use arrays."""
 
     grid: GridSpec
     values: np.ndarray
@@ -124,20 +126,17 @@ class GridFunction:
                 f"values must have shape ({self.grid.dim},), got {v.shape}")
         self.values = v
 
-    def integral(self) -> complex:
-        return complex(np.sum(self.values) * float(self.grid.coset_measure))
 
+def to_grid(f: TestFunction, grid: GridSpec) -> np.ndarray:
+    """Sample a test function exactly on the grid, as a complex array.
 
-def to_grid(f: TestFunction, grid: GridSpec) -> GridFunction:
-    """Sample a test function exactly on the grid.
-
-    Exactness requires every canonical ball to be a union of grid cosets
-    (radius >= p^{-M}) and to sit inside B_N; violations raise PrecisionError
-    naming the offending ball.
+    A ball of radius p^r is the class of its center's index mod p^(N-r).
+    Exactness requires every term's ball to be a union of grid cosets
+    (radius >= p^{-M}) and to sit inside B_N; violations raise
+    PrecisionError naming the offending ball.
     """
-    g = f.canonicalize()
     out = np.zeros(grid.dim, dtype=np.complex128)
-    for c, b in g.terms:
+    for c, b in f.terms:
         if b.radius_exp < -grid.M:
             raise PrecisionError(
                 f"{b!r} is finer than the grid resolution p^-{grid.M}")
@@ -148,7 +147,7 @@ def to_grid(f: TestFunction, grid: GridSpec) -> GridFunction:
         c_idx = grid.index_of(b.center)
         step = grid.p ** (grid.N - b.radius_exp)
         out[c_idx % step::step] += c
-    return GridFunction(grid, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -213,41 +212,30 @@ class RadialFunction:
     def value_at(self, x) -> complex:
         return self.value_at_shell(rational_shell(self.p, x))
 
-    def integral(self) -> complex:
-        """Integral over Q_p; requires a summable head and tail."""
+    def _shell_sum(self, norm):
+        """Sum over Q_p of norm(value) times the measure: the head ball,
+        the stored shells and the geometric tail."""
         p = self.p
-        total = 0j
+        total = norm(0j)
         if self.shell_values:
             if self.head_constant:
                 # ball of radius p^{k_min - 1} at the innermost constant value
-                total += self.shell_values[0][1] * float(p) ** (self.k_min - 1)
+                total += norm(self.shell_values[0][1]) * float(p) ** (self.k_min - 1)
             for k, v in self.shell_values:
-                total += v * float(p) ** k * (1 - 1 / p)
+                total += norm(v) * float(p) ** k * (1 - 1 / p)
             if self.tail is not None:
                 c, s = self.tail
                 # sum_{k > k_max} p^k (1-1/p) c p^{sk}, geometric in p^{1+s}
                 r = float(p) ** (1 + s)
-                total += c * (1 - 1 / p) * float(p) ** ((self.k_max + 1) * (1 + s)) / (1 - r)
+                total += norm(c) * (1 - 1 / p) * float(p) ** ((self.k_max + 1) * (1 + s)) / (1 - r)
         return total
+
+    def integral(self) -> complex:
+        """Integral over Q_p; requires a summable head and tail."""
+        return self._shell_sum(complex)
 
     def l1_norm(self) -> float:
-        p = self.p
-        total = 0.0
-        if self.shell_values:
-            if self.head_constant:
-                total += abs(self.shell_values[0][1]) * float(p) ** (self.k_min - 1)
-            for k, v in self.shell_values:
-                total += abs(v) * float(p) ** k * (1 - 1 / p)
-            if self.tail is not None:
-                c, s = self.tail
-                r = float(p) ** (1 + s)
-                total += abs(c) * (1 - 1 / p) * float(p) ** ((self.k_max + 1) * (1 + s)) / (1 - r)
-        return total
-
-    def to_grid(self, grid: GridSpec) -> GridFunction:
-        if grid.p != self.p:
-            raise DomainError("prime mismatch")
-        return GridFunction(grid, grid.radial(self.value_at_shell))
+        return self._shell_sum(abs)
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, check_real
 from .fractional import (LevelOperator, OperatorParams, ball_eigenvalue_floor,
                          ball_matrix, ball_spectrum)
-from .functions import GridFunction, RadialFunction, TestFunction
+from .functions import RadialFunction, TestFunction
 from .padic import Ball, check_prime, gamma_p
 # the benchmark's tracer wraps heat.int_valuation; nothing here calls it
 from .padic import int_valuation  # noqa: F401
@@ -349,7 +348,9 @@ def semigroup_on_indicator(params: KernelParams, ball: Ball,
         ck = coeff_ck(params, -k)
         terms.append((complex(float(p) ** (l - k) * ck),
                       Ball(p, ball.center, k)))
-    deficit = float(p) ** l * (1.0 - _exp_neg_t_pow(t, p, a, -k_max))
+    # p^l (1 - e^{-x}) without cancellation: x << 1 at the default k_max
+    x = t * math.exp(min(a * -k_max * math.log(p), 700.0))
+    deficit = float(p) ** l * -math.expm1(-x)
     return SemigroupExpansion(TestFunction(p, tuple(terms)),
                               pointwise_tail(k_max), k_max, deficit)
 
@@ -382,11 +383,13 @@ def semigroup_indicator_profile(params: KernelParams, ball: Ball) -> tuple:
     """
     exp = semigroup_on_indicator(params, ball)
     l = ball.radius_exp
-    center_val = exp.function.value_at(ball.center)
+    # layer j is the ball of radius p^{l+j} about the center: shell k > l
+    # lies in layers j >= k - l, summed in the order value_at adds them
+    coeffs = [c for c, _ in exp.function.terms]
+    center_val = sum(coeffs, 0j)
     shells = {l: center_val}
     for k in range(l + 1, exp.k_max + 1):
-        probe = ball.center + Fraction(params.p) ** -k
-        shells[k] = exp.function.value_at(probe)
+        shells[k] = sum(coeffs[k - l:], 0j)
     profile = RadialFunction(params.p, tuple(shells.items()),
                              value_at_zero=center_val, head_constant=True)
     return profile, exp.pointwise_bound
@@ -567,8 +570,8 @@ def _resolvent_sum(p: int, a: float, mu: float, top) -> KernelEvaluation:
                     (0.0, a - 1.0) if a > 1 else None, top)
 
 
-def resolvent_apply(op: OperatorParams, mu: float, u: GridFunction) -> GridFunction:
-    """(mu + D^alpha)^{-1} u for a grid-supported u, evaluated on the grid.
+def resolvent_apply(op: OperatorParams, mu: float, u: np.ndarray) -> np.ndarray:
+    """(mu + D^alpha)^{-1} u for a grid array u, evaluated on the grid.
 
     Ball-average form: R_mu = sum_k a_k p^k Avg_{B_{-k}} with the
     resolvent gaps a_k = 1/(mu + p^{k alpha}) - 1/(mu + p^{(k+1) alpha})
@@ -581,8 +584,6 @@ def resolvent_apply(op: OperatorParams, mu: float, u: GridFunction) -> GridFunct
     grid = op.grid
     if grid is None:
         raise DomainError("resolvent_apply needs a grid-bound operator")
-    if u.grid != grid:
-        raise DomainError("grid mismatch")
     if not mu > 0:
         raise DomainError("resolvent parameter mu must be positive")
     p, a = op.p, op.alpha
@@ -591,7 +592,7 @@ def resolvent_apply(op: OperatorParams, mu: float, u: GridFunction) -> GridFunct
     gaps, _ = _resolvent_gaps(p, a, mu, np.arange(1 - N, M))
     levels = LevelOperator.from_gaps(grid, 1.0 / (mu + float(p) ** (M * a)),
                                      np.concatenate(([head], gaps)))
-    return GridFunction(grid, levels.apply(u.values))
+    return levels.apply(u)
 
 
 # ---------------------------------------------------------------------------

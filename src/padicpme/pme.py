@@ -411,6 +411,9 @@ def residual_check_explicit(p: int, alpha: float, m: float, t0: float, t: float,
     Both branches reduce to the same core defect |nu rho + |rho|^m C| times
     (T -+ t)^{-nu-1} p^{k alpha nu}; in double precision the large-shell
     scale factor would contaminate the cancellation, hence mpmath here.
+    Without rho_override, rho comes from the gamma ratio that C inverts,
+    so the defect vanishes for any gamma values and only the 50-digit
+    rounding is measured, not the double rho of explicit_rho.
     """
     check_prime(p)
     if not m > 1:

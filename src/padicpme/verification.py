@@ -29,7 +29,7 @@ from .fractional import (
     mass_of_image,
     restrict_to_ball,
 )
-from .functions import GridFunction, RadialFunction, TestFunction, to_grid
+from .functions import RadialFunction, TestFunction, to_grid
 from .heat import KernelParams
 from .padic import Ball, GridSpec, gamma_p
 
@@ -278,7 +278,7 @@ def check_boundary_identity() -> CheckResult:
     worst = 0.0
     for label, psi in cases.items():
         psi_N = restrict_to_ball(psi, ball_N)
-        inner = B.matrix @ to_grid(psi_N, params.grid).values
+        inner = B.matrix @ to_grid(psi_N, params.grid)
         outer = exterior_constant(params, psi - psi_N, N)
         for i in range(params.grid.dim):
             lhs = apply_testfunction_at(params, psi, params.grid.representative(i))
@@ -469,8 +469,7 @@ def check_resolvent_vs_laplace() -> CheckResult:
     op = OperatorParams(p, a, GridSpec(p, 0, 2))
     rng = np.random.default_rng(31)
     uv = rng.uniform(0.2, 1.0, op.grid.dim)
-    u = GridFunction(op.grid, uv + 0j)
-    direct = heat.resolvent_apply(op, mu, u).values.real
+    direct = heat.resolvent_apply(op, mu, uv)
 
     x, w = np.polynomial.laguerre.laggauss(100)
     laplace = sum(wi * (heat.semigroup_matrix(op, xi / mu) @ uv)
@@ -495,7 +494,7 @@ def check_resolvent_positivity() -> CheckResult:
     for mu in (0.3, 1.0, 4.0):
         for _ in range(20):
             uv = rng.uniform(0.0, 1.0, op.grid.dim)
-            r = heat.resolvent_apply(op, mu, GridFunction(op.grid, uv + 0j)).values.real
+            r = heat.resolvent_apply(op, mu, uv)
             min_val = min(min_val, float(r.min()))
             worst_gain = max(worst_gain,
                              mu * float(np.sum(np.abs(r))) * meas

@@ -10,7 +10,7 @@ from padicpme.fractional import (DENSE_GRID_CAP, LevelOperator,
                                  ball_levels, ball_matrix, ball_spectrum,
                                  exterior_constant, hypersingular_quadrature,
                                  mass_of_image, restrict_to_ball)
-from padicpme.functions import TestFunction
+from padicpme.functions import TestFunction, to_grid
 from padicpme.padic import Ball, GridSpec, gamma_p
 from padicpme.pme import _BP_CLIP
 
@@ -284,6 +284,28 @@ def test_restrict_to_ball():
     # support wholly outside the ball restricts to zero
     far = TestFunction.indicator(Ball(p, Fraction(1, 4), -2))
     assert restrict_to_ball(far, Ball(p, 0, 0)).canonicalize().terms == ()
+
+
+@pytest.mark.parametrize("terms", [
+    ((1.0, Ball(2, 0, 2)),),
+    ((2.0, Ball(2, 0, 1)), (-0.5, Ball(2, 1, -2)),
+     (1.5, Ball(2, Fraction(1, 4), 0))),
+], ids=["wide", "three_terms"])
+def test_boundary_identity_term_by_term(terms):
+    """D^alpha psi = B psi_N + R_N(psi - psi_N) on the grid of B_0 at
+    M = 2, with psi_N = psi 1_{B_0}.  1_{B_2} sends a center-0 ball wider
+    than B_N through exterior_constant; the three-term psi mixes a wide
+    ball, one inside B_0 and one in the shell |x| = 4."""
+    p, N = 2, 0
+    params = OperatorParams(p, 2.0, GridSpec(p, N, 2))
+    psi = TestFunction(p, tuple((complex(c), b) for c, b in terms))
+    psi_N = restrict_to_ball(psi, Ball(p, 0, N))
+    inner = ball_matrix(params).matrix @ to_grid(psi_N, params.grid)
+    outer = exterior_constant(params, psi - psi_N, N)
+    for i in range(params.grid.dim):
+        lhs = apply_testfunction_at(params, psi,
+                                    params.grid.representative(i))
+        assert abs(lhs - (inner[i] + outer)) <= 1e-12
 
 
 def test_exterior_constant_hand_values():

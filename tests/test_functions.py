@@ -88,8 +88,23 @@ def test_to_grid_round_trip():
     ))
     u = to_grid(f, grid)
     for i in range(grid.dim):
-        assert u.values[i] == f.value_at(grid.representative(i))
-    assert abs(u.integral() - f.integral()) < 1e-12
+        assert u[i] == f.value_at(grid.representative(i))
+    assert abs(np.sum(u) * float(grid.coset_measure) - f.integral()) < 1e-12
+
+
+def test_to_grid_samples_balls_of_very_different_radii():
+    """1_{B_1} + 1_{B(1/4, 2^-16)} on (2, 2, 17): a common radius would
+    need 2^17 balls; term by term it is two strided slices."""
+    grid = GridSpec(2, 2, 17)
+    f = TestFunction(2, ((1.0 + 0j, Ball(2, 0, 1)),
+                         (1.0 + 0j, Ball(2, Fraction(1, 4), -16))))
+    u = to_grid(f, grid)
+    rng = np.random.default_rng(17)
+    cells = [0, 1, 2, 3, 2**18, 2**18 + 1, grid.dim - 1]
+    cells += rng.integers(0, grid.dim, 200).tolist()
+    for i in cells:
+        assert u[i] == f.value_at(grid.representative(i))
+    assert np.sum(u) * float(grid.coset_measure) == f.integral()
 
 
 def test_to_grid_rejects_out_of_window():
@@ -132,6 +147,21 @@ def test_radial_value_lookup():
     assert f.value_at(Fraction(3)) == 2.0          # |3|_3 = 1/3 < min shell
     assert f.value_at_shell(1) == 0.0              # gap between stored shells
     assert f.value_at(Fraction(1, 27)) == pytest.approx(9.0 * 27.0 ** -3)
+
+
+def test_radial_l1_norm_takes_the_tail_absolutely():
+    """A negative tail lowers the integral and raises the L1 norm."""
+    f = RadialFunction(2, ((0, 1.0),), value_at_zero=1.0,
+                       tail=(-1.0, -2.0), head_constant=True)
+    # head 1/2, shell 0 1/2, tail sum_{k>=1} 2^k (1/2) 2^{-2k} = 1/2
+    assert f.integral() == pytest.approx(0.5 + 0.5 - 0.5)
+    assert f.l1_norm() == pytest.approx(0.5 + 0.5 + 0.5)
+
+
+def test_radial_vanishes_above_the_last_shell_without_tail():
+    f = RadialFunction(3, ((0, 2.0), (2, 1.0)))
+    assert f.value_at_shell(3) == 0.0
+    assert f.value_at(Fraction(1, 3**7)) == 0.0
 
 
 def test_radial_head_undefined_without_flag():

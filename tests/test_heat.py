@@ -125,6 +125,19 @@ def test_semigroup_expansion_mass_accounting():
             rel=1e-12)
 
 
+@pytest.mark.parametrize("p, a, t, l", [(2, 2.0, 0.7, 0), (2, 2.0, 1e-3, 2)])
+def test_semigroup_mass_deficit_is_relatively_accurate(p, a, t, l):
+    """The truncated mass p^l (1 - e^{-x}), x = t p^{-k_max alpha}, is
+    ~1e-10 relative to p^l at the default k_max; 1 - e^{-x} would lose
+    five to six digits there.  Against 40-digit arithmetic."""
+    exp = semigroup_on_indicator(KernelParams(p, a, t), Ball(p, 0, l))
+    with mpmath.workdps(40):
+        x = mpmath.mpf(t) * mpmath.mpf(p) ** (-exp.k_max * mpmath.mpf(a))
+        ref = mpmath.mpf(p) ** l * -mpmath.expm1(-x)
+    assert x < 1e-9
+    assert abs(exp.mass_deficit - ref) <= 1e-14 * ref
+
+
 def test_semigroup_expansion_value_vs_ball_integral():
     """S(t) 1_{B_0} at the center equals the ball integral of the kernel."""
     params = KernelParams(2, 2.0, 0.3)
@@ -519,7 +532,7 @@ def test_resolvent_apply_matches_fold_tile_reference(p, N, M, mu):
     rng = np.random.default_rng(p + N)
     vals = rng.standard_normal(op.grid.dim) + 1j * rng.standard_normal(op.grid.dim)
     ref = _resolvent_fold_tile(op, mu, vals)
-    got = resolvent_apply(op, mu, GridFunction(op.grid, vals)).values
+    got = resolvent_apply(op, mu, vals)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -528,6 +541,6 @@ def test_resolvent_apply_takes_data_on_an_equal_grid():
     of the same (p, N, M)."""
     prob = PMEProblem(3, 1.5, 1, 2, 2.0, 0.1, 0.1)
     u = GridFunction(GridSpec(3, 1, 2), np.linspace(-1.0, 2.0, 27))
-    got = resolvent_apply(prob.operator, 0.7, u).values
+    got = resolvent_apply(prob.operator, 0.7, u.values)
     ref = _resolvent_fold_tile(prob.operator, 0.7, u.values)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))

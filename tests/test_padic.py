@@ -267,7 +267,7 @@ def test_radial_gathers_match_per_index_references(p, N, M):
                        value_at_zero=2.5 + 1j, tail=(3 + 0j, -2.5),
                        head_constant=True)
     ref = np.array([f.value_at_shell(k) for k in shells])
-    assert np.array_equal(f.to_grid(grid).values, ref)
+    assert np.array_equal(grid.radial(f.value_at_shell), ref)
 
     sol = explicit_solution(p, 1.5, 2.0, 1.0, companion=True)
     ref = np.array([sol.value(0.3, k) for k in shells])
