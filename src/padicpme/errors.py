@@ -18,11 +18,19 @@ class ResourceError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """Nonlinear solve failed to converge."""
+    """Nonlinear solve failed to converge.
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
+    A solve over column-stacked problems fails as a whole; column is then
+    the index of the column that failed, and the message begins with it.
+    reason is the message without that prefix.
+    """
+
+    def __init__(self, message, residual=None, column=None):
+        super().__init__(message if column is None
+                         else f"column {column}: {message}")
+        self.reason = message
         self.residual = residual
+        self.column = column
 
 
 def check_int(name: str, value):

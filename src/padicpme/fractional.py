@@ -246,21 +246,25 @@ class LevelOperator:
                    tuple(float(g) * p ** (L - K) for L, g in enumerate(gaps)))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A x for real or complex x of shape (dim,).
+        """A x for real or complex x of shape (dim,) or (dim, k).
 
         The class sums S_L[r] = sum of x over the class r mod p^L are
         folded from the top level down, then each weight h_L is tiled back
-        over its classes from level 0 up."""
-        if x.shape != (self.grid.dim,):
-            raise DomainError(f"level operator needs shape ({self.grid.dim},)")
+        over its classes from level 0 up.  The k columns of x are k
+        independent vectors: the folds and tiles act on the rows, so each
+        column of the result is bit-identical to A applied to that column
+        alone (see _top_sums for the one fold where that takes care)."""
+        _check_rows(self.grid, x)
         p = self.grid.p
         sums = [x]
-        for _ in self.h:
+        for _ in self.h[1:]:
             sums.append(np.add.reduce(sums[-1].reshape(p, -1), 0))
+        top = sums[-1].reshape(p, -1)
+        sums.append(np.add.reduce(top, 0) if x.ndim == 1 else _top_sums(top))
         t = self.h[0] * sums[-1]
         for h, s in zip(self.h[1:], sums[-2:0:-1]):
             t = (s.reshape(p, -1) * h + t).ravel()
-        return (x.reshape(p, -1) * self.c + t).ravel()
+        return (x.reshape(p, -1) * self.c + t).reshape(x.shape)
 
     __matmul__ = apply
 
@@ -282,7 +286,13 @@ class LevelOperator:
 
     def solve(self, d, b: np.ndarray, scale: float) -> np.ndarray:
         """Exact solution x of (diag(d) + scale A) x = b for real b of
-        shape (dim,) and d a scalar or a real array of that shape.
+        shape (dim,) or (dim, k).
+
+        For b of shape (dim,), d is a scalar or a real array of that
+        shape.  For b of shape (dim, k) each column is its own system, d
+        is a scalar, a (k,) array (one diagonal constant per column) or a
+        (dim, k) array, and each column of x is bit-identical to solving
+        that column alone.
 
         Bottom-up Sherman-Morrison over the class tree: a class's block is
         the direct sum of its children's blocks plus g 1 1^T, g = scale h_L,
@@ -291,25 +301,31 @@ class LevelOperator:
         of 1^T M^{-1} b, a class's correction is gamma = g S / pivot, and a
         top-down pass accumulates phi = phi_parent / pivot + gamma, so
         x = (b - phi) / D on the leaves.  The pair (1 / D, b / D) is held
-        as one (2, dim) array, so each level folds Q and S in one
-        reduction.  For d >= 0, scale >= 0 and h_L <= 0 every pivot of the
-        SPD system is positive.  Each level's pivots are checked as they
-        are formed, the leaves' before anything divides by them: a
-        non-positive, infinite or NaN pivot raises SolverError.
+        as one (2, dim) or (2, dim, k) array, so each level folds Q and S
+        in one reduction.  For d >= 0, scale >= 0 and h_L <= 0 every pivot
+        of the SPD system is positive.  Each level's pivots are checked as
+        they are formed, the leaves' before anything divides by them: a
+        non-positive, infinite or NaN pivot raises SolverError, which for
+        b of shape (dim, k) names the first column that hit one.
         """
-        p, n = self.grid.p, self.grid.dim
+        _check_rows(self.grid, b)
+        p = self.grid.p
         D = np.asarray(d, dtype=np.float64) + scale * self.c
-        _check_pivots(D)
-        qs = np.empty((2, n))
+        _check_pivots(D, b)
+        qs = np.empty((2,) + b.shape)
         np.divide(1.0, D, out=qs[0])
         np.divide(b, D, out=qs[1])
         pivots, gammas = [], []
-        for h in self.h[::-1]:
-            g = scale * h
-            qs = np.add.reduce(qs.reshape(2, p, -1), 1)
+        for L in range(len(self.h) - 1, -1, -1):
+            g = scale * self.h[L]
+            kids = qs.reshape(2, p, -1)
+            if L or b.ndim == 1:
+                qs = np.add.reduce(kids, 1)
+            else:  # the top fold of a batch
+                qs = _top_sums(kids)
             piv = g * qs[0]
             piv += 1.0
-            _check_pivots(piv)
+            _check_pivots(piv, b)
             qs /= piv
             pivots.append(piv)
             gammas.append(g * qs[1])
@@ -318,15 +334,45 @@ class LevelOperator:
             phi = phi / piv.reshape(p, -1)
             phi += gam.reshape(p, -1)
             phi = phi.ravel()
-        x = (b.reshape(p, -1) - phi).ravel()
+        x = (b.reshape(p, -1) - phi).reshape(b.shape)
         x /= D
         return x
 
 
-def _check_pivots(piv: np.ndarray) -> None:
+def _check_rows(grid: GridSpec, x: np.ndarray) -> None:
+    """x must hold one grid value per row: shape (dim,) or (dim, k), k > 0."""
+    n = grid.dim
+    if x.shape != (n,) and (x.ndim != 2 or x.shape[0] != n or not x.size):
+        raise DomainError(f"level operator needs shape ({n},) or ({n}, k), "
+                          f"got {x.shape}")
+
+
+def _top_sums(kids: np.ndarray) -> np.ndarray:
+    """The top fold of column-stacked data: kids of shape (..., p, k)
+    holds the p level-1 class sums of each of k columns; returns their
+    sums over the p axis.
+
+    numpy adds a contiguous run pairwise (in blocks of eight numbers) but a
+    strided axis row by row, and the two orders round differently once a
+    run holds more than eight: p > 8 for real data, p > 4 for complex.  A
+    single vector's top fold is one run of p, so each column is made a
+    contiguous run here too and rounds exactly as it does alone.  Lower
+    folds add rows of width >= 2 per column, row by row, alone or in a
+    batch.
+    """
+    return np.add.reduce(np.ascontiguousarray(kids.swapaxes(-1, -2)), -1)
+
+
+def _check_pivots(piv: np.ndarray, b: np.ndarray) -> None:
     if not (piv.min() > 0 and piv.max() < np.inf):
-        raise SolverError("level solve hit a non-positive or non-finite "
-                          "pivot")
+        message = "level solve hit a non-positive or non-finite pivot"
+        if b.ndim == 1:
+            raise SolverError(message)
+        # piv is a scalar, (k,), (dim, k) or a flat level of classes
+        # by k columns: its flat index mod k is the column
+        bad = np.flatnonzero(~((piv > 0) & (piv < np.inf)))
+        column = int(np.min(bad % b.shape[1]))
+        raise SolverError(message, column=column)
 
 
 def ball_spectrum(params: OperatorParams) -> np.ndarray:

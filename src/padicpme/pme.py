@@ -119,8 +119,8 @@ class StationaryResult:
     v: np.ndarray          # solution of eps v + s A v + beta(v) = f
     w: np.ndarray          # f - eps v - s A v, the consistent beta(v)
     w_free: np.ndarray     # f - s A v, the L1-contraction object
-    iterations: int        # Newton iterations only
-    residual: float
+    iterations: int        # Newton iterations only, summed over columns
+    residual: float        # the largest over columns
 
 
 _NEWTON_TOL = 1e-12      # residual target, relative to max(1, max|f|)
@@ -129,11 +129,12 @@ _BP_CLIP = 1e16
 _MIN_DAMPING = 2.0 ** (-45)
 
 
-def _rounding_floor(A: LevelOperator, m: float, f: np.ndarray, eps: float,
-                    scale: float, v: np.ndarray) -> float:
+def _rounding_floor(A: LevelOperator, m: float, f: np.ndarray, eps,
+                    scale: float, v: np.ndarray):
     """Bound on the rounding of the computed G(v) = eps v + s A v +
     beta(v) - f: (p + 2)(K + 3) u max_i(|eps v| + s |A| |v| + |beta(v)| +
-    |f|)_i, u = 2^-53, |A| the level operator with weights |c| and |h_L|.
+    |f|)_i, u = 2^-53, |A| the level operator with weights |c| and |h_L|;
+    one bound per column of column-stacked v and f.
 
     A.apply folds each class sum from p rows K - L times, (p - 1) K
     roundings relative to the sums of |v|, and tiles back with two per
@@ -147,82 +148,214 @@ def _rounding_floor(A: LevelOperator, m: float, f: np.ndarray, eps: float,
     absA = LevelOperator(A.grid, abs(A.c), tuple(abs(h) for h in A.h))
     size = (np.abs(eps * v) + scale * absA.apply(np.abs(v))
             + np.abs(beta(v, m)) + np.abs(f))
-    return gamma * float(np.max(size))
+    return gamma * size.max(0)
 
 
-def _newton_solve(A: LevelOperator, m: float, f: np.ndarray, eps: float,
+def _cols(mask, *arrays) -> list:
+    """The columns mask of each column-stacked array or per-column vector;
+    a scalar (an epsilon shared by all columns) is kept as it is."""
+    return [a[..., mask] if isinstance(a, np.ndarray) else a for a in arrays]
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray):
+    """Per column, whether a and b hold the same bits, signed zeros and
+    NaNs included, so that G gives the same bits on both."""
+    if a.ndim == 1:  # bytes compare in far less than a numpy call costs
+        return a.tobytes() == b.tobytes()
+    return (a.view(np.int64) == b.view(np.int64)).all(0)
+
+
+def _newton_solve(A: LevelOperator, m: float, f: np.ndarray, eps,
                   scale: float) -> tuple:
     """Damped Newton for G(v) = eps v + scale A v + beta(v) - f = 0: the
     (v, scale A v, iterations, residual) that meet the target, or a stalled
     v (the stalled iteration counts) within _rounding_floor; else
     SolverError.  A line search ends at the first trial v + theta d that
     rounds back to v: rounding is monotone, so every shorter step does too.
-    """
+    A trial that rounds to the rejected trial before it reuses its G and
+    residual (in a batch, when every column still searching does); only
+    the acceptance threshold has changed.
 
-    def G(v):
+    For f of shape (n, k) the k columns are independent problems, with eps
+    a scalar or one value per column.  They run in lockstep on one
+    iteration count and one theta ladder: a column leaves the line search
+    when it accepts or stalls, and leaves the loop when it meets its
+    target or its rounding floor.  Each column computes exactly what it
+    would alone.  Iterations are summed and residuals maximised over the
+    columns; a column that refuses raises SolverError, which names it.
+    """
+    batch = f.ndim == 2
+    shape = f.shape
+    # one column's masks are numpy bools: branch on them directly
+    allof, anyof = (np.ndarray.all, np.ndarray.any) if batch else (bool, bool)
+
+    def G(v, f, eps):
         sav = scale * A.apply(v)
-        return (eps * v + sav if eps else sav) + beta(v, m) - f, sav
+        if isinstance(eps, np.ndarray):  # 0 v + sav can flip a zero's sign
+            lin = np.where(eps != 0, eps * v + sav, sav)
+        else:
+            lin = eps * v + sav if eps else sav
+        return lin + beta(v, m) - f, sav
+
+    def refusal(message, residual, column):
+        return SolverError(message, residual=float(residual),
+                           column=None if column is None else int(column))
+
+    def line_search(d):
+        """theta = 1, 1/2, ... for all live columns at once.  Each column's
+        first accepted trial is committed to v, g, sav and res; returns
+        the mask of the columns that stalled."""
+        nonlocal v, g, sav, res
+        theta = 1.0
+        cols = np.arange(len(live)) if batch else None  # still searching
+        vs, ds, fs, es, rs, ts = v, d, f, eps, res, target
+        trial = v + d
+        prev = None  # the rejected trial before, with its G, s A v, residual
+        stalled = np.zeros(len(live), bool) if batch else False
+        while True:
+            if theta < _MIN_DAMPING:
+                moved = np.zeros_like(rs, bool)
+            else:
+                moved = (trial != vs).any(0)
+            if not allof(moved):
+                if not batch:
+                    return True
+                stalled[cols[~moved]] = True
+                if not moved.any():
+                    return stalled
+                cols, vs, ds, fs, es, rs, ts, trial = _cols(
+                    moved, cols, vs, ds, fs, es, rs, ts, trial)
+                if prev is not None:
+                    prev = _cols(moved, *prev)
+            if prev is not None and allof(_same_bits(trial, prev[0])):
+                _, gn, sn, rn = prev
+            else:
+                gn, sn = G(trial, fs, es)
+                rn = np.abs(gn).max(0)
+            accept = (rn <= (1 - 0.25 * theta) * rs) | (rn <= ts)
+            if not batch:
+                if accept:
+                    v, g, sav, res = trial, gn, sn, rn
+                    return False
+            elif accept.any():
+                if len(cols) == len(live) and accept.all():
+                    v, g, sav, res = trial, gn, sn, rn
+                    return stalled
+                idx = cols[accept]
+                v[:, idx], g[:, idx] = trial[:, accept], gn[:, accept]
+                sav[:, idx], res[idx] = sn[:, accept], rn[accept]
+                if accept.all():
+                    return stalled
+                cols, vs, ds, fs, es, rs, ts, trial, gn, sn, rn = _cols(
+                    ~accept, cols, vs, ds, fs, es, rs, ts, trial, gn, sn, rn)
+            prev = (trial, gn, sn, rn)
+            theta *= 0.5
+            trial = vs + theta * ds
 
     with np.errstate(divide="ignore"):  # beta' is +inf at v = 0 for m > 1
         v = A.solve(eps + 1.0, f, scale)  # beta'(v) ~ 1 linearization
-        target = _NEWTON_TOL * max(1.0, float(np.abs(f).max()))
-        g, sav = G(v)
-        res = float(np.abs(g).max())
+        target = _NEWTON_TOL * np.fmax(1.0, np.abs(f).max(0))
+        g, sav = G(v, f, eps)
+        res = np.abs(g).max(0)
+        live = np.arange(shape[1]) if batch else None  # columns iterating
+        done = []  # (columns, v, s A v, iterations, residuals) as they leave
         its = 0
-        while res > target:
+        while True:
+            going = res > target
+            if not allof(going):
+                if not batch:
+                    done.append((live, v, sav, its, res))
+                    break
+                done.append((*_cols(~going, live, v, sav), its, res[~going]))
+                if not going.any():
+                    break
+                live, v, g, sav, res, f, eps, target = _cols(
+                    going, live, v, g, sav, res, f, eps, target)
             if its == _MAX_ITERS:
                 stall = f"Newton did not converge in {_MAX_ITERS} iterations"
-                break
-            its += 1
-            bp = np.fmin(_beta_prime(v, m), _BP_CLIP)
-            try:
-                d = A.solve(eps + bp, -g, scale)
-            except SolverError as exc:
-                raise SolverError(f"singular Newton system: {exc}",
-                                  residual=res)
-            theta = 1.0
-            v_new = v + d
-            while theta >= _MIN_DAMPING and not np.array_equal(v_new, v):
-                g_new, sav_new = G(v_new)
-                res_new = float(np.abs(g_new).max())
-                if res_new <= (1 - 0.25 * theta) * res or res_new <= target:
-                    break
-                theta *= 0.5
-                v_new = v + theta * d
+                stalled = np.ones(len(live), bool) if batch else True
             else:
+                its += 1
+                bp = np.fmin(_beta_prime(v, m), _BP_CLIP)
+                try:
+                    d = A.solve(eps + bp, -g, scale)
+                except SolverError as exc:
+                    j = exc.column
+                    at = (res[j], live[j]) if batch else (res, None)
+                    raise refusal(f"singular Newton system: {exc.reason}", *at)
+                stalled = line_search(d)
+                if not anyof(stalled):
+                    continue
                 stall = "Newton line search stalled"
+            # a stalled column leaves at its rounding floor, or refuses
+            if batch:
+                out = _cols(stalled, live, v, sav, res, f, eps)
+            else:
+                out = live, v, sav, res, f, eps
+            cols, vs, ss, rs, fs, es = out
+            floor = _rounding_floor(A, m, fs, es, scale, vs)
+            over = rs > floor
+            if anyof(over):
+                col = None
+                if batch:
+                    j = int(np.flatnonzero(over)[0])
+                    floor, rs, col = floor[j], rs[j], cols[j]
+                raise refusal(f"{stall} above the rounding floor {floor:.3e}",
+                              rs, col)
+            done.append((cols, vs, ss, its, rs))
+            if allof(stalled):
                 break
-            v, g, sav, res = v_new, g_new, sav_new, res_new
-        else:
-            return v, sav, its, res
-    floor = _rounding_floor(A, m, f, eps, scale, v)
-    if res <= floor:
-        return v, sav, its, res
-    raise SolverError(f"{stall} above the rounding floor {floor:.3e}",
-                      residual=res)
+            live, v, g, sav, res, f, eps, target = _cols(
+                ~stalled, live, v, g, sav, res, f, eps, target)
+
+    if not batch:
+        _, v, sav, its, res = done[0]
+        return v, sav, its, float(res)
+    v, sav = np.empty(shape), np.empty(shape)
+    its = 0
+    for cols, vc, sc, n_its, rc in done:
+        v[:, cols], sav[:, cols] = vc, sc
+        its += n_its * len(cols)
+    return v, sav, its, max(float(rc.max()) for *_, rc in done)
 
 
-def stationary_solve(problem: PMEProblem, f: np.ndarray, epsilon: float,
+def stationary_solve(problem: PMEProblem, f: np.ndarray, epsilon,
                      operator_scale: float = 1.0) -> StationaryResult:
     """Solve eps v + s A v + beta(v) = f; w = f - eps v - s A v.
 
     One damped Newton run from the cold linearization to max|G(v)| <=
     1e-12 max(1, max|f|), or to its rounding floor if it stalls first;
     else SolverError propagates with the last residual.
-    """
-    f = np.asarray(f, dtype=np.float64)
-    n = problem.grid.dim
-    if f.shape != (n,):
-        raise DomainError(f"forcing term must have shape ({n},)")
 
-    v, av, its, res = _newton_solve(problem.levels, problem.m, f, epsilon,
+    f of shape (n, k) poses k independent problems, one per column, and
+    epsilon is then a scalar or a (k,) array.  The columns run in lockstep
+    (one iteration count, one damping ladder), and v, w and w_free of each
+    column are bit-identical to solving that column alone.  iterations is
+    the total over the columns and residual the largest; a column that
+    refuses makes the whole call raise SolverError, which names it.
+    """
+    f = np.ascontiguousarray(f, dtype=np.float64)
+    n = problem.grid.dim
+    if f.shape[:1] != (n,) or f.ndim > 2 or not f.size:
+        raise DomainError(f"forcing term must have shape ({n},) or ({n}, k)"
+                          f", got {f.shape}")
+    eps = epsilon
+    if np.ndim(epsilon):
+        eps = np.asarray(epsilon, dtype=np.float64)
+        if eps.shape != f.shape[1:]:
+            raise DomainError(f"epsilon must be a scalar or one value per "
+                              f"column, got shape {eps.shape} for {f.shape}")
+
+    v, av, its, res = _newton_solve(problem.levels, problem.m, f, eps,
                                     operator_scale)
-    return StationaryResult(v=v, w=f - epsilon * v - av, w_free=f - av,
+    return StationaryResult(v=v, w=f - eps * v - av, w_free=f - av,
                             iterations=its, residual=res)
 
 
 def implicit_step(problem: PMEProblem, u: np.ndarray) -> tuple:
-    """One backward Euler step: returns (u_next, StationaryResult)."""
+    """One backward Euler step: returns (u_next, StationaryResult).  u of
+    shape (n, k) steps k independent data at once, as stationary_solve
+    solves columns."""
     result = stationary_solve(problem, u, epsilon=0.0,
                               operator_scale=problem.tau)
     return result.w, result

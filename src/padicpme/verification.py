@@ -5,6 +5,17 @@ Each check compares an implementation path against an independent oracle
 structural inequality with a proven constant) and returns a CheckResult.
 The CLI `verify` command and the acceptance tests are thin drivers over
 run_suite / run_all.
+
+Checks whose problems are independent and share one grid solve them as
+the columns of one batch (see fractional.LevelOperator and
+pme.stationary_solve): stationary_inequalities, stationary_contraction,
+step_contraction_order, linear_reduction and epsilon_limit in one Newton
+call each, and the level applies and solves of spectral_vs_matrix,
+resolvent_inversion and resolvent_positivity.  A column is bit-identical
+to its solo solve, and each per-problem norm is taken over a contiguous
+copy of its column (_rows), so every reported number is the one a loop of
+solo solves gives.  evolve_invariants and refinement_order step in
+sequence and stay one solve per step.
 """
 
 from __future__ import annotations
@@ -43,6 +54,13 @@ class CheckResult:
 
 def _check(name: str, passed, detail: str) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """The columns of a as contiguous rows.  numpy sums a contiguous run
+    pairwise but a strided axis one row after another, so a norm of a
+    column is taken as a row of this copy to round as it does alone."""
+    return np.ascontiguousarray(a.T)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +266,10 @@ def check_spectral_vs_matrix() -> CheckResult:
     for (p, a, N, M) in ((2, 2.0, 1, 2), (3, 1.5, 0, 2)):
         op = OperatorParams(p, a, GridSpec(p, N, M))
         levels, B = ball_levels(op), ball_matrix(op).matrix
-        for _ in range(10):
-            u = (rng.standard_normal(op.grid.dim)
-                 + 1j * rng.standard_normal(op.grid.dim))
-            worst = max(worst, float(np.max(np.abs(levels @ u - B @ u))))
+        us = [rng.standard_normal(op.grid.dim)
+              + 1j * rng.standard_normal(op.grid.dim) for _ in range(10)]
+        for lu, u in zip(_rows(levels @ np.column_stack(us)), us):
+            worst = max(worst, float(np.max(np.abs(lu - B @ u))))
     return _check("spectral_vs_matrix", worst <= 1e-9,
                   f"max |level path - dense path| = {worst:.3e} (tol 1e-9)")
 
@@ -448,9 +466,8 @@ def check_resolvent_inversion() -> CheckResult:
     levels, B = ball_levels(op), ball_matrix(op).matrix
     worst = 0.0
     for mu in (0.5, 2.0):
-        for _ in range(10):
-            u = rng.standard_normal(op.grid.dim)
-            r = levels.solve(mu, u, 1.0)
+        us = [rng.standard_normal(op.grid.dim) for _ in range(10)]
+        for r, u in zip(_rows(levels.solve(mu, np.column_stack(us), 1.0)), us):
             back = mu * r + B @ r
             scale = max(1.0, float(np.max(np.abs(u))))
             worst = max(worst, float(np.max(np.abs(back - u))) / scale)
@@ -492,13 +509,13 @@ def check_resolvent_positivity() -> CheckResult:
     min_val = math.inf
     worst_gain = -math.inf
     for mu in (0.3, 1.0, 4.0):
-        for _ in range(20):
-            uv = rng.uniform(0.0, 1.0, op.grid.dim)
-            r = heat.resolvent_apply(op, mu, uv)
-            min_val = min(min_val, float(r.min()))
-            worst_gain = max(worst_gain,
-                             mu * float(np.sum(np.abs(r))) * meas
-                             - float(np.sum(uv)) * meas)
+        uv = np.column_stack([rng.uniform(0.0, 1.0, op.grid.dim)
+                              for _ in range(20)])
+        r = heat.resolvent_apply(op, mu, uv)
+        min_val = min(min_val, float(r.min()))
+        gains = (mu * np.sum(np.abs(_rows(r)), 1) * meas
+                 - np.sum(_rows(uv), 1) * meas)
+        worst_gain = max(worst_gain, float(gains.max()))
     ok = min_val >= -1e-14 and worst_gain <= 1e-12
     return _check("resolvent_positivity", ok,
                   f"min value {min_val:.2e}, "
@@ -518,16 +535,14 @@ def check_stationary_inequalities() -> CheckResult:
     rng = np.random.default_rng(404)
     prob = _solver_problem()
     meas = float(prob.grid.coset_measure)
-    worst_l1 = -math.inf
-    worst_sup = -math.inf
-    for i in range(100):
-        f = rng.uniform(-1.0, 1.0, prob.grid.dim) * (1.0 + i % 3)
-        eps = (0.0, 0.01, 0.3)[i % 3]
-        res = pme.stationary_solve(prob, f, epsilon=eps)
-        worst_l1 = max(worst_l1,
-                       float(np.sum(np.abs(res.w_free)) - np.sum(np.abs(f))) * meas)
-        worst_sup = max(worst_sup,
-                        float(np.max(np.abs(res.w)) - np.max(np.abs(f))))
+    f = np.column_stack([rng.uniform(-1.0, 1.0, prob.grid.dim) * (1.0 + i % 3)
+                         for i in range(100)])
+    eps = np.array([(0.0, 0.01, 0.3)[i % 3] for i in range(100)])
+    res = pme.stationary_solve(prob, f, epsilon=eps)
+    f, w, w_free = _rows(f), _rows(res.w), _rows(res.w_free)
+    l1 = np.sum(np.abs(w_free), 1) - np.sum(np.abs(f), 1)
+    worst_l1 = float(np.max(l1 * meas))
+    worst_sup = float(np.max(np.max(np.abs(w), 1) - np.max(np.abs(f), 1)))
     ok = worst_l1 <= 1e-12 and worst_sup <= 1e-12
     return _check("stationary_inequalities", ok,
                   f"max L1 excess = {worst_l1:.3e}, max sup excess = {worst_sup:.3e} "
@@ -538,15 +553,16 @@ def check_stationary_contraction() -> CheckResult:
     rng = np.random.default_rng(405)
     prob = _solver_problem()
     meas = float(prob.grid.coset_measure)
-    worst = -math.inf
-    for i in range(50):
-        f = rng.uniform(-1.0, 1.0, prob.grid.dim)
-        g = f + rng.uniform(-0.5, 0.5, prob.grid.dim)
-        eps = (0.0, 0.05)[i % 2]
-        rf = pme.stationary_solve(prob, f, epsilon=eps)
-        rg = pme.stationary_solve(prob, g, epsilon=eps)
-        worst = max(worst, float(np.sum(np.abs(rf.w_free - rg.w_free))
-                                 - np.sum(np.abs(f - g))) * meas)
+    fs, gs = [], []
+    for _ in range(50):
+        fs.append(rng.uniform(-1.0, 1.0, prob.grid.dim))
+        gs.append(fs[-1] + rng.uniform(-0.5, 0.5, prob.grid.dim))
+    eps = np.array([(0.0, 0.05)[i % 2] for i in range(50)] * 2)
+    res = pme.stationary_solve(prob, np.column_stack(fs + gs), epsilon=eps)
+    gap = _rows(res.w_free[:, :50] - res.w_free[:, 50:])
+    data_gap = np.array(fs) - np.array(gs)
+    expansion = np.sum(np.abs(gap), 1) - np.sum(np.abs(data_gap), 1)
+    worst = float(np.max(expansion * meas))
     return _check("stationary_contraction", worst <= 1e-12,
                   f"max L1 expansion = {worst:.3e} (tol 1e-12, 50 pairs)")
 
@@ -555,16 +571,16 @@ def check_step_contraction_order() -> CheckResult:
     rng = np.random.default_rng(406)
     prob = _solver_problem()
     meas = float(prob.grid.coset_measure)
-    worst_c = -math.inf
-    worst_o = -math.inf
+    us, vs = [], []
     for _ in range(50):
-        u = rng.uniform(-1.0, 1.0, prob.grid.dim)
-        v = u + np.abs(rng.uniform(0.0, 1.0, prob.grid.dim))
-        un, _ = pme.implicit_step(prob, u)
-        vn, _ = pme.implicit_step(prob, v)
-        worst_c = max(worst_c, float(np.sum(np.abs(un - vn))
-                                     - np.sum(np.abs(u - v))) * meas)
-        worst_o = max(worst_o, float(np.max(un - vn)))  # expect un <= vn
+        us.append(rng.uniform(-1.0, 1.0, prob.grid.dim))
+        vs.append(us[-1] + np.abs(rng.uniform(0.0, 1.0, prob.grid.dim)))
+    nxt, _ = pme.implicit_step(prob, np.column_stack(us + vs))
+    gap = nxt[:, :50] - nxt[:, 50:]
+    expansion = (np.sum(np.abs(_rows(gap)), 1)
+                 - np.sum(np.abs(np.array(us) - np.array(vs)), 1))
+    worst_c = float(np.max(expansion * meas))
+    worst_o = float(np.max(gap))  # expect un <= vn
     ok = worst_c <= 1e-12 and worst_o <= 1e-12
     return _check("step_contraction_order", ok,
                   f"max L1 expansion = {worst_c:.3e}, "
@@ -577,9 +593,9 @@ def check_linear_reduction() -> CheckResult:
     A = ball_matrix(prob.operator).matrix
     eye = np.eye(prob.grid.dim)
     worst = 0.0
-    for _ in range(20):
-        u = rng.uniform(-1.0, 1.0, prob.grid.dim)
-        un, _ = pme.implicit_step(prob, u)
+    us = [rng.uniform(-1.0, 1.0, prob.grid.dim) for _ in range(20)]
+    nxt, _ = pme.implicit_step(prob, np.column_stack(us))
+    for un, u in zip(_rows(nxt), us):
         lin = np.linalg.solve(eye + prob.tau * A, u)
         worst = max(worst, float(np.max(np.abs(un - lin))))
     return _check("linear_reduction", worst <= 1e-10,
@@ -617,15 +633,11 @@ def check_epsilon_limit() -> CheckResult:
     rng = np.random.default_rng(409)
     prob = _solver_problem()
     f = rng.uniform(-1.0, 1.0, prob.grid.dim)
-    v_prev = None
-    gaps = []
-    for j in range(0, 31, 5):
-        res = pme.stationary_solve(prob, f, epsilon=2.0 ** (-j))
-        if v_prev is not None:
-            gaps.append(float(np.max(np.abs(res.v - v_prev))))
-        v_prev = res.v
-    limit = pme.stationary_solve(prob, f, epsilon=0.0)
-    final_gap = float(np.max(np.abs(limit.v - v_prev)))
+    eps = [2.0 ** (-j) for j in range(0, 31, 5)] + [0.0]  # the limit last
+    v = _rows(pme.stationary_solve(prob, np.repeat(f[:, None], len(eps), 1),
+                                   epsilon=np.array(eps)).v)
+    gaps = [float(np.max(np.abs(b - a))) for a, b in zip(v[:-2], v[1:-1])]
+    final_gap = float(np.max(np.abs(v[-1] - v[-2])))
     decreasing = all(gaps[i + 1] <= gaps[i] + 1e-12 for i in range(len(gaps) - 1))
     ok = final_gap <= 1e-7 and decreasing
     return _check("epsilon_limit", ok,

@@ -275,6 +275,68 @@ def test_level_solve_rejects_bad_pivots():
             LevelOperator(levels.grid, levels.c, tuple(h)).solve(1.0, b, 1.0)
 
 
+# (p, N, M): p = 11 and 13 sum their top fold as one run of more than 8
+COLUMN_GRIDS = ((2, 1, 2), (3, 2, 1), (5, 1, 1), (11, 0, 1), (13, 1, 1))
+
+
+@pytest.mark.parametrize("p, N, M", COLUMN_GRIDS)
+def test_level_columns_are_bit_identical_to_single_vectors(p, N, M):
+    """apply on (dim, k) data, and solve with a scalar, a (k,) or a
+    (dim, k) diagonal, treat each column as its own vector, bit for bit."""
+    levels = ball_levels(OperatorParams(p, 1.5, GridSpec(p, N, M)))
+    n, k = levels.grid.dim, 4
+    rng = np.random.default_rng(p + N)
+    x = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-6, 7, (n, k))
+    z = x + 1j * rng.standard_normal((n, k))
+    per_column = rng.uniform(0.0, 2.0, k)
+    per_cell = rng.uniform(0.0, 2.0, (n, k))
+    cases = (
+        (levels.apply(x), lambda j: levels.apply(x[:, j].copy())),
+        (levels.apply(z), lambda j: levels.apply(z[:, j].copy())),
+        (levels.solve(0.3, x, 0.7),
+         lambda j: levels.solve(0.3, x[:, j].copy(), 0.7)),
+        (levels.solve(per_column, x, 0.7),
+         lambda j: levels.solve(per_column[j], x[:, j].copy(), 0.7)),
+        (levels.solve(per_cell, x, 0.7),
+         lambda j: levels.solve(per_cell[:, j].copy(), x[:, j].copy(), 0.7)),
+    )
+    for batch, alone in cases:
+        assert batch.shape == x.shape
+        for j in range(k):
+            assert batch[:, j].tobytes() == alone(j).tobytes()
+
+
+def test_level_operator_refuses_a_wrong_leading_dimension():
+    levels = ball_levels(OperatorParams(2, 1.5, GridSpec(2, 1, 2)))
+    for shape in ((9,), (9, 2), (2, 8), (8, 2, 2), (8, 0), ()):
+        x = np.ones(shape)
+        with pytest.raises(DomainError):
+            levels.apply(x)
+        with pytest.raises(DomainError):
+            levels.solve(1.0, x, 1.0)
+
+
+def test_level_solve_names_the_column_of_a_bad_pivot():
+    """A batch fails as a whole; the error names the first column with a
+    bad leaf or class pivot, and one vector's message stays as it was."""
+    levels = ball_levels(OperatorParams(3, 1.5, GridSpec(3, 1, 2)))
+    b = np.ones((27, 4))
+    leaf = np.array([1.0, 1.0, -2.0 * levels.c, 1.0])
+    two_nan = np.ones((27, 4))
+    two_nan[0, 3] = two_nan[5, 1] = np.nan
+    classes = np.array([1.0, -0.9 * levels.c, 1.0, -0.9 * levels.c])
+    for d, column in ((leaf, 2), (two_nan, 1), (classes, 1)):
+        with pytest.raises(SolverError) as exc:
+            levels.solve(d, b, 1.0)
+        assert exc.value.column == column
+        assert str(exc.value) == f"column {column}: {exc.value.reason}"
+    with pytest.raises(SolverError) as exc:
+        levels.solve(-2.0 * levels.c, np.ones(27), 1.0)
+    assert exc.value.column is None
+    assert str(exc.value) == ("level solve hit a non-positive or non-finite "
+                              "pivot")
+
+
 def test_restrict_to_ball():
     p = 2
     psi = TestFunction.indicator(Ball(p, 0, 2))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from padicpme.errors import DomainError
 from padicpme.fractional import OperatorParams, ball_matrix
-from padicpme.functions import GridFunction, TestFunction
 from padicpme.heat import (KernelParams, ball_c_coefficient,
                            ball_integral_of_Z, ball_kernel_ZN,
                            ball_semigroup_expm, ball_semigroup_matrix,
@@ -21,7 +20,6 @@ from padicpme.heat import (KernelParams, ball_c_coefficient,
                            semigroup_matrix, semigroup_on_indicator,
                            smoothness_modulus)
 from padicpme.padic import Ball, GridSpec, int_valuation
-from padicpme.pme import PMEProblem
 
 
 def test_params_domain():
@@ -110,19 +108,23 @@ def test_ball_integral_monotone_to_one():
 
 
 def test_semigroup_expansion_mass_accounting():
-    """Truncated expansion mass + deficit telescopes to the exact p^l."""
-    p, l = 2, 1
-    params = KernelParams(p, 2.0, 0.7)
+    """Truncated expansion mass + deficit telescopes to the exact p^l, and
+    the deficit is p^l (1 - e^{-x}), x = t p^{-k_max alpha}, to 1e-12
+    relative against 40-digit arithmetic (abs=0: pytest.approx's default
+    abs=1e-12 would swamp a deficit of ~3e-10)."""
+    p, l, a, t = 2, 1, 2.0, 0.7
+    params = KernelParams(p, a, t)
     ball = Ball(p, 0, l)
     for k_max in (l + 2, l + 6, l + 15):
         exp = semigroup_on_indicator(params, ball, k_max=k_max)
         assert exp.k_max == k_max
         mass = exp.function.integral().real
         assert mass + exp.mass_deficit == pytest.approx(float(p) ** l,
-                                                        rel=1e-13)
-        assert exp.mass_deficit == pytest.approx(
-            float(p) ** l * (1 - math.exp(-0.7 * float(p) ** (-k_max * 2.0))),
-            rel=1e-12)
+                                                        rel=1e-13, abs=0)
+        with mpmath.workdps(40):
+            x = mpmath.mpf(t) * mpmath.mpf(p) ** (-k_max * mpmath.mpf(a))
+            deficit = float(mpmath.mpf(p) ** l * -mpmath.expm1(-x))
+        assert exp.mass_deficit == pytest.approx(deficit, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("p, a, t, l", [(2, 2.0, 0.7, 0), (2, 2.0, 1e-3, 2)])
@@ -536,11 +538,18 @@ def test_resolvent_apply_matches_fold_tile_reference(p, N, M, mu):
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_resolvent_apply_takes_data_on_an_equal_grid():
-    """Data on GridSpec(p, N, M) fit an operator on the PMEProblem's grid
-    of the same (p, N, M)."""
-    prob = PMEProblem(3, 1.5, 1, 2, 2.0, 0.1, 0.1)
-    u = GridFunction(GridSpec(3, 1, 2), np.linspace(-1.0, 2.0, 27))
-    got = resolvent_apply(prob.operator, 0.7, u.values)
-    ref = _resolvent_fold_tile(prob.operator, 0.7, u.values)
-    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+@pytest.mark.parametrize("p, N, M", [(2, 1, 3), (3, 1, 2), (5, 0, 2),
+                                     (11, 1, 1)])
+def test_resolvent_apply_columns_match_single_calls(p, N, M):
+    """(dim, k) data are k independent columns: each column of the result
+    equals resolvent_apply on that column alone, bit for bit, for real and
+    complex data (p = 11 folds its top level pairwise)."""
+    op = OperatorParams(p, 1.5, GridSpec(p, N, M))
+    rng = np.random.default_rng(p + N)
+    real = rng.standard_normal((op.grid.dim, 4))
+    for u in (real, real + 1j * rng.standard_normal(real.shape)):
+        got = resolvent_apply(op, 0.7, u)
+        assert got.shape == u.shape
+        for j in range(u.shape[1]):
+            alone = resolvent_apply(op, 0.7, u[:, j].copy())
+            assert got[:, j].tobytes() == alone.tobytes()

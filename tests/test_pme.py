@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -433,3 +434,166 @@ def test_implicit_step_refuses_or_keeps_invariants(grid, alpha, m, tau, scale,
     if len(steps) == 2:
         un, wn = steps
         assert np.sum(np.abs(un - wn)) <= np.sum(np.abs(u - w)) + 2 * slack
+
+
+def _sha(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(grid=st.sampled_from(((2, 1, 2), (2, 2, 2), (3, 1, 2), (5, 1, 1))),
+       alpha=st.sampled_from((0.5, 2.0)),
+       m=st.sampled_from((1.0, 1.5, 2.0, 3.0)),
+       tau=st.sampled_from((1e-3, 0.1, 10.0)),
+       columns=st.lists(st.tuples(st.sampled_from(_KINDS),
+                                  st.sampled_from((1e-3, 1.0, 1e3)),
+                                  st.sampled_from((0.0, 0.01, 0.3, 2.0))),
+                        min_size=1, max_size=6),
+       seed=st.integers(0, 2**16))
+def test_columns_solve_exactly_as_they_do_alone(grid, alpha, m, tau, columns,
+                                                seed):
+    """k problems as the columns of one call, each with its own data (gapped
+    and point data hold zeros) and epsilon: every column's v, w and w_free
+    have the sha256 of its solo solve, iterations is the solo total and
+    residual the solo maximum, for stationary_solve and implicit_step; a
+    refusing column refuses the batch with its own reason and residual.
+    apply and solve of the level operator keep columns apart the same way."""
+    p, N, M = grid
+    prob = PMEProblem(p=p, alpha=alpha, N=N, M=M, m=m, tau=tau, t_end=tau)
+    rng = np.random.default_rng(seed)
+    f = np.column_stack([scale * _step_data(rng, kind, prob.grid.dim)
+                         for kind, scale, _ in columns])
+    eps = np.array([e for *_, e in columns])
+    for batch_call, solo_call in (
+            (lambda: stationary_solve(prob, f, eps, tau),
+             lambda j: stationary_solve(prob, f[:, j].copy(), eps[j], tau)),
+            (lambda: implicit_step(prob, f)[1],
+             lambda j: implicit_step(prob, f[:, j].copy())[1])):
+        solo = []
+        for j in range(len(columns)):
+            try:
+                solo.append(solo_call(j))
+            except SolverError as exc:
+                solo.append(exc)
+        refused = [j for j, r in enumerate(solo) if isinstance(r, SolverError)]
+        if refused:
+            with pytest.raises(SolverError) as exc:
+                batch_call()
+            assert exc.value.column in refused
+            alone = solo[exc.value.column]
+            assert exc.value.reason == str(alone)
+            assert exc.value.residual == alone.residual
+            continue
+        got = batch_call()
+        for j, r in enumerate(solo):
+            column = (got.v[:, j], got.w[:, j], got.w_free[:, j])
+            assert ([_sha(a) for a in column]
+                    == [_sha(r.v), _sha(r.w), _sha(r.w_free)])
+        assert got.iterations == sum(r.iterations for r in solo)
+        assert got.residual == max(r.residual for r in solo)
+        assert type(got.iterations) is int and type(got.residual) is float
+    A = prob.levels
+    for batch, alone in ((A.apply(f), lambda j: A.apply(f[:, j].copy())),
+                         (A.solve(eps, f, tau),
+                          lambda j: A.solve(eps[j], f[:, j].copy(), tau))):
+        for j in range(len(columns)):
+            assert _sha(batch[:, j]) == _sha(alone(j))
+
+
+@pytest.mark.parametrize("p, N, M, m", [(3, 3, 4, 2.0), (5, 2, 3, 3.0),
+                                        (2, 6, 6, 3.0)])
+def test_stalled_columns_leave_at_their_floor_as_they_do_alone(p, N, M, m):
+    """Radial powers |x|^e on dims 2187 to 4096, whose steps stall and are
+    accepted at the rounding floor (3 of the 12 solo steps at p = 3, all
+    of them on the other grids) after different iteration counts and at
+    different theta: stepped as one batch of columns, each column keeps the
+    sha256 of its solo step over three steps."""
+    prob = _problem(p=p, N=N, M=M, m=m, alpha=2.0, tau=0.1, t_end=0.3)
+    u = np.column_stack([
+        scale * build_initial(prob.grid, {"kind": "radial_power",
+                                          "exponent": e})
+        for e, scale in ((1.0, 1.0), (2.0, 1.0), (2.0, 0.1), (0.5, 3.0))])
+    stalled = 0
+    for _ in range(3):
+        u_next, res = implicit_step(prob, u)
+        for j in range(u.shape[1]):
+            alone_next, alone = implicit_step(prob, u[:, j].copy())
+            assert ([_sha(res.v[:, j]), _sha(u_next[:, j])]
+                    == [_sha(alone.v), _sha(alone_next)])
+            stalled += alone.residual > _NEWTON_TOL * np.max(np.abs(u[:, j]))
+        u = u_next
+    assert stalled >= 3
+
+
+def test_a_refusing_column_refuses_the_batch_and_is_named():
+    """pme-hard's m = 8 point datum of size 1e-6 on (3, 1, 2) refuses (80
+    iterations, far above the rounding floor); put between two columns
+    that converge, it refuses the batch with its solo reason and
+    residual, and the message names column 1."""
+    prob = PMEProblem(p=3, alpha=0.5, N=1, M=2, m=8.0, tau=1e3, t_end=1e3)
+    point = np.zeros(prob.grid.dim)
+    point[4] = 1e-6
+    with pytest.raises(SolverError) as solo:
+        implicit_step(prob, point)
+    assert solo.value.column is None
+    u = np.random.default_rng(0).uniform(0.1, 1.0, prob.grid.dim)
+    with pytest.raises(SolverError) as exc:
+        implicit_step(prob, np.column_stack([u, point, np.zeros_like(u)]))
+    assert exc.value.column == 1
+    assert str(exc.value) == f"column 1: {solo.value}"
+    assert exc.value.residual == solo.value.residual
+
+
+def test_a_singular_newton_system_names_its_column_after_others_left():
+    """Lowering c by 0.9 / tau keeps the first solve (d = 1) positive, but
+    a Newton system with beta'(v) < 0.9 is not.  The zero column meets its
+    target before the first iteration and leaves; the large column then
+    fails as the second live column, and the error names its column, 2."""
+    prob = PMEProblem(p=2, alpha=2.0, N=1, M=2, m=2.0, tau=1.0, t_end=1.0)
+    A = prob.levels
+    prob.levels = LevelOperator(prob.grid, A.c - 0.9, A.h)
+    f = np.zeros((prob.grid.dim, 3))
+    f[:, 1], f[:, 2] = 0.01, 9.0
+    with pytest.raises(SolverError) as solo:
+        stationary_solve(prob, f[:, 2].copy(), 0.0)
+    assert str(solo.value).startswith("singular Newton system: ")
+    with pytest.raises(SolverError) as exc:
+        stationary_solve(prob, f, 0.0)
+    assert exc.value.column == 2
+    assert str(exc.value) == f"column 2: {solo.value}"
+    assert exc.value.residual == solo.value.residual
+
+
+def test_column_input_refuses_a_wrong_shape():
+    prob = _problem()
+    n = prob.grid.dim
+    for shape in ((n + 1,), (n + 1, 2), (2, n), (n, 2, 1), (n, 0)):
+        with pytest.raises(DomainError):
+            stationary_solve(prob, np.ones(shape), 0.0)
+        with pytest.raises(DomainError):
+            implicit_step(prob, np.ones(shape))
+    for f, eps in ((np.ones(n), np.zeros(1)), (np.ones((n, 3)), np.zeros(2)),
+                   (np.ones((n, 3)), np.zeros((n, 3)))):
+        with pytest.raises(DomainError):
+            stationary_solve(prob, f, eps)
+
+
+def test_a_repeated_line_search_trial_reuses_its_residual(monkeypatch):
+    """The first m = 3 step from |x| on dim 2^14 halves theta to a trial
+    that rounds to the vector of the rejected trial before it.  That trial
+    reuses the rejected one's G and residual, so A is never applied to the
+    same input twice in a row."""
+    prob = _problem(p=2, alpha=1.5, N=7, M=7, m=3.0, tau=0.1, t_end=0.1)
+    u = build_initial(prob.grid, {"kind": "radial_power", "exponent": 1.0})
+    last, repeats = [None], []
+    apply = LevelOperator.apply
+
+    def recording(self, x):
+        if self is prob.levels:
+            repeats.append(last[0] is not None and np.array_equal(x, last[0]))
+            last[0] = x.copy()
+        return apply(self, x)
+
+    monkeypatch.setattr(LevelOperator, "apply", recording)
+    implicit_step(prob, u)
+    assert len(repeats) > 10 and not any(repeats)
