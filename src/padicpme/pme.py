@@ -7,6 +7,13 @@ a Newton that stalls short of its target is accepted only at its computed
 rounding floor, else the step raises SolverError with its residual.
 A is held in level form (fractional.LevelOperator), so every Newton system
 is solved exactly by the O(n) class-tree solve and no n x n array is built.
+Each line search tries theta = 1 alone, then the rest of its halving
+ladder in blocks that one residual evaluation takes as extra columns of A,
+up to _BLOCK_CELLS = 2^11 cells (n x columns x trials).  On small grids the
+fixed cost of numpy calls, not arithmetic, sets the cost of an evaluation:
+at dim 16 a block of 45 trials costs about two single ones.  From dim 2048
+on a block holds one trial.  A column of a batched apply is bit-identical
+to A applied to it alone, so the width of a block changes no result.
 The update is taken as u_next = u - tau A v, so the discrete mass identity
 holds to machine precision against the computed A v, independently of the
 nonlinear residual.  Against the exact identity
@@ -126,7 +133,9 @@ class StationaryResult:
 _NEWTON_TOL = 1e-12      # residual target, relative to max(1, max|f|)
 _MAX_ITERS = 80
 _BP_CLIP = 1e16
-_MIN_DAMPING = 2.0 ** (-45)
+_LADDER = 46             # damping theta = 2^-j for j < _LADDER
+_THETA = np.ldexp(1.0, -np.arange(_LADDER))
+_BLOCK_CELLS = 2 ** 11   # n x columns x thetas per G call of a line search
 
 
 def _rounding_floor(A: LevelOperator, m: float, f: np.ndarray, eps,
@@ -170,9 +179,16 @@ def _newton_solve(A: LevelOperator, m: float, f: np.ndarray, eps,
     """Damped Newton for G(v) = eps v + scale A v + beta(v) - f = 0: the
     (v, scale A v, iterations, residual) that meet the target, or a stalled
     v (the stalled iteration counts) within _rounding_floor; else
-    SolverError.  A line search ends at the first trial v + theta d that
-    rounds back to v: rounding is monotone, so every shorter step does too.
-    A trial that rounds to the rejected trial before it reuses its G and
+    SolverError.
+
+    The line search tries theta = 2^-j for j < _LADDER: theta = 1 alone,
+    as most searches accept it, then blocks of as many thetas as fit in
+    _BLOCK_CELLS cells with the columns still searching, each block one G
+    call.  In each column the first trial that is accepted or that rounds
+    back to v decides, as in a search theta by theta: rounding is
+    monotone, so every shorter step rounds back too, and the trials after
+    it are discarded.  Past the ladder the column stalls.  A block of one
+    trial that rounds to the rejected trial before it reuses its G and
     residual (in a batch, when every column still searching does); only
     the acceptance threshold has changed.
 
@@ -190,7 +206,11 @@ def _newton_solve(A: LevelOperator, m: float, f: np.ndarray, eps,
     allof, anyof = (np.ndarray.all, np.ndarray.any) if batch else (bool, bool)
 
     def G(v, f, eps):
-        sav = scale * A.apply(v)
+        """G(v) and s A v for trials v of shape (n, b) or (n, b, k), with f
+        and eps broadcast to them: A takes the b trials as extra columns,
+        and a single trial as the vector or batch it is."""
+        flat = v[:, 0] if v.shape[1] == 1 else v.reshape(len(v), -1)
+        sav = scale * A.apply(flat).reshape(v.shape)
         if isinstance(eps, np.ndarray):  # 0 v + sav can flip a zero's sign
             lin = np.where(eps != 0, eps * v + sav, sav)
         else:
@@ -202,60 +222,89 @@ def _newton_solve(A: LevelOperator, m: float, f: np.ndarray, eps,
                            column=None if column is None else int(column))
 
     def line_search(d):
-        """theta = 1, 1/2, ... for all live columns at once.  Each column's
-        first accepted trial is committed to v, g, sav and res; returns
-        the mask of the columns that stalled."""
+        """theta = 2^-j for all live columns at once, in blocks of trials
+        on axis 1: theta = 1 alone, then as many as _BLOCK_CELLS allows.
+        Each column's first accepted trial is committed to v, g, sav and
+        res; returns the mask of the columns that stalled."""
         nonlocal v, g, sav, res
-        theta = 1.0
         cols = np.arange(len(live)) if batch else None  # still searching
         vs, ds, fs, es, rs, ts = v, d, f, eps, res, target
-        trial = v + d
-        prev = None  # the rejected trial before, with its G, s A v, residual
         stalled = np.zeros(len(live), bool) if batch else False
+        j, width = 0, 1
+        prev = None  # the last rejected trial, with its G, s A v, residual
+
+        def accepted(rn, theta):  # sufficient decrease, or the target
+            return (rn <= (1 - 0.25 * theta) * rs) | (rn <= ts)
+
         while True:
-            if theta < _MIN_DAMPING:
-                moved = np.zeros_like(rs, bool)
-            else:
-                moved = (trial != vs).any(0)
-            if not allof(moved):
+            if j == _LADDER:
                 if not batch:
                     return True
-                stalled[cols[~moved]] = True
-                if not moved.any():
+                stalled[cols] = True
+                return stalled
+            theta = _THETA[j:j + width]
+            if batch:
+                theta = theta[:, None]
+            if j:
+                trial = vs[:, None] + theta * ds[:, None]
+            else:  # v + 1 d, without the cost of broadcasting
+                trial = (vs + ds)[:, None]
+            moved = (trial != vs[:, None]).any(0)
+            if not allof(moved[0]):
+                if not batch:
+                    return True
+                keep = moved[0]
+                stalled[cols[~keep]] = True
+                if not keep.any():
                     return stalled
-                cols, vs, ds, fs, es, rs, ts, trial = _cols(
-                    moved, cols, vs, ds, fs, es, rs, ts, trial)
+                cols, vs, ds, fs, es, rs, ts, trial, moved = _cols(
+                    keep, cols, vs, ds, fs, es, rs, ts, trial, moved)
                 if prev is not None:
-                    prev = _cols(moved, *prev)
-            if prev is not None and allof(_same_bits(trial, prev[0])):
-                _, gn, sn, rn = prev
+                    prev = _cols(keep, *prev)
+            if (len(theta) == 1 and prev is not None
+                    and allof(_same_bits(trial[:, 0], prev[0][:, 0]))):
+                gn, sn, rn = prev[1:]
             else:
-                gn, sn = G(trial, fs, es)
+                gn, sn = G(trial, fs[:, None], es)
                 rn = np.abs(gn).max(0)
-            accept = (rn <= (1 - 0.25 * theta) * rs) | (rn <= ts)
+            # most searches end at the first trial, in every column
+            first = accepted(rn[0], theta[0])
+            if allof(first) and (not batch or len(cols) == len(live)):
+                v, g, sav, res = trial[:, 0], gn[:, 0], sn[:, 0], rn[0]
+                return stalled
+            # a column's first trial that is accepted or unmoved decides it
+            stop = accepted(rn, theta)
+            if len(theta) > 1:  # the first trial has moved in every column
+                stop |= ~moved
+            k = stop.argmax(0)
             if not batch:
-                if accept:
-                    v, g, sav, res = trial, gn, sn, rn
+                if stop[k]:
+                    if not moved[k]:
+                        return True
+                    v, g, sav, res = trial[:, k], gn[:, k], sn[:, k], rn[k]
                     return False
-            elif accept.any():
-                if len(cols) == len(live) and accept.all():
-                    v, g, sav, res = trial, gn, sn, rn
+            else:
+                c = np.arange(len(cols))
+                decided = stop[k, c]
+                took = decided & moved[k, c]
+                stalled[cols[decided & ~took]] = True
+                k, c, idx = k[took], c[took], cols[took]
+                v[:, idx], g[:, idx] = trial[:, k, c], gn[:, k, c]
+                sav[:, idx], res[idx] = sn[:, k, c], rn[k, c]
+                if decided.all():
                     return stalled
-                idx = cols[accept]
-                v[:, idx], g[:, idx] = trial[:, accept], gn[:, accept]
-                sav[:, idx], res[idx] = sn[:, accept], rn[accept]
-                if accept.all():
-                    return stalled
-                cols, vs, ds, fs, es, rs, ts, trial, gn, sn, rn = _cols(
-                    ~accept, cols, vs, ds, fs, es, rs, ts, trial, gn, sn, rn)
-            prev = (trial, gn, sn, rn)
-            theta *= 0.5
-            trial = vs + theta * ds
+            prev = trial[:, -1:], gn[:, -1:], sn[:, -1:], rn[-1:]
+            if batch:
+                cols, vs, ds, fs, es, rs, ts = _cols(
+                    ~decided, cols, vs, ds, fs, es, rs, ts)
+                prev = _cols(~decided, *prev)
+            j += len(theta)
+            width = max(1, _BLOCK_CELLS // vs.size)
 
     with np.errstate(divide="ignore"):  # beta' is +inf at v = 0 for m > 1
         v = A.solve(eps + 1.0, f, scale)  # beta'(v) ~ 1 linearization
         target = _NEWTON_TOL * np.fmax(1.0, np.abs(f).max(0))
-        g, sav = G(v, f, eps)
+        g, sav = (x[:, 0] for x in G(v[:, None], f[:, None], eps))
         res = np.abs(g).max(0)
         live = np.arange(shape[1]) if batch else None  # columns iterating
         done = []  # (columns, v, s A v, iterations, residuals) as they leave

@@ -597,3 +597,113 @@ def test_a_repeated_line_search_trial_reuses_its_residual(monkeypatch):
     monkeypatch.setattr(LevelOperator, "apply", recording)
     implicit_step(prob, u)
     assert len(repeats) > 10 and not any(repeats)
+
+
+def _outcome(call) -> tuple:
+    """The sha256 of v, w and w_free with iterations and residual, or the
+    message, residual and column of the SolverError the call raises."""
+    try:
+        r = call()
+    except SolverError as exc:
+        return str(exc), exc.residual, exc.column
+    return _sha(r.v), _sha(r.w), _sha(r.w_free), r.iterations, r.residual
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(grid=st.sampled_from(((2, 2, 2), (2, 1, 3), (3, 1, 2), (3, 2, 1),
+                             (5, 1, 1))),
+       alpha=st.sampled_from((0.5, 2.0)),
+       m=st.sampled_from((1.0, 1.5, 2.0, 3.0, 4.0, 8.0)),
+       tau=st.sampled_from((1e-3, 0.1, 10.0, 1e3)),
+       columns=st.lists(st.tuples(st.sampled_from(_KINDS),
+                                  st.sampled_from((1e-6, 1.0, 1e6)),
+                                  st.sampled_from((0.0, 0.01, 2.0))),
+                        min_size=1, max_size=4),
+       batch=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_line_search_block_width_cannot_change_a_result(grid, alpha, m, tau,
+                                                        columns, batch, seed):
+    """With one trial per block (_BLOCK_CELLS = 1) the line search is the
+    sequential one, theta after theta.  At the default width it tries the
+    thetas after 1 as the columns of one G call, and a step or a solve,
+    of one vector or a batch with its own epsilon per column, returns
+    the same bits or refuses with the same message, residual and column."""
+    p, N, M = grid
+    prob = PMEProblem(p=p, alpha=alpha, N=N, M=M, m=m, tau=tau, t_end=tau)
+    rng = np.random.default_rng(seed)
+    f = np.column_stack([scale * _step_data(rng, kind, prob.grid.dim)
+                         for kind, scale, _ in columns])
+    eps = np.array([e for *_, e in columns])
+    if not batch:
+        f, eps = f[:, 0].copy(), eps[0]
+    calls = (lambda: stationary_solve(prob, f, eps, tau),
+             lambda: implicit_step(prob, f)[1])
+    wide = [_outcome(call) for call in calls]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pme, "_BLOCK_CELLS", 1)
+        assert [_outcome(call) for call in calls] == wide
+
+
+def test_a_blocked_line_search_calls_G_at_most_twice_per_iteration(
+        monkeypatch):
+    """A (2, 2, 2), m = 8 point datum of size 1e-6, as in pme-hard's
+    refusals: with one G call per trial, its 80 Newton iterations apply A
+    1776 times.  In blocks, theta = 1 is one call and the rest of the
+    ladder fits in one more, so A is applied at most twice per iteration,
+    plus once for the first G and once for the rounding floor.  The
+    refusal and its residual are those of the sequential search."""
+    prob = PMEProblem(p=2, alpha=0.5, N=2, M=2, m=8.0, tau=1e3, t_end=1e3)
+    u = np.zeros(prob.grid.dim)
+    u[0] = 1e-6
+    calls = []
+    apply = LevelOperator.apply
+
+    def counting(self, x):
+        calls.append(1)
+        return apply(self, x)
+
+    monkeypatch.setattr(LevelOperator, "apply", counting)
+    with pytest.raises(SolverError) as exc:
+        implicit_step(prob, u)
+    assert str(exc.value).startswith(
+        f"Newton did not converge in {_MAX_ITERS} iterations above the "
+        f"rounding floor ")
+    assert exc.value.residual == 0.0001474344268152183
+    assert len(calls) <= 2 * _MAX_ITERS + 2
+
+
+@pytest.mark.xfail(strict=True, raises=SolverError, reason=(
+    "ROADMAP item 3b: Newton converges only linearly on small data at "
+    "m = 3 and ends 80 iterations above its absolute target"))
+def test_a_small_point_datum_at_m3_solves():
+    """(2, 2, 2), alpha = 0.5, tau = 0.1: a point datum of size 1e-3 ends
+    in "Newton did not converge in 80 iterations" with residual 6.5e-11
+    against a target of 1e-12, where its rounding floor is 6.2e-18."""
+    prob = PMEProblem(p=2, alpha=0.5, N=2, M=2, m=3.0, tau=0.1, t_end=0.1)
+    u = np.zeros(prob.grid.dim)
+    u[0] = 1e-3
+    _, res = implicit_step(prob, u)
+    assert res.residual <= _NEWTON_TOL
+
+
+@pytest.mark.parametrize("p, N, M", [(5, 2, 3), (2, 6, 6)])
+def test_a_stall_inside_a_block_leaves_as_in_sequence(p, N, M):
+    """m = 3 radial powers on dims 3125 and 4096 stall at the rounding
+    floor, where a late trial rounds back to v.  Blocks of many trials
+    (a cap of 2^16 cells) meet that trial inside a block; one vector and
+    a batch of four still give the bits of the sequential search."""
+    prob = _problem(p=p, N=N, M=M, m=3.0, alpha=2.0, tau=0.1, t_end=0.1)
+    u = np.column_stack([
+        scale * build_initial(prob.grid, {"kind": "radial_power",
+                                          "exponent": e})
+        for e, scale in ((1.0, 1.0), (2.0, 1.0), (2.0, 0.1), (0.5, 3.0))])
+    calls = [lambda: implicit_step(prob, u)[1]]
+    calls += [lambda j=j: implicit_step(prob, u[:, j].copy())[1]
+              for j in range(u.shape[1])]
+    outcomes = []
+    for cells in (1, 2**16):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pme, "_BLOCK_CELLS", cells)
+            outcomes.append([_outcome(call) for call in calls])
+    assert outcomes[0] == outcomes[1]
+    assert all(len(o) == 5 for o in outcomes[0])  # none refused
