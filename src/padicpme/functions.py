@@ -6,6 +6,7 @@ geometric tails.
 from __future__ import annotations
 
 import csv
+from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,6 +18,9 @@ from .padic import (Ball, GridSpec, check_prime, int_valuation, rational_abs,
 
 # Most balls canonicalize() refines into before it refuses.
 _MAX_CANONICAL_TERMS = 65536
+# A grid CSV keeps one text per distinct value while at most one cell in
+# this many holds a distinct value (see _value_texts).
+_MAX_DISTINCT_SHARE = 8
 
 
 # ---------------------------------------------------------------------------
@@ -256,53 +260,112 @@ def _digit_texts(p: int, count: int, shift: int) -> list:
     return texts
 
 
-def _distinct_reprs(x: np.ndarray) -> tuple:
-    """(texts, codes): the repr of each distinct double of x, and for every
-    entry the position of its repr in texts.  Doubles are told apart by
-    their bits, so -0.0 and 0.0 keep their own repr."""
+def _distinct(x: np.ndarray) -> tuple:
+    """(values, codes): the distinct doubles of x, and for every entry the
+    position of its value.  Doubles are told apart by their bits, so -0.0
+    and 0.0 stay apart and keep their own repr."""
     bits, codes = np.unique(np.ascontiguousarray(x).view(np.uint64),
                             return_inverse=True)
-    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()],
-                     dtype=object)
-    return texts, codes.reshape(-1)
+    return bits.view(np.float64), codes.reshape(-1)
 
 
-def write_grid_csv(path: str, u: GridFunction) -> None:
-    """Rows: index, center (digit text of parse_point), abs (exact rational),
-    re, im (repr doubles), as csv.writer writes them: lines end in \\r\\n
-    and a center with more than one digit is double-quoted.
+def _value_texts(grid: GridSpec, u):
+    """The "re,im\\r\\n" texts (repr doubles) of the cells of u, as a
+    function of a slice of cells.  A real u is not copied to complex; its
+    im text is 0.0, as for +0.0.
 
-    With K = N + M and k = ceil(K / 2) the rows go out in blocks of p^k.
-    In block h the center of index h p^k + l is the digit text of l
-    followed by that of h with exponents shifted by k, so two tables of p^k
-    and p^(K-k) texts give every center.  Rounding k up writes a K = 1 grid
-    as one block, not as p blocks of one row.
+    Most snapshots repeat few values (radial data, data constant on balls).
+    Such a u is reduced to the text of each distinct (re, im) bit pair and
+    per cell the position of its text, in the smallest unsigned dtype, and
+    its values are dropped.  Where more than one cell in _MAX_DISTINCT_SHARE
+    holds a distinct value, the texts would outweigh the values (a str of
+    a pair costs ~80 bytes, a value 8 or 16), so u is kept and each slice
+    is formatted as it is written.
     """
-    grid = u.grid
+    u = np.asarray(u)
+    if u.shape != (grid.dim,):
+        raise DomainError(
+            f"values must have shape ({grid.dim},), got {u.shape}")
+    if np.iscomplexobj(u):
+        re, re_codes = _distinct(u.real)
+        im, im_codes = _distinct(u.imag)
+        pairs, codes = np.unique(re_codes * len(im) + im_codes,
+                                 return_inverse=True)
+        if len(pairs) * _MAX_DISTINCT_SHARE > grid.dim:
+            return lambda cells: [f"{z.real!r},{z.imag!r}\r\n"
+                                  for z in u[cells].tolist()]
+        re_at, im_at = np.divmod(pairs, len(im))
+        texts = [f"{r!r},{m!r}\r\n"
+                 for r, m in zip(re[re_at].tolist(), im[im_at].tolist())]
+    else:
+        u = u.astype(np.float64, copy=False)
+        re, codes = _distinct(u)
+        if len(re) * _MAX_DISTINCT_SHARE > grid.dim:
+            return lambda cells: [f"{x!r},0.0\r\n" for x in u[cells].tolist()]
+        texts = [f"{r!r},0.0\r\n" for r in re.tolist()]
+    texts = np.array(texts, dtype=object)
+    codes = codes.reshape(-1).astype(np.min_scalar_type(len(texts) - 1))
+    return lambda cells: texts[codes[cells]].tolist()
+
+
+def write_grid_csvs(paths, grid: GridSpec, snapshots) -> None:
+    """Write the values of the i-th array that snapshots yields to paths[i]
+    as a grid CSV of grid, in one pass over the rows of all files.
+
+    Rows: index, center (digit text of parse_point), abs (exact rational),
+    re, im (repr doubles), as csv.writer writes them: lines end in \\r\\n
+    and a center with more than one digit is double-quoted.  Arrays may be
+    real or complex; a real one reads back with im = 0.0.
+
+    Each array is reduced, as it arrives, to the texts of its distinct
+    values and one small code per cell, or kept if most of its values are
+    distinct (see _value_texts); a kept array must not change until the
+    call returns.  A count of arrays other than len(paths) raises
+    DomainError before any file is opened.
+
+    With K = N + M and k = ceil(K / 2) the rows go out in blocks of p^k,
+    and the "index,center,abs," heads of a block are formatted once for
+    all files.  In block h the center of index h p^k + l is the digit text
+    of l followed by that of h with exponents shifted by k, so two tables
+    of p^k and p^(K-k) texts give every center.  Rounding k up writes a
+    K = 1 grid as one block, not as p blocks of one row.
+    """
+    values = [_value_texts(grid, u) for u in snapshots]
+    if len(values) != len(paths):
+        raise DomainError(f"{len(values)} snapshots for {len(paths)} files")
     p, N, K = grid.p, grid.N, grid.N + grid.M
     k = (K + 1) // 2
     step = p**k
     low = _digit_texts(p, k, -N)
-    centers = ["0"] + [f'"{t}"' if "," in t else t for t in low[1:]]
     shells = [str(Fraction(p) ** (N - v)) for v in range(K)] + ["0"]
     valuations = grid.valuations
     absolute = [shells[v] for v in valuations[:step].tolist()]
-    re_texts, re_codes = _distinct_reprs(u.values.real)
-    im_texts, im_codes = _distinct_reprs(u.values.imag)
-    with open(path, "w", newline="") as fh:
-        fh.write("index,center,abs,re,im\r\n")
+    centers = ["0"] + [f'"{t}"' if "," in t else t for t in low[1:]]
+    rows = [None] * (2 * step)   # heads at even, values at odd positions
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", newline=""))
+                 for path in paths]
+        for fh in files:
+            fh.write("index,center,abs,re,im\r\n")
         for h, high in enumerate(_digit_texts(p, K - k, k - N)):
             start = h * step
             block = slice(start, start + step)
             if h:
-                centers = [f'"{high}"' if "," in high else high] + [
-                    f'"{t},{high}"' for t in low[1:]]
-                absolute[0] = shells[valuations[start]]
-            fh.write("".join([
-                f"{i},{c},{a},{r},{m}\r\n" for i, c, a, r, m in zip(
-                    range(start, start + step), centers, absolute,
-                    re_texts[re_codes[block]].tolist(),
-                    im_texts[im_codes[block]].tolist())]))
+                first = f'"{high}"' if "," in high else high
+                rows[0] = f"{start},{first},{shells[valuations[start]]},"
+                rows[2::2] = [f'{i},"{t},{high}",{a},' for i, t, a in zip(
+                    range(start + 1, start + step), low[1:], absolute[1:])]
+            else:
+                rows[0::2] = [f"{i},{c},{a}," for i, c, a in
+                              zip(range(step), centers, absolute)]
+            for fh, texts_of in zip(files, values):
+                rows[1::2] = texts_of(block)
+                fh.write("".join(rows))
+
+
+def write_grid_csv(path: str, u: GridFunction) -> None:
+    """Write u as a grid CSV at path: write_grid_csvs for one file."""
+    write_grid_csvs([path], u.grid, [u.values])
 
 
 def read_grid_csv(path: str, grid: GridSpec) -> GridFunction:

@@ -381,13 +381,21 @@ def stationary_solve(problem: PMEProblem, f: np.ndarray, epsilon,
     (one iteration count, one damping ladder), and v, w and w_free of each
     column are bit-identical to solving that column alone.  iterations is
     the total over the columns and residual the largest; a column that
-    refuses makes the whole call raise SolverError, which names it.
+    refuses makes the whole call raise SolverError, which names it.  A nan
+    or inf in f raises DomainError naming the first one.
     """
     f = np.ascontiguousarray(f, dtype=np.float64)
     n = problem.grid.dim
     if f.shape[:1] != (n,) or f.ndim > 2 or not f.size:
         raise DomainError(f"forcing term must have shape ({n},) or ({n}, k)"
                           f", got {f.shape}")
+    finite = np.isfinite(f)
+    if not finite.all():
+        bad = np.argwhere(~finite.T)   # by column, then by index
+        first = (f"index {bad[0][0]}" if f.ndim == 1 else
+                 f"index {bad[0][1]} of column {bad[0][0]}")
+        raise DomainError(f"forcing term must be finite: {len(bad)} value(s)"
+                          f" are nan or inf, the first at {first}")
     eps = epsilon
     if np.ndim(epsilon):
         eps = np.asarray(epsilon, dtype=np.float64)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from padicpme import heat
-from padicpme.cli import build_initial, main
+from padicpme.cli import _write_run, build_initial, main
 from padicpme.errors import DomainError
 from padicpme.functions import GridFunction, read_radial_csv, write_grid_csv
 from padicpme.padic import GridSpec
@@ -180,6 +180,28 @@ def test_evolve_heat_conserves_mass(tmp_path):
     assert len(man["artifacts"]) == 6  # 5 snapshots + diagnostics
     for a in man["artifacts"]:
         assert os.path.exists(a)
+
+
+def test_a_failing_run_leaves_no_partial_snapshots(tmp_path):
+    """Snapshots that fail after two items leave no temp file and no new
+    snapshot, diagnostics or manifest: an earlier run's files stay."""
+    grid = GridSpec(2, 1, 1)
+    outdir = tmp_path / "run"
+    outdir.mkdir()
+    old = {f"snapshot_{j:04d}.csv": f"old {j}" for j in range(3)}
+    for name, text in old.items():
+        (outdir / name).write_text(text)
+
+    def snapshots():
+        yield np.zeros(grid.dim)
+        yield np.ones(grid.dim)
+        raise RuntimeError("third snapshot failed")
+
+    diagnostics = {"times": [0.0, 0.5, 1.0], "mass": [0.0, 1.0, 1.0]}
+    with pytest.raises(RuntimeError, match="third snapshot failed"):
+        _write_run(str(outdir), grid, snapshots(), diagnostics, "evolve-heat",
+                   {}, 0.0)
+    assert {path.name: path.read_text() for path in outdir.iterdir()} == old
 
 
 def test_evolve_heat_beyond_the_dense_cap(tmp_path):

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from padicpme import functions
 from padicpme.errors import DomainError, PrecisionError
 from padicpme.functions import (GridFunction, RadialFunction, TestFunction,
                                 read_grid_csv, read_radial_csv, to_grid,
-                                write_grid_csv, write_radial_csv)
+                                write_grid_csv, write_grid_csvs,
+                                write_radial_csv)
 from padicpme.padic import Ball, GridSpec, rational_abs
 
 from conftest import digit_text, point_strategy
@@ -194,11 +196,18 @@ _SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310,
                      2.2250738585072014e-308, 1e300, 0.1, -1.5])
 
 
-@pytest.mark.parametrize("p, N, M", [(2, 1, 2), (3, 2, -1), (5, 0, 2),
-                                     (5, 2, 2), (3, -1, 3), (2, 3, -1),
-                                     (2, 0, 3), (2, 1, 0), (7, 0, 1),
-                                     (7, 1, 1), (7, 2, 1), (2, 4, 5),
-                                     (3, 3, 4), (2, -2, 8)])
+_GRIDS = [(2, 1, 2), (3, 2, -1), (5, 0, 2), (5, 2, 2), (3, -1, 3), (2, 3, -1),
+          (2, 0, 3), (2, 1, 0), (7, 0, 1), (7, 1, 1), (7, 2, 1), (2, 4, 5),
+          (3, 3, 4), (2, -2, 8)]
+
+
+def _complex(re, im):
+    values = np.empty(len(re), dtype=np.complex128)
+    values.real, values.imag = re, im   # re + 1j * im turns inf into nan
+    return values
+
+
+@pytest.mark.parametrize("p, N, M", _GRIDS)
 def test_grid_csv_matches_row_by_row_reference(tmp_path, p, N, M):
     """write_grid_csv writes the same bytes as csv.writer building every
     row from its representative: on grids with odd and even K = N + M, and
@@ -215,9 +224,7 @@ def test_grid_csv_matches_row_by_row_reference(tmp_path, p, N, M):
         (grid.radial(lambda k: 0.0 if k is None else 2.0 ** k), np.zeros(n)),
     ]
     for case, (re, im) in enumerate(cases):
-        values = np.empty(n, dtype=np.complex128)
-        values.real, values.imag = re, im   # re + 1j * im turns inf into nan
-        u = GridFunction(grid, values)
+        u = GridFunction(grid, _complex(re, im))
         ref = tmp_path / f"ref{case}.csv"
         with open(ref, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -230,6 +237,37 @@ def test_grid_csv_matches_row_by_row_reference(tmp_path, p, N, M):
         out = tmp_path / f"out{case}.csv"
         write_grid_csv(str(out), u)
         assert out.read_bytes() == ref.read_bytes(), case
+
+
+@pytest.mark.parametrize("p, N, M", _GRIDS)
+def test_grid_csvs_match_one_file_writes(tmp_path, monkeypatch, p, N, M):
+    """Each file of a 3-snapshot write_grid_csvs call holds the bytes of a
+    one-file write of the same values: real snapshots as their complex128
+    copies, and complex ones with signed zero, infinite and nan parts.  Both
+    forms of a snapshot give them: the texts of its distinct values (share
+    1) and the array kept whole (share dim + 1)."""
+    grid = GridSpec(p, N, M)
+    rng = np.random.default_rng(p + N)
+    n = grid.dim
+    runs = {
+        "real": [rng.standard_normal(n), rng.choice(_SPECIAL, n),
+                 grid.radial(lambda k: 0.0 if k is None else 3.0 ** k)],
+        "complex": [_complex(rng.choice(_SPECIAL, n), rng.choice(_SPECIAL, n)),
+                    _complex(np.full(n, -0.0), np.zeros(n)),
+                    _complex(rng.standard_normal(n), np.full(n, np.nan))],
+    }
+    one = tmp_path / "one.csv"
+    for kind, snapshots in runs.items():
+        for share in (1, n + 1):
+            paths = [tmp_path / f"{kind}{share}_{j}.csv" for j in range(3)]
+            with monkeypatch.context() as patched:
+                patched.setattr(functions, "_MAX_DISTINCT_SHARE", share)
+                write_grid_csvs(paths, grid, iter(snapshots))
+            for path, u in zip(paths, snapshots):
+                write_grid_csv(str(one), GridFunction(grid, u))
+                assert path.read_bytes() == one.read_bytes(), path
+    with pytest.raises(DomainError, match="3 snapshots for 2 files"):
+        write_grid_csvs(paths[:2], grid, runs["real"])
 
 
 def test_grid_csv_reader_refuses_malformed_rows(tmp_path):

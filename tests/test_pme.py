@@ -165,6 +165,26 @@ def test_evolve_refuses_non_finite_initial_data():
             evolve(prob, GridFunction(prob.grid, u0.astype(np.complex128)))
 
 
+def test_solves_refuse_a_non_finite_forcing_term():
+    """A nan or inf cell of f raises DomainError naming it, and its column
+    for an (n, k) f, instead of returning nan after 0 iterations."""
+    prob = _problem(tau=0.1)
+    n = prob.grid.dim
+    for bad in (np.nan, np.inf, -np.inf):
+        f = np.ones(n)
+        f[3] = f[5] = bad
+        with pytest.raises(DomainError, match="finite: 2 .* index 3$"):
+            stationary_solve(prob, f, 0.0)
+        with pytest.raises(DomainError, match="finite: 2 .* index 3$"):
+            implicit_step(prob, f)
+        batch = np.ones((n, 3))
+        batch[6, 1] = batch[2, 2] = bad
+        with pytest.raises(DomainError, match="index 6 of column 1$"):
+            stationary_solve(prob, batch, np.zeros(3))
+        with pytest.raises(DomainError, match="index 6 of column 1$"):
+            implicit_step(prob, batch)
+
+
 def test_linear_case_reduces_to_backward_euler():
     """m = 1: each step is exactly the linear solve (I + tau A)^{-1}."""
     prob = _problem(m=1.0, tau=0.01, t_end=0.01)
