@@ -1,11 +1,11 @@
 """Porous-medium dynamics u_t + D^alpha phi(u) = 0 on a ball grid.
 
 Each implicit Euler step solves the monotone system
-tau A v + beta(v) = u with v = phi(u_next) by damped Newton.  evolve starts
-its first step from the cold linearization beta' = 1 and each later step
-from beta linearized around the previous step's v, an O(tau) start that
-cuts a run's Newton iterations by a half to two thirds
-(BENCH_evolve_start.json).
+tau A v + beta(v) = u with v = phi(u_next) by damped Newton.  A step from
+the u that the problem's last step returned starts Newton from beta
+linearized around that step's v, an O(tau) start that halves the Newton
+iterations of an evolve run (BENCH_evolve_start.json); any other solve
+starts from the cold linearization beta' = 1.
 The operator is m-accretive, so the solution is unique; a Newton that
 stalls short of its target is accepted only at its computed rounding
 floor, else the step raises SolverError with its residual.
@@ -81,6 +81,11 @@ class PMEProblem:
     m: float
     tau: float
     t_end: float
+    # (w, epsilon, operator_scale, v) of the last solve on this problem: a
+    # solve of this w starts Newton around this v (stationary_solve).  Only
+    # the start depends on it, not the target the solve must meet.
+    _last_solve: tuple | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         check_prime(self.p)
@@ -185,11 +190,10 @@ def _newton_solve(A: LevelOperator, m: float, f: np.ndarray, eps,
     v (the stalled iteration counts) within _rounding_floor; else
     SolverError.
 
-    Newton starts at the solution of the problem with beta linearized:
-    around v_prev, with the loop's clipped beta', or cold, as beta' = 1
-    around 0, when v_prev is None.  Either start is one level solve.  At
-    m = 1 the two are the same bits, since beta' = 1 and beta(v) - v = +0
-    exactly.
+    Newton starts at the solution with beta linearized, one level solve:
+    around v_prev, with the loop's clipped beta', or cold, as beta(v) ~ v,
+    when v_prev is None.  At m = 1 the two are the same bits, since beta'
+    = 1 and beta(v) - v = +0 exactly.
 
     The line search tries theta = 2^-j for j < _LADDER: theta = 1 alone,
     as most searches accept it, then blocks of as many thetas as fit in
@@ -383,16 +387,17 @@ def _newton_solve(A: LevelOperator, m: float, f: np.ndarray, eps,
 
 
 def stationary_solve(problem: PMEProblem, f: np.ndarray, epsilon,
-                     operator_scale: float = 1.0,
-                     v_prev=None) -> StationaryResult:
+                     operator_scale: float = 1.0) -> StationaryResult:
     """Solve eps v + s A v + beta(v) = f; w = f - eps v - s A v.
 
     One damped Newton run to max|G(v)| <= 1e-12 max(1, max|f|), or to its
     rounding floor if it stalls first; else SolverError propagates with the
-    last residual.  Newton starts from beta linearized around v_prev, a
-    finite array of f's shape such as the v of a nearby problem, or from
-    the cold linearization beta' = 1 when v_prev is None.  At m = 1 the
-    two starts are the same bits.
+    last residual.  If f has the bits of the w of the last solve on this
+    problem, with the same epsilon and operator_scale, Newton starts from
+    beta linearized around that solve's v: so each step of evolve after
+    the first, or of any loop that feeds implicit_step's u_next back to it,
+    starts at the step before.  Any other solve starts from the cold
+    linearization beta' = 1.  At m = 1 the two starts are the same bits.
 
     f of shape (n, k) poses k independent problems, one per column, and
     epsilon is then a scalar or a (k,) array.  The columns run in lockstep
@@ -421,25 +426,30 @@ def stationary_solve(problem: PMEProblem, f: np.ndarray, epsilon,
             raise DomainError(f"epsilon must be a scalar or one value per "
                               f"column, got shape {eps.shape} for {f.shape}")
 
-    if v_prev is not None:
-        v_prev = np.asarray(v_prev, dtype=np.float64)
-        if v_prev.shape != f.shape or not np.isfinite(v_prev).all():
-            raise DomainError(f"v_prev must be finite with shape {f.shape}")
+    last = problem._last_solve
+    v_prev = None
+    if (last is not None and last[0].shape == f.shape
+            and np.array_equal(last[0].view(np.int64), f.view(np.int64))
+            and np.array_equal(last[1], eps) and last[2] == operator_scale):
+        v_prev = last[3]
     v, av, its, res = _newton_solve(problem.levels, problem.m, f, eps,
                                     operator_scale, v_prev)
-    return StationaryResult(v=v, w=f - eps * v - av, w_free=f - av,
+    w = f - eps * v - av
+    # copies, so that the caller may change the returned arrays
+    problem._last_solve = (w.copy(), np.array(eps), operator_scale,
+                           v.copy())
+    return StationaryResult(v=v, w=w, w_free=f - av,
                             iterations=its, residual=res)
 
 
-def implicit_step(problem: PMEProblem, u: np.ndarray,
-                  v_prev=None) -> tuple:
+def implicit_step(problem: PMEProblem, u: np.ndarray) -> tuple:
     """One backward Euler step: returns (u_next, StationaryResult).  u of
     shape (n, k) steps k independent data at once, as stationary_solve
-    solves columns.  v_prev, the v of the step before, starts Newton at
-    beta linearized around it: consecutive steps differ by
-    tau A phi(u), so it is an O(tau) start.  None starts cold."""
+    solves columns.  A step from the u_next of the problem's last step
+    starts Newton from beta linearized around that step's v: the two
+    steps differ by tau A v, so it is an O(tau) start."""
     result = stationary_solve(problem, u, epsilon=0.0,
-                              operator_scale=problem.tau, v_prev=v_prev)
+                              operator_scale=problem.tau)
     return result.w, result
 
 
@@ -478,8 +488,8 @@ def norms(u: np.ndarray, meas: float) -> tuple:
 def evolve(problem: PMEProblem, u0) -> EvolutionResult:
     """March u_t + A phi(u) = 0 from u0 to t_end with step tau; u0 is a
     real array or a GridFunction on problem.grid with zero imaginary part.
-    Each step after the first starts Newton from the v of the step
-    before."""
+    Each step after the first starts Newton from the v of the step before
+    (implicit_step)."""
     grid = problem.grid
     if isinstance(u0, GridFunction):
         if u0.grid != grid:
@@ -499,10 +509,8 @@ def evolve(problem: PMEProblem, u0) -> EvolutionResult:
              "l1": [], "linf": []}
     times = [0.0]
     snaps = [u.copy()]
-    v = None
     for n in range(1, steps + 1):
-        u, res = implicit_step(problem, u, v)
-        v = res.v
+        u, res = implicit_step(problem, u)
         times.append(n * problem.tau)
         snaps.append(u.copy())
         diags["newton_iterations"].append(res.iterations)
