@@ -29,11 +29,11 @@ def main() -> int:
         w.writerow(["t", "shell", "value", "certificate"])
         for t in times:
             params = KernelParams(args.p, args.alpha, t)
-            ev0 = kernel_Z(params, None)
+            ks = range(args.k_min, args.k_max + 1)
+            ev0, *evs = kernel_Z(params, [None, *ks])
             w.writerow([repr(t), "zero", repr(ev0.value),
                         repr(ev0.truncation_bound)])
-            for k in range(args.k_min, args.k_max + 1):
-                ev = kernel_Z(params, k)
+            for k, ev in zip(ks, evs):
                 w.writerow([repr(t), k, repr(ev.value),
                             repr(ev.truncation_bound)])
                 worst_cert = max(worst_cert, ev.truncation_bound)

@@ -131,11 +131,13 @@ def _write_run(outdir: str, grid: GridSpec, snapshots, diagnostics: dict,
 
 
 def _shell_table(p: int, S: int, evaluate, tail=None) -> tuple:
-    """A certified radial kernel, evaluate(k) on the shells |x| = p^k for
-    k in [-S, S] and evaluate(None) at 0: returns the shell evaluations,
-    the profile and the sidecar fields of the values and their bounds."""
-    shells = {k: evaluate(k) for k in range(-S, S + 1)}
-    zero = evaluate(None)
+    """A certified radial kernel on the shells |x| = p^k for k in [-S, S]
+    and at 0, from one call evaluate([-S, ..., S, None]): returns the
+    shell evaluations, the profile and the sidecar fields of the values
+    and their bounds."""
+    ks = range(-S, S + 1)
+    *evs, zero = evaluate([*ks, None])
+    shells = dict(zip(ks, evs))
     prof = RadialFunction(p, tuple((k, ev.value) for k, ev in shells.items()),
                           value_at_zero=zero.value, tail=tail,
                           head_constant=True)
@@ -171,7 +173,7 @@ def _kernel_heat(args) -> int:
     p, alpha, t, S = args.p, args.alpha, args.t, args.shells
     params = KernelParams(p, alpha, t)
     shells, prof, fields = _shell_table(
-        p, S, lambda k: heat.kernel_Z(params, k))
+        p, S, lambda ks: heat.kernel_Z(params, ks))
     mass, mass_bound = heat.kernel_mass_estimate(params, known=shells)
     agreement = max((ev.series_gap for ev in shells.values()
                      if ev.series_gap is not None), default=0.0)
@@ -219,9 +221,11 @@ def _kernel_resolvent(args) -> int:
     started = time.time()
     p, alpha, mu, S = args.p, args.alpha, args.mu, args.shells
     tail_c = heat.green_tail_constant(p, alpha, mu)
+    if not math.isfinite(tail_c):  # mu^-2 left the double range
+        tail_c = None
     _, prof, fields = _shell_table(
-        p, S, lambda k: heat.green_kernel(p, alpha, mu, k),
-        tail=(tail_c, -(alpha + 1.0)))
+        p, S, lambda ks: heat.green_kernel(p, alpha, mu, ks),
+        tail=None if tail_c is None else (tail_c, -(alpha + 1.0)))
     out = args.out or "kernel.csv"
     _write_artifacts(out, lambda tmp: write_radial_csv(tmp, prof), {
         "kind": "resolvent_kernel",

@@ -4,14 +4,18 @@ For a radial multiplier m, e^{-t |xi|^alpha} (heat) or 1 / (mu + |xi|^alpha)
 (resolvent), the kernel is K(p^j) = sum_{k <= -j} p^k d_k, and K(0) the sum
 over all k, with gaps d_k = m(p^k) - m(p^{k+1}) >= 0.  `_gap_sum` sums every
 such series and certifies both tails and the rounding, so nothing relies on
-"it looked converged".  The alternating power series, the indicator
-expansions of S(t) f and the grid matrix exponential cross-check it in the
-test suite.
+"it looked converged".  It sums a sequence of shells at once, with the
+gaps evaluated once over the span of the shells' windows: kernel_Z,
+kernel_Z_shell_series and green_kernel take one shell or a sequence of
+shells, and a single shell is the one-element case of that path.  The
+alternating power series, the indicator expansions of S(t) f and the grid
+matrix exponential cross-check it in the test suite.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -122,73 +126,110 @@ class KernelEvaluation:
     series_gap: float | None = None
 
 
+def _over_shells(shell, evaluate):
+    """evaluate(list of shells) at a sequence of shells, returning the
+    list, or at one shell (an integer or None), returning its result."""
+    if np.iterable(shell):
+        return evaluate(list(shell))
+    return evaluate([shell])[0]
+
+
+def _tops(shells: list) -> list:
+    """The gap-sum tops of shells: K(p^j) sums k <= -j, K(0) all k."""
+    return [None if j is None else -int(j) for j in shells]
+
+
 def _gap_sum(p: int, a: float, gaps, knee: float, lower: float,
-             upper: tuple | None, top: int | None = None) -> KernelEvaluation:
-    """Certified sum of p^k d_k over k <= top, or over all k if top is None.
+             upper: tuple | None, tops: Sequence) -> Iterator[KernelEvaluation]:
+    """Certified sums of p^k d_k over k <= top for each top of tops, or
+    over all k where top is None, yielded in the order of tops.
 
     gaps(k) gives d_k >= 0 and a bound on its relative rounding at an
-    integer or integer array k; it runs with overflow and division by zero
-    silenced, since terms far out in a tail may over- or underflow.  The
-    terms obey p^k d_k <= e^lower p^{k (1 + a)} for every k and, if
-    upper = (c, g) with g > 0 is given (it must be when top is None),
-    p^k d_k <= e^c p^{-g k}.  The window [k_lo, k_hi] is set in closed form
-    so that each envelope's tail outside it is at most _TAIL times the
-    lower envelope at k_0 = min(top, floor(log_p(knee) / a)).  The
-    multiplier bends there from linear decay to its tail, and the envelope
-    exceeds the term by at most e (1 + p^a) for the heat and resolvent
-    gaps.  The value is the correctly rounded sum of the window
-    (math.fsum); the bound adds both tails to the rounding of every term.
-    A window wider than _MAX_SHELLS, or one that reaches p^k beyond
-    e^{+-700}, raises ArithmeticError, as does a value that leaves the
-    double range.
+    integer array k; it runs with overflow and division by zero silenced,
+    since terms far out in a tail may over- or underflow.  The terms obey
+    p^k d_k <= e^lower p^{k (1 + a)} for every k and, if upper = (c, g)
+    with g > 0 is given (it must be when a top is None),
+    p^k d_k <= e^c p^{-g k}.  Each top's window [k_lo, k_hi] is set in
+    closed form so that each envelope's tail outside it is at most _TAIL
+    times the lower envelope at k_0 = min(top, floor(log_p(knee) / a)).
+    The multiplier bends there from linear decay to its tail, and the
+    envelope exceeds the term by at most e (1 + p^a) for the heat and
+    resolvent gaps.  gaps(k) and the terms are formed once, on the span
+    of all the windows; every window lies inside |k| log p <= 700, so the
+    span does too.  A value is the correctly rounded sum of its window's
+    terms (math.fsum), and its bound adds both tails to the rounding of
+    every term of the window (one dot product over the window's slice),
+    so each value and bound is the one a single top gives.  A window
+    wider than _MAX_SHELLS, or one that reaches p^k beyond e^{+-700},
+    raises ArithmeticError, as does a value that leaves the double range;
+    the error is raised when the generator reaches that top, after the
+    values of the tops before it.
     """
     lp = math.log(p)
-    k0 = math.floor(math.log(knee) / (a * lp))
-    if top is not None:
-        k0 = min(k0, top)
-    # each tail is geometric: sum_{k>=K} e^{c - g k} = e^{c - g K} / (1 - e^-g)
-    g = (1 + a) * lp
-    log_ref = lower + g * k0 + math.log(_TAIL)
-    shrink = math.log1p(-math.exp(-g))
-    k_lo = k0 + math.floor((math.log(_TAIL) + shrink) / g) + 1
-    tails = math.exp(lower + g * (k_lo - 1) - shrink)
-    k_hi = top
-    if upper is not None:
-        c, g = upper[0], upper[1] * lp
-        shrink = math.log1p(-math.exp(-g))
-        cut = max(k0, math.ceil((c - shrink - log_ref) / g) - 1)
-        if top is None or cut < top:
-            k_hi = cut
-            tails += math.exp(c - g * (cut + 1) - shrink)
-    n = k_hi - k_lo + 1
-    if n > _MAX_SHELLS:
-        raise ArithmeticError(f"kernel series failed to localize ({n} terms)")
-    if max(-k_lo, k_hi) * lp > 700.0:  # p^k, and the gaps with it, overflow
-        raise ArithmeticError("kernel series leaves the double range")
-    k = np.arange(k_lo, k_hi + 1)
-    with np.errstate(over="ignore", divide="ignore"):
-        d, rel = gaps(k)
-        terms = np.power(float(p), k) * d
-    value = math.fsum(terms)
-    bound = tails + float(terms @ rel) + 3 * _U * value
-    if not (math.isfinite(value) and math.isfinite(bound)):
-        raise ArithmeticError("kernel series leaves the double range")
-    return KernelEvaluation(value, bound)
+    k_knee = math.floor(math.log(knee) / (a * lp))
+    g_low = (1 + a) * lp
+    shrink_low = math.log1p(-math.exp(-g_low))
+    windows, failure = [], None
+    for top in tops:
+        k0 = k_knee if top is None else min(k_knee, top)
+        # each tail is geometric: sum_{k>=K} e^{c - g k} = e^{c - g K} / (1 - e^-g)
+        log_ref = lower + g_low * k0 + math.log(_TAIL)
+        k_lo = k0 + math.floor((math.log(_TAIL) + shrink_low) / g_low) + 1
+        tails = math.exp(lower + g_low * (k_lo - 1) - shrink_low)
+        k_hi = top
+        if upper is not None:
+            c, g = upper[0], upper[1] * lp
+            shrink = math.log1p(-math.exp(-g))
+            cut = max(k0, math.ceil((c - shrink - log_ref) / g) - 1)
+            if top is None or cut < top:
+                k_hi = cut
+                tails += math.exp(c - g * (cut + 1) - shrink)
+        n = k_hi - k_lo + 1
+        if n > _MAX_SHELLS:
+            failure = ArithmeticError(
+                f"kernel series failed to localize ({n} terms)")
+        elif max(-k_lo, k_hi) * lp > 700.0:  # p^k, and the gaps, overflow
+            failure = ArithmeticError("kernel series leaves the double range")
+        if failure is not None:
+            break
+        windows.append((k_lo, k_hi, tails))
+    if windows:
+        first = min(w[0] for w in windows)
+        k = np.arange(first, max(w[1] for w in windows) + 1)
+        with np.errstate(over="ignore", divide="ignore"):
+            d, rel = gaps(k)
+            terms = np.power(float(p), k) * d
+        for k_lo, k_hi, tails in windows:
+            window = slice(k_lo - first, k_hi - first + 1)
+            value = math.fsum(terms[window])
+            bound = (tails + float(terms[window] @ rel[window])
+                     + 3 * _U * value)
+            if not (math.isfinite(value) and math.isfinite(bound)):
+                raise ArithmeticError("kernel series leaves the double range")
+            yield KernelEvaluation(value, bound)
+    if failure is not None:
+        raise failure
 
 
-def kernel_Z_shell_series(params: KernelParams, shell: int | None = None) -> KernelEvaluation:
-    """Z(t, |x| = p^shell), or Z(t, 0) if shell is None, as the gap sum of
-    c_k(t) (`coeff_ck`): every term is >= 0, so the value is relatively
-    accurate on every shell, also where Z is far below the working
-    precision.  Envelopes: c_k <= t p^{k a} (p^a - 1), and with b = 2 / a,
-    c_k <= e^{-t p^{k a}} <= (b / (e t))^b p^{-2k}."""
+def _heat_series(params: KernelParams, shells: list) -> Iterator[KernelEvaluation]:
+    """The gap sums of c_k(t) at each shell, in order (see _gap_sum)."""
     params._require_positive_time()
     p, a, t = params.p, params.alpha, params.t
     b = 2.0 / a
     return _gap_sum(p, a, lambda k: _heat_gaps(t, p, a, k), 1.0 / t,
                     math.log(t * (float(p) ** a - 1)),
-                    (b * math.log(b / (math.e * t)), 1.0),
-                    None if shell is None else -int(shell))
+                    (b * math.log(b / (math.e * t)), 1.0), _tops(shells))
+
+
+def kernel_Z_shell_series(params: KernelParams,
+                          shell: int | Sequence | None = None):
+    """Z(t, |x| = p^shell), or Z(t, 0) if shell is None, as the gap sum of
+    c_k(t) (`coeff_ck`): every term is >= 0, so the value is relatively
+    accurate on every shell, also where Z is far below the working
+    precision.  Envelopes: c_k <= t p^{k a} (p^a - 1), and with b = 2 / a,
+    c_k <= e^{-t p^{k a}} <= (b / (e t))^b p^{-2k}.  For a sequence of
+    shells, the list of their KernelEvaluations, from one gap sum."""
+    return _over_shells(shell, lambda shells: list(_heat_series(params, shells)))
 
 
 def kernel_Z_alternating(params: KernelParams, shell: int) -> KernelEvaluation:
@@ -204,7 +245,7 @@ def kernel_Z_alternating(params: KernelParams, shell: int) -> KernelEvaluation:
         raise DomainError("the alternating series is only valid away from 0")
     p, a, t = params.p, params.alpha, params.t
     j = int(shell)
-    z = t * float(p) ** (a * (1 - j))
+    z = _alternating_z(params, j)
     scale = float(p) ** (-j) / (1 - float(p) ** (-a - 1))
 
     if z > 60.0:
@@ -234,27 +275,43 @@ def kernel_Z_alternating(params: KernelParams, shell: int) -> KernelEvaluation:
             raise ArithmeticError("alternating kernel series failed to converge")
 
 
+def _alternating_z(params: KernelParams, shell: int) -> float:
+    """z = t p^{alpha (1 - shell)} of the alternating series, inf where
+    the power leaves the double range."""
+    try:
+        return params.t * float(params.p) ** (params.alpha * (1 - shell))
+    except OverflowError:
+        return math.inf
+
+
 _CROSS_CHECK_Z_CAP = 8.0
 
 
-def kernel_Z(params: KernelParams, shell: int | None = None) -> KernelEvaluation:
+def kernel_Z(params: KernelParams, shell: int | Sequence | None = None):
     """Certified kernel value; the shell series is authoritative and, where
     the alternating series is numerically trustworthy (z <= 8), the two are
     required to agree within their combined certificates; their gap is
-    returned as series_gap."""
-    ev = kernel_Z_shell_series(params, shell)
-    if shell is not None:
-        z = params.t * float(params.p) ** (params.alpha * (1 - shell))
-        if z <= _CROSS_CHECK_Z_CAP:
-            other = kernel_Z_alternating(params, shell)
-            gap = abs(ev.value - other.value)
-            tol = ev.truncation_bound + other.truncation_bound + 1e-9 * (1 + abs(ev.value))
-            if gap > tol:
-                raise ArithmeticError(
-                    f"kernel representations disagree at shell {shell}: "
-                    f"{ev.value} vs {other.value}")
-            return replace(ev, series_gap=gap)
-    return ev
+    returned as series_gap.  For a sequence of shells, the list of their
+    values: one gap sum for all of them, and each shell's cross-check in
+    turn, so the first shell that fails raises as it would alone."""
+    def evaluate(shells):
+        out = []
+        for j, ev in zip(shells, _heat_series(params, shells)):
+            if (j is not None
+                    and _alternating_z(params, int(j)) <= _CROSS_CHECK_Z_CAP):
+                other = kernel_Z_alternating(params, j)
+                gap = abs(ev.value - other.value)
+                tol = (ev.truncation_bound + other.truncation_bound
+                       + 1e-9 * (1 + abs(ev.value)))
+                if gap > tol:
+                    raise ArithmeticError(
+                        f"kernel representations disagree at shell {j}: "
+                        f"{ev.value} vs {other.value}")
+                ev = replace(ev, series_gap=gap)
+            out.append(ev)
+        return out
+
+    return _over_shells(shell, evaluate)
 
 
 def ball_integral_of_Z(params: KernelParams, l: int) -> tuple:
@@ -263,7 +320,8 @@ def ball_integral_of_Z(params: KernelParams, l: int) -> tuple:
     The integral is p^l sum_{k <= -l} p^k (1 - 1/p) e^{-t p^{k alpha}}
     = p^l Z(t, p^l) + e^{-t p^{alpha (1-l)}}, two terms >= 0.  The
     exponential's rounding follows _heat_gaps: gain t s on the relative
-    error u (1 + 3|w|) of s = p^{alpha (1-l)} = e^w.
+    error u (1 + 3|w|) of s = p^{alpha (1-l)} = e^w.  Where t s overflows,
+    the exponential is exactly 0 and adds no rounding.
     """
     ev = kernel_Z_shell_series(params, l)
     p, a, t = params.p, params.alpha, params.t
@@ -271,8 +329,8 @@ def ball_integral_of_Z(params: KernelParams, l: int) -> tuple:
     x = t * math.exp(min(w, 700.0))
     top = math.exp(-x)
     total = float(p) ** l * ev.value + top
-    return total, (float(p) ** l * ev.truncation_bound
-                   + top * _U * (2 + x * (2 + 3 * abs(w))) + _U * total)
+    rounding = top * _U * (2 + x * (2 + 3 * abs(w))) if top else 0.0
+    return total, float(p) ** l * ev.truncation_bound + rounding + _U * total
 
 
 def kernel_mass_estimate(params: KernelParams,
@@ -283,6 +341,7 @@ def kernel_mass_estimate(params: KernelParams,
     use certified pointwise kernel values (known[k], a kernel_Z result the
     caller already has, is reused), and the exterior is bounded through
     0 <= Z(t, p^k) <= (p^a - 1) t p^{-k(a+1)} / (1 - p^{-a-1}).
+    The shells not in known come from one kernel_Z call.
     """
     known = known or {}
     k_min, k_max = -25, 25
@@ -291,8 +350,11 @@ def kernel_mass_estimate(params: KernelParams,
     total = head
     bound = head_bound
     w = 1 - 1.0 / p
-    for k in range(k_min, k_max + 1):
-        ev = known[k] if k in known else kernel_Z(params, k)
+    shells = range(k_min, k_max + 1)
+    missing = [k for k in shells if k not in known]
+    known = {**known, **dict(zip(missing, kernel_Z(params, missing)))}
+    for k in shells:
+        ev = known[k]
         total += float(p) ** k * w * ev.value
         bound += float(p) ** k * w * ev.truncation_bound
     tail = (w * (float(p) ** a - 1) * t / (1 - float(p) ** (-a - 1))
@@ -344,8 +406,8 @@ def semigroup_on_indicator(params: KernelParams, ball: Ball,
             k_max += 1
 
     terms = [(complex(_exp_neg_t_pow(t, p, a, -l)), ball)]
-    for k in range(l + 1, k_max + 1):
-        ck = coeff_ck(params, -k)
+    ks = np.arange(l + 1, k_max + 1)
+    for k, ck in zip(ks.tolist(), coeff_ck(params, -ks)):
         terms.append((complex(float(p) ** (l - k) * ck),
                       Ball(p, ball.center, k)))
     # p^l (1 - e^{-x}) without cancellation: x << 1 at the default k_max
@@ -562,12 +624,14 @@ def _resolvent_gaps(p: int, a: float, mu: float, k) -> tuple:
     return d, _U * (10 + a * math.log(p) * np.abs(k) + pa / (pa - 1))
 
 
-def _resolvent_sum(p: int, a: float, mu: float, top) -> KernelEvaluation:
-    """The gap sum of a_k over k <= top, or over all k if a > 1.  Envelopes:
-    a_k <= p^{k a} (p^a - 1) / mu^2 and a_k <= p^{-k a}."""
+def _resolvent_sum(p: int, a: float, mu: float,
+                   tops: list) -> Iterator[KernelEvaluation]:
+    """The gap sums of a_k over k <= top for each top of tops, or over all
+    k where top is None (for a > 1).  Envelopes: a_k <= p^{k a} (p^a - 1)
+    / mu^2 and a_k <= p^{-k a}."""
     return _gap_sum(p, a, lambda k: _resolvent_gaps(p, a, mu, k), mu,
                     math.log(float(p) ** a - 1) - 2 * math.log(mu),
-                    (0.0, a - 1.0) if a > 1 else None, top)
+                    (0.0, a - 1.0) if a > 1 else None, tops)
 
 
 def resolvent_apply(op: OperatorParams, mu: float, u: np.ndarray) -> np.ndarray:
@@ -588,7 +652,7 @@ def resolvent_apply(op: OperatorParams, mu: float, u: np.ndarray) -> np.ndarray:
         raise DomainError("resolvent parameter mu must be positive")
     p, a = op.p, op.alpha
     N, M = grid.N, grid.M
-    head = float(p) ** N * _resolvent_sum(p, a, mu, -N).value
+    head = float(p) ** N * next(_resolvent_sum(p, a, mu, [-N])).value
     gaps, _ = _resolvent_gaps(p, a, mu, np.arange(1 - N, M))
     levels = LevelOperator.from_gaps(grid, 1.0 / (mu + float(p) ** (M * a)),
                                      np.concatenate(([head], gaps)))
@@ -607,19 +671,25 @@ def _require_green_domain(alpha: float, mu: float):
 
 
 def green_kernel(p: int, alpha: float, mu: float,
-                 shell: int | None = None) -> KernelEvaluation:
+                 shell: int | Sequence | None = None):
     """Certified E_mu(|x| = p^shell), or E_mu(0) if shell is None:
     E_mu(p^j) = sum_{k <= -j} p^k a_k, a sum of resolvent gaps >= 0.
-    E_mu(0) is finite precisely because alpha > 1."""
+    E_mu(0) is finite precisely because alpha > 1.  For a sequence of
+    shells, the list of their KernelEvaluations, from one gap sum."""
     check_prime(p)
     _require_green_domain(alpha, mu)
-    return _resolvent_sum(p, alpha, mu, None if shell is None else -int(shell))
+    return _over_shells(shell, lambda shells: list(
+        _resolvent_sum(p, alpha, mu, _tops(shells))))
 
 
 def green_tail_constant(p: int, alpha: float, mu: float) -> float:
-    """Leading far-field constant: E_mu(x) ~ -Gamma_p(alpha+1) mu^{-2} |x|^{-alpha-1}."""
+    """Leading far-field constant: E_mu(x) ~ -Gamma_p(alpha+1) mu^{-2} |x|^{-alpha-1}.
+
+    Below mu ~ 1e-154 the constant leaves the double range, and it is
+    then an infinity of its sign (mu^2 underflows to 0 below ~1e-162)."""
     _require_green_domain(alpha, mu)
-    return -gamma_p(p, alpha + 1.0) / (mu * mu)
+    c, mu2 = -gamma_p(p, alpha + 1.0), mu * mu
+    return c / mu2 if mu2 else math.copysign(math.inf, c)
 
 
 def smoothness_modulus(p: int, alpha: float, mu: float, r: int) -> float:
@@ -629,17 +699,18 @@ def smoothness_modulus(p: int, alpha: float, mu: float, r: int) -> float:
 
     covering both the region |x| < |h| (where |x - h| = p^{-r}) and the
     shell |x| = |h|.  The sum runs to j = r + 60; its tail is controlled by
-    E's limit at 0.
+    E's limit at 0.  All 62 values come from one green_kernel call.
     """
     check_prime(p)
     _require_green_domain(alpha, mu)
     j_max = r + 60
-    e_r = green_kernel(p, alpha, mu, -r).value
+    js = range(r + 1, j_max + 1)
+    e_r, *e_js, e_0 = (ev.value for ev in green_kernel(
+        p, alpha, mu, [-r] + [-j for j in js] + [None]))
     w = 1 - 1.0 / p
     total = 0.0
-    for j in range(r + 1, j_max + 1):
-        e_j = green_kernel(p, alpha, mu, -j).value
+    for j, e_j in zip(js, e_js):
         total += float(p) ** (-j) * w * abs(e_j - e_r)
-    cap = abs(green_kernel(p, alpha, mu).value) + abs(e_r)
+    cap = abs(e_0) + abs(e_r)
     total += cap * float(p) ** (-j_max - 1)  # tail of the j-sum
     return 2.0 * total

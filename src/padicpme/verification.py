@@ -15,7 +15,10 @@ resolvent_inversion and resolvent_positivity.  A column is bit-identical
 to its solo solve, and each per-problem norm is taken over a contiguous
 copy of its column (_rows), so every reported number is the one a loop of
 solo solves gives.  evolve_invariants and refinement_order step in
-sequence and stay one solve per step.
+sequence and stay one solve per step.  In the same way l1_contraction
+applies its 25 samples per operator as the columns of one apply, and the
+kernel checks evaluate all shells of a parameter set in one kernel call,
+whose values are those of one call per shell (see heat._gap_sum).
 """
 
 from __future__ import annotations
@@ -72,9 +75,8 @@ def check_kernel_dual_series() -> CheckResult:
     p, a = 2, 2.0
     worst = 0.0
     for t in (0.1, 0.25, 0.5, 1.0):
-        for j in range(0, 5):
-            kp = KernelParams(p, a, t)
-            v1 = heat.kernel_Z_shell_series(kp, j)
+        kp = KernelParams(p, a, t)
+        for j, v1 in enumerate(heat.kernel_Z_shell_series(kp, range(5))):
             v2 = heat.kernel_Z_alternating(kp, j)
             worst = max(worst, abs(v1.value - v2.value))
     return _check("kernel_dual_series",
@@ -101,9 +103,8 @@ def check_kernel_positivity() -> CheckResult:
     for (p, a) in ((2, 2.0), (3, 1.5)):
         for t in (0.1, 1.0, 10.0):
             kp = KernelParams(p, a, t)
-            low = min(low, heat.kernel_Z(kp, None).value)
-            for j in range(-10, 11):
-                low = min(low, heat.kernel_Z(kp, j).value)
+            for ev in heat.kernel_Z(kp, [None, *range(-10, 11)]):
+                low = min(low, ev.value)
     return _check("kernel_positivity", low >= -1e-15,
                   f"min sampled kernel value = {low:.3e}")
 
@@ -114,9 +115,9 @@ def check_kernel_envelope() -> CheckResult:
     ratios = []
     for t in np.logspace(-1, 1, 10):
         kp = KernelParams(p, a, float(t))
-        for j in range(-5, 5):
+        for j, ev in zip(range(-5, 5), heat.kernel_Z(kp, range(-5, 5))):
             env = t * (t ** (1 / a) + float(p) ** j) ** (-a - 1)
-            ratios.append(heat.kernel_Z(kp, j).value / env)
+            ratios.append(ev.value / env)
     ratios = np.array(ratios)
     c_lo, c_hi = float(ratios.min()), float(ratios.max())
     ok = c_lo > 0 and c_hi / c_lo <= 1e3
@@ -128,11 +129,12 @@ def check_kernel_envelope() -> CheckResult:
 def check_linear_split_certificate() -> CheckResult:
     """|c_{-k}(t) - p^{-k a}(p^a - 1) t| <= (p^{2a}/2) p^{-2k a} t^2."""
     worst_excess = -math.inf
+    ks = np.arange(1, 21)
     for (p, a) in ((2, 2.0), (3, 1.5)):
-        for k in range(1, 21):
-            slope, quadc = heat.linear_split_bound(p, a, k)
-            for t in np.linspace(0.125, 2.0, 16):
-                c = heat.coeff_ck(KernelParams(p, a, float(t)), -k)
+        splits = [heat.linear_split_bound(p, a, k) for k in ks.tolist()]
+        for t in np.linspace(0.125, 2.0, 16):
+            cs = heat.coeff_ck(KernelParams(p, a, float(t)), -ks)
+            for (slope, quadc), c in zip(splits, cs):
                 excess = abs(c - slope * t) - quadc * t * t
                 worst_excess = max(worst_excess, excess)
     ok = worst_excess <= 1e-16
@@ -157,10 +159,11 @@ def check_green_tail() -> CheckResult:
     """Far-field exponent -a-1 and amplitude -Gamma_p(a+1)/mu^2."""
     p, a, mu = 2, 2.0, 1.0
     js = list(range(6, 15))
-    logs = [math.log(heat.green_kernel(p, a, mu, j).value) for j in js]
+    values = [ev.value for ev in heat.green_kernel(p, a, mu, js)]
+    logs = [math.log(v) for v in values]
     xs = [j * math.log(p) for j in js]
     slope = np.polyfit(xs, logs, 1)[0]
-    amp = heat.green_kernel(p, a, mu, 14).value / (
+    amp = values[js.index(14)] / (
         heat.green_tail_constant(p, a, mu) * float(p) ** (-14 * (a + 1)))
     ok = abs(slope - (-(a + 1))) < 0.05 and abs(amp - 1) < 0.01
     return _check("green_tail", ok,
@@ -323,9 +326,8 @@ def check_semigroup_indicator_integrals() -> CheckResult:
     direct0, b0 = heat.ball_integral_of_Z(kp, 0)
     worst = max(worst, abs(exp.function.value_at(Fraction(0)) - direct0))
     # outside: the integral over B_0 sees the constant shell value of Z
-    for j in (1, 2, 3):
+    for j, zj in zip((1, 2, 3), heat.kernel_Z(kp, (1, 2, 3))):
         x = Fraction(1, p**j)  # |x|_p = p^j > 1
-        zj = heat.kernel_Z(kp, j)
         got = exp.function.value_at(x)
         worst = max(worst, abs(got - zj.value))
     tol = exp.pointwise_bound + b0 + 1e-12
@@ -402,12 +404,14 @@ def check_l1_contraction() -> CheckResult:
             K = heat.semigroup_matrix(op, t)
             T = heat.ball_semigroup_matrix(op, t)
             meas = float(op.grid.coset_measure)
-            for _ in range(25):
-                u = rng.standard_normal(op.grid.dim) + 1j * rng.standard_normal(op.grid.dim)
-                n0 = np.sum(np.abs(u)) * meas
-                worst = max(worst,
-                            float(np.sum(np.abs(K @ u)) * meas - n0),
-                            float(np.sum(np.abs(T @ u)) * meas - n0))
+            dim = op.grid.dim
+            us = np.column_stack([rng.standard_normal(dim)
+                                  + 1j * rng.standard_normal(dim)
+                                  for _ in range(25)])
+            n0 = np.sum(np.abs(_rows(us)), 1) * meas
+            for S in (K, T):
+                growth = np.sum(np.abs(_rows(S @ us)), 1) * meas - n0
+                worst = max(worst, float(growth.max()))
     return _check("l1_contraction", worst <= 1e-12,
                   f"max (|S(t)u|_1 - |u|_1) = {worst:.3e} over 100 random u")
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -119,6 +120,60 @@ def test_kernel_resolvent_positive_with_certificates(tmp_path):
     assert sorted(map(int, side["shell_truncation_bounds"])) == list(range(-12, 13))
     for k, v in prof.shell_values:
         assert 0 < side["shell_truncation_bounds"][str(k)] <= 1e-13 * v.real
+
+
+def _read_strict_json(path):
+    """The sidecar as JSON proper: NaN and Infinity raise."""
+    def refuse(name):
+        raise ValueError(f"{path} holds {name}")
+    with open(path) as fh:
+        return json.loads(fh.read(), parse_constant=refuse)
+
+
+def test_kernel_heat_where_the_alternating_argument_overflows(tmp_path, capsys):
+    """z = t p^{alpha (1 - shell)} leaves the double range on the inner
+    shells: at alpha = 50 inside the mass estimate's shells, and at
+    alpha = 2 from shell -1023 on.  The first run writes mass 1 with its
+    certificate; the second ends at the outer shells, whose series leave
+    the double range, with that message."""
+    rc = main(["kernel", "--p", "2", "--alpha", "50", "--t", "1",
+               "--out", str(tmp_path / "z.csv")])
+    assert rc == 0
+    side = _read_strict_json(tmp_path / "z.json")
+    assert abs(side["mass"] - 1.0) <= side["mass_certificate"] < 1e-6
+    rc = main(["kernel", "--p", "2", "--alpha", "2", "--t", "1",
+               "--shells", "2000", "--out", str(tmp_path / "far.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: kernel series leaves the double range\n")
+    assert not (tmp_path / "far.csv").exists()
+
+
+def test_kernel_heat_at_huge_times_writes_a_finite_certificate(tmp_path):
+    rc = main(["kernel", "--p", "2", "--alpha", "3", "--t", "1e300",
+               "--out", str(tmp_path / "z.csv")])
+    assert rc == 0
+    side = _read_strict_json(tmp_path / "z.json")
+    assert math.isfinite(side["mass_certificate"])
+    assert abs(side["mass"] - 1.0) <= side["mass_certificate"]
+
+
+def test_kernel_resolvent_tail_constant_beyond_the_double_range(tmp_path):
+    """Below mu ~ 1e-154, mu^{-2} leaves the double range: the sidecar
+    writes null for the tail constant and the CSV has no tail row, while
+    the certified values are written as for any mu."""
+    for mu in ("1e-160", "1e-200"):
+        out = tmp_path / f"green_{mu}.csv"
+        rc = main(["kernel", "--p", "2", "--alpha", "2", "--mu", mu,
+                   "--out", str(out)])
+        assert rc == 0
+        side = _read_strict_json(tmp_path / f"green_{mu}.json")
+        assert side["tail_constant"] is None
+        assert side["tail_exponent"] == -3.0
+        assert side["value_at_zero"] > 0
+        prof = read_radial_csv(str(out), 2)
+        assert prof.tail is None
+        assert len(prof.shell_values) == 25
 
 
 def test_kernel_flag_conflicts_and_domain(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicpme import heat
 from padicpme.errors import DomainError
 from padicpme.fractional import OperatorParams, ball_matrix
 from padicpme.heat import (KernelParams, ball_c_coefficient,
@@ -553,3 +555,152 @@ def test_resolvent_apply_columns_match_single_calls(p, N, M):
         for j in range(u.shape[1]):
             alone = resolvent_apply(op, 0.7, u[:, j].copy())
             assert got[:, j].tobytes() == alone.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# shell sequences: one gap sum for many shells
+# ---------------------------------------------------------------------------
+
+def _bits(ev):
+    gap = None if ev.series_gap is None else ev.series_gap.hex()
+    return ev.value.hex(), ev.truncation_bound.hex(), gap
+
+
+def _one_by_one(evaluate, shells):
+    """The bits of evaluate(j) for each j, or the first error's (type,
+    message), as a loop of one-shell calls gives them."""
+    try:
+        return [_bits(evaluate(j)) for j in shells]
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def _at_once(evaluate, shells):
+    try:
+        return [_bits(ev) for ev in evaluate(shells)]
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+_SHELL_LISTS = [
+    [None],
+    [],
+    [3],
+    list(range(-30, 31)) + [None],
+    [5, None, -7, 5, 0, 30, -30, None, 12, 12],
+    [None, 40, -40, 1],
+]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("t", [1e-3, 0.3, 10.0, 1e3])
+def test_heat_shell_lists_keep_the_bits_of_one_shell_calls(p, alpha, t):
+    params = KernelParams(p, alpha, t)
+    for shells in _SHELL_LISTS:
+        for f in (kernel_Z, kernel_Z_shell_series):
+            want = _one_by_one(lambda j: f(params, j), shells)
+            assert _at_once(lambda js: f(params, js), shells) == want
+            assert _at_once(lambda js: f(params, js), tuple(shells)) == want
+        ints = [j for j in shells if j is not None]
+        assert (_at_once(lambda js: kernel_Z(params, js), np.array(ints, int))
+                == _one_by_one(lambda j: kernel_Z(params, j), ints))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("alpha", [1.2, 2.0, 3.0])
+@pytest.mark.parametrize("mu", [0.1, 1.0, 10.0])
+def test_green_shell_lists_keep_the_bits_of_one_shell_calls(p, alpha, mu):
+    for shells in _SHELL_LISTS:
+        want = _one_by_one(lambda j: green_kernel(p, alpha, mu, j), shells)
+        assert _at_once(lambda js: green_kernel(p, alpha, mu, js),
+                        shells) == want
+
+
+_SHELLS = st.one_of(st.none(), st.integers(-60, 60),
+                    st.sampled_from([-1500, 1100, 2000]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]),
+       alpha=st.sampled_from([0.5, 1.01, 1.05, 1.3, 2.0, 3.0]),
+       log_t=st.floats(-6, 6), log_mu=st.floats(-2, 2),
+       shells=st.lists(_SHELLS, max_size=10))
+def test_shell_lists_fail_as_the_loop_of_one_shell_calls(p, alpha, log_t,
+                                                         log_mu, shells):
+    """A shell list gives each shell's bits, or raises the error the loop
+    of one-shell calls raises first: shells far out leave the double
+    range, and E_mu(0) refuses alpha near 1."""
+    params = KernelParams(p, alpha, 10.0 ** log_t)
+    for f in (kernel_Z, kernel_Z_shell_series):
+        assert (_at_once(lambda js: f(params, js), shells)
+                == _one_by_one(lambda j: f(params, j), shells))
+    if alpha > 1:
+        mu = 10.0 ** log_mu
+        assert (_at_once(lambda js: green_kernel(p, alpha, mu, js), shells)
+                == _one_by_one(lambda j: green_kernel(p, alpha, mu, j), shells))
+
+
+def test_a_failing_cross_check_raises_in_shell_order(monkeypatch):
+    """kernel_Z checks each shell's alternating series in turn: a
+    disagreement at shell 3 raises before the range error at shell 1100,
+    and after it when 1100 comes first, as in a loop of one-shell calls."""
+    alternating = heat.kernel_Z_alternating
+
+    def wrong_at_3(params, shell):
+        ev = alternating(params, shell)
+        return replace(ev, value=ev.value + 1.0) if shell == 3 else ev
+
+    monkeypatch.setattr(heat, "kernel_Z_alternating", wrong_at_3)
+    params = KernelParams(2, 2.0, 1.0)
+    for shells in ([0, 3, 1100], [0, 1100, 3]):
+        want = _one_by_one(lambda j: kernel_Z(params, j), shells)
+        assert want[0] is ArithmeticError
+        assert _at_once(lambda js: kernel_Z(params, js), shells) == want
+    assert "disagree at shell 3" in _at_once(
+        lambda js: kernel_Z(params, js), [0, 3, 1100])[1]
+
+
+def test_coeff_ck_arrays_match_scalar_calls():
+    ks = np.arange(-200, 201)
+    for p in (2, 3, 5):
+        for alpha in (0.5, 1.5, 3.0):
+            for t in (1e-6, 1.0, 1e6):
+                params = KernelParams(p, alpha, t)
+                got = coeff_ck(params, ks)
+                want = [float(coeff_ck(params, int(k))) for k in ks]
+                assert [float(c).hex() for c in got] == [c.hex() for c in want]
+
+
+def test_far_inner_shells_skip_the_cross_check():
+    """z = t p^{alpha (1 - shell)} overflows on shells far inside: there
+    the alternating series is unusable and kernel_Z is the shell series."""
+    params = KernelParams(2, 2.0, 1.0)
+    ev = kernel_Z(params, -600)
+    assert ev == kernel_Z_shell_series(params, -600)
+    assert ev.series_gap is None
+    assert ev.value == pytest.approx(kernel_Z(params, None).value, rel=1e-15)
+    with pytest.raises(DomainError, match="z=inf"):
+        kernel_Z_alternating(params, -600)
+    # alpha 26 ln p > 709: the mass estimate's innermost shells
+    mass, bound = kernel_mass_estimate(KernelParams(2, 50.0, 1.0))
+    assert abs(mass - 1.0) <= bound < 1e-6
+
+
+def test_ball_integral_certificate_where_the_exponential_vanishes():
+    """At t = 1e300, t p^{alpha (1 - l)} overflows and e^{-x} is exactly
+    0; the certificate stays finite and still covers the mass."""
+    params = KernelParams(2, 3.0, 1e300)
+    total, bound = ball_integral_of_Z(params, -26)
+    want = _ball_integral_reference(2, 3.0, 1e300, -26)
+    assert abs(mpmath.mpf(total) - want) <= bound <= 1e-12 * total
+    mass, mass_bound = kernel_mass_estimate(params)
+    assert math.isfinite(mass_bound) and abs(mass - 1.0) <= mass_bound
+
+
+def test_green_tail_constant_beyond_the_double_range():
+    for p, alpha in ((2, 2.0), (3, 1.5), (5, 3.0)):
+        c = green_tail_constant(p, alpha, 1.0)
+        assert green_tail_constant(p, alpha, 1e-150) == pytest.approx(c * 1e300)
+        for mu in (1e-160, 1e-200):
+            assert green_tail_constant(p, alpha, mu) == math.copysign(math.inf, c)
