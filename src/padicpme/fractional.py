@@ -126,52 +126,48 @@ def apply_radial_power(params: OperatorParams, beta: float) -> tuple:
     return c, b - a
 
 
-_MAX_QUADRATURE_NODES = 1 << 18
-
-
 def hypersingular_quadrature(params: OperatorParams, f: TestFunction, x,
                              k_lo: int, k_hi: int) -> tuple:
     """Shell quadrature for D^alpha f at x with a certified truncation bound.
 
-    The sample needs f over disjoint cosets of one radius, and the tail
-    bound its exact sup|f|, so f is canonicalized first.  f is constant on
-    the cosets of B_c, c = f.constancy_radius_exp(), so shells k <= c
-    contribute exactly zero.  y -> f(x - y) is sampled once on
+    f is constant on the cosets of B_c, c = f.constancy_radius_exp(), so
+    shells k <= c contribute exactly zero.  y -> f(x - y) is sampled once on
     the p^K cosets of B_{k_hi} / B_c (K = k_hi - c), the coset of y at index
-    y p^{k_hi} mod p^K: each canonical term lands on one index.  Cell i != 0
-    lies on the shell k_hi - v_p(i), so one bincount over the valuations
-    sums every shell in [max(k_lo, c + 1), k_hi].  Shells above k_hi are
-    bounded by 2 sup|f| times the remaining geometric integral.  Returns
-    (value, tail_bound).
+    y p^{k_hi} mod p^K, term by term as to_grid samples, for any rational
+    x.  With z = (x - b) p^{k_hi}, a term on B(b, p^r) with r <= k_hi adds
+    its coefficient to the class of z mod p^{k_hi - r} when |z|_p <= 1; a
+    wider one holds all of x - B_{k_hi} or none of it, and adds to every
+    coset when |z|_p <= p^{r - k_hi}.  The sample is the grid
+    GridSpec(p, k_hi, -c), refused above its cap before it is allocated.
+    Cell i != 0 lies on the shell k_hi - v_p(i), so one bincount over the
+    valuations sums every shell in [max(k_lo, c + 1), k_hi].  Shells above
+    k_hi are bounded by 2 sup|f| times the remaining geometric integral,
+    with sup|f| exact (_sup_abs).  Returns (value, tail_bound); f = 0
+    returns (0j, 0.0).
     """
     p, a = params.p, params.alpha
     kappa = params.hypersingular_coefficient
-    g = f.canonicalize()
-    c_exp = g.constancy_radius_exp()
-    if c_exp is None:
+    sup = _sup_abs(f)
+    if not sup:
         return 0j, 0.0
-    sup = max(abs(c) for c, _ in g.terms)
+    c_exp = f.constancy_radius_exp()
     x = Fraction(x)
 
     lo = max(k_lo, c_exp + 1)
-    K = k_hi - c_exp
-    nodes = p**K - p ** (lo - c_exp - 1) if lo <= k_hi else 0
-    if nodes > _MAX_QUADRATURE_NODES:
-        raise ResourceError(f"quadrature needs {nodes} nodes, cap is "
-                            f"{_MAX_QUADRATURE_NODES}")
-
     total = 0j
-    if nodes:
-        size = p**K
-        sample = np.zeros(size, dtype=np.complex128)  # f(x - y) per coset
-        for c, b in g.terms:
-            z = (x - b.center) * Fraction(p) ** k_hi
-            if z.denominator % p:  # |z|_p <= 1: x - b lies in B_{k_hi}
-                sample[z.numerator * pow(z.denominator, -1, size) % size] += c
+    if lo <= k_hi:
+        grid = GridSpec(p, k_hi, -c_exp)
+        sample = np.zeros(grid.dim, dtype=np.complex128)  # f(x - y) per coset
+        for c, b in f.terms:
+            z = (x - b.center) * Fraction(p) ** max(b.radius_exp, k_hi)
+            if z.denominator % p:  # B(b, p^r) meets x - B_{k_hi}
+                step = p ** max(k_hi - b.radius_exp, 0)
+                start = z.numerator * pow(z.denominator, -1, step) % step
+                sample[start::step] += c
         sample -= sample[0]  # f(x - y) - f(x); the cell of y = 0 holds f(x)
-        v = GridSpec(p, k_hi, -c_exp).valuations  # node cap: p^K <= 2^19
-        re = np.bincount(v, sample.real, minlength=K + 1)
-        im = np.bincount(v, sample.imag, minlength=K + 1)
+        K = k_hi - c_exp
+        re = np.bincount(grid.valuations, sample.real, minlength=K + 1)
+        im = np.bincount(grid.valuations, sample.imag, minlength=K + 1)
         cell = float(p) ** c_exp  # measure of one constancy coset
         for k in range(lo, k_hi + 1):
             shell = complex(re[k_hi - k], im[k_hi - k])
@@ -180,6 +176,36 @@ def hypersingular_quadrature(params: OperatorParams, f: TestFunction, x,
     tail = (abs(kappa) * 2 * sup * (1 - 1 / p)
             * float(p) ** (-(k_hi + 1) * a) / (1 - float(p) ** (-a)))
     return kappa * total, tail
+
+
+def _sup_abs(f: TestFunction) -> float:
+    """sup |f| exactly, from the raw terms; 0.0 for f = 0.
+
+    Take a term ball B less the strictly smaller term balls inside it.
+    The largest of those are disjoint, so that part is nonempty iff their
+    measures sum to less than the measure of B.  On it f is the sum, in
+    term order from 0j, of the coefficients of the term balls that hold
+    B: the bits a coset there gets in the quadrature's sample.
+    """
+    balls = dict.fromkeys(b for _, b in f.terms)
+    radii = sorted({b.radius_exp for b in balls})
+    holders, covered = {}, dict.fromkeys(balls, Fraction(0))
+    for b in balls:
+        # the term balls that hold b, b first and then by radius
+        above = [B for B in (Ball(f.p, b.center, r) for r in radii
+                             if r >= b.radius_exp) if B in balls]
+        holders[b] = set(above)
+        if len(above) > 1:
+            covered[above[1]] += b.measure
+    sup = 0.0
+    for b in balls:
+        if covered[b] < b.measure:
+            value = 0j
+            for c, term in f.terms:
+                if term in holders[b]:
+                    value += c
+            sup = max(sup, abs(value))
+    return sup
 
 
 @dataclass
@@ -259,8 +285,7 @@ class LevelOperator:
         sums = [x]
         for _ in self.h[1:]:
             sums.append(np.add.reduce(sums[-1].reshape(p, -1), 0))
-        top = sums[-1].reshape(p, -1)
-        sums.append(np.add.reduce(top, 0) if x.ndim == 1 else _top_sums(top))
+        sums.append(_top_sums(sums[-1].reshape(p, -1)))
         t = self.h[0] * sums[-1]
         for h, s in zip(self.h[1:], sums[-2:0:-1]):
             t = (s.reshape(p, -1) * h + t).ravel()
@@ -319,10 +344,7 @@ class LevelOperator:
         for L in range(len(self.h) - 1, -1, -1):
             g = scale * self.h[L]
             kids = qs.reshape(2, p, -1)
-            if L or b.ndim == 1:
-                qs = np.add.reduce(kids, 1)
-            else:  # the top fold of a batch
-                qs = _top_sums(kids)
+            qs = np.add.reduce(kids, 1) if L else _top_sums(kids)
             piv = g * qs[0]
             piv += 1.0
             _check_pivots(piv, b)
@@ -348,17 +370,16 @@ def _check_rows(grid: GridSpec, x: np.ndarray) -> None:
 
 
 def _top_sums(kids: np.ndarray) -> np.ndarray:
-    """The top fold of column-stacked data: kids of shape (..., p, k)
-    holds the p level-1 class sums of each of k columns; returns their
+    """The top fold: kids of shape (..., p, k) holds the p level-1 class
+    sums of each of k columns (k = 1 for a single vector); returns their
     sums over the p axis.
 
     numpy adds a contiguous run pairwise (in blocks of eight numbers) but a
     strided axis row by row, and the two orders round differently once a
-    run holds more than eight: p > 8 for real data, p > 4 for complex.  A
-    single vector's top fold is one run of p, so each column is made a
-    contiguous run here too and rounds exactly as it does alone.  Lower
-    folds add rows of width >= 2 per column, row by row, alone or in a
-    batch.
+    run holds more than eight: p > 8 for real data, p > 4 for complex.  So
+    each column's p sums are made one contiguous run, and a column rounds
+    the same alone as in a batch.  Lower folds add rows of width >= 2 per
+    column, row by row, alone or in a batch.
     """
     return np.add.reduce(np.ascontiguousarray(kids.swapaxes(-1, -2)), -1)
 

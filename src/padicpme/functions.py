@@ -12,12 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, PrecisionError, ResourceError
+from .errors import DomainError, PrecisionError
 from .padic import (Ball, GridSpec, check_prime, int_valuation, rational_abs,
                     rational_shell)
 
-# Most balls canonicalize() refines into before it refuses.
-_MAX_CANONICAL_TERMS = 65536
 # A grid CSV keeps one text per distinct value while at most one cell in
 # this many holds a distinct value (see _value_texts).
 _MAX_DISTINCT_SHARE = 8
@@ -31,9 +29,8 @@ _MAX_DISTINCT_SHARE = 8
 class TestFunction:
     """Finite complex combination of ball indicators sum_i c_i 1_{B_i}.
 
-    Terms may overlap; balls are nested or disjoint, so most code works
-    term by term, and canonicalize() rewrites the list over disjoint balls
-    of one common radius.  Keeping the raw list legal makes long operator
+    Terms may overlap; balls are nested or disjoint, so all code works
+    term by term.  Keeping the raw list legal makes long operator
     expansions cheap to build and exact to evaluate.
     """
 
@@ -81,31 +78,6 @@ class TestFunction:
         if not self.terms:
             return None
         return min(b.radius_exp for _, b in self.terms)
-
-    # ---- canonical form ---------------------------------------------------
-
-    def canonicalize(self) -> "TestFunction":
-        """Rewrite over disjoint balls of the minimum term radius, sorted
-        by center; exact zero coefficients are dropped.  Raises
-        ResourceError when the refinement would exceed
-        _MAX_CANONICAL_TERMS balls.
-        """
-        if not self.terms:
-            return self
-        r = min(b.radius_exp for _, b in self.terms)
-        acc: dict = {}
-        total = 0
-        for c, b in self.terms:
-            span = b.radius_exp - r
-            total += self.p**span
-            if total > _MAX_CANONICAL_TERMS:
-                raise ResourceError("canonicalization needs more than "
-                                    f"{_MAX_CANONICAL_TERMS} balls")
-            for sub in b.subballs(r):
-                acc[sub] = acc.get(sub, 0j) + c
-        kept = sorted(((c, sub) for sub, c in acc.items() if abs(c) > 0),
-                      key=lambda cb: cb[1].center)
-        return TestFunction(self.p, tuple(kept))
 
     def integral(self) -> complex:
         return sum((c * float(b.measure) for c, b in self.terms), 0j)

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, check_int
 
 
 def check_prime(p: int) -> int:
@@ -160,14 +160,6 @@ class Ball:
         return (self.radius_exp <= other.radius_exp
                 and other.contains_value(self.center))
 
-    def subballs(self, radius_exp: int) -> list:
-        """Disjoint refinement into balls of radius p^radius_exp."""
-        if radius_exp > self.radius_exp:
-            raise DomainError("refinement radius must not exceed the ball radius")
-        step = Fraction(self.p) ** -self.radius_exp
-        return [Ball(self.p, self.center + n * step, radius_exp)
-                for n in range(self.p ** (self.radius_exp - radius_exp))]
-
 
 _GAMMA_POLE_GUARD = 1e-9
 
@@ -207,6 +199,8 @@ class GridSpec:
 
     def __post_init__(self):
         check_prime(self.p)
+        check_int("N", self.N)
+        check_int("M", self.M)
         if self.N + self.M < 1:
             raise DomainError(f"need N + M >= 1, got N={self.N}, M={self.M}")
         if self.dim > LEVEL_GRID_CAP:

@@ -96,10 +96,26 @@ def test_quadrature_certificate_honest():
 
 
 def test_quadrature_node_cap():
+    """k_hi = 40 asks for a sample of 2^44 cosets: its grid's 2^20-cell
+    cap refuses it before anything is allocated."""
     op = OperatorParams(2, 2.0)
     f = TestFunction.indicator(Ball(2, 0, -4))
     with pytest.raises(ResourceError):
         hypersingular_quadrature(op, f, Fraction(0), k_lo=-4, k_hi=40)
+
+
+def test_quadrature_spans_wide_and_fine_terms():
+    """A term 2^18 times wider than the constancy radius: 1_{B(0, 2^10)}
+    - 1_{B(1/4, 2^-8)} at x = 1/4 samples 2^16 cosets, term by term, and
+    stays within its certificate of the closed form."""
+    op = OperatorParams(2, 2.0)
+    f = (TestFunction.indicator(Ball(2, 0, 10))
+         - TestFunction.indicator(Ball(2, Fraction(1, 4), -8)))
+    x = Fraction(1, 4)
+    val, tail = hypersingular_quadrature(op, f, x, k_lo=-7, k_hi=8)
+    closed = apply_testfunction_at(op, f, x)
+    assert abs(closed + 37449.142857) < 1e-5
+    assert abs(val - closed) <= tail < 2e-5
 
 
 def _quadrature_oracle(op, f, x, k_lo, k_hi):
@@ -338,14 +354,19 @@ def test_level_solve_names_the_column_of_a_bad_pivot():
 
 
 def test_restrict_to_ball():
+    """Checked as functions, on one point of each coset of the finest ball
+    (radius 1/4) in B(0, 8), which holds every ball here."""
     p = 2
+    points = [Fraction(m, 4) for m in range(32)]
     psi = TestFunction.indicator(Ball(p, 0, 2))
     inner = restrict_to_ball(psi, Ball(p, 0, 0))
-    assert inner.canonicalize() == TestFunction.indicator(
-        Ball(p, 0, 0)).canonicalize()
+    unit = TestFunction.indicator(Ball(p, 0, 0))
+    assert [inner.value_at(y) for y in points] == [
+        unit.value_at(y) for y in points]
     # support wholly outside the ball restricts to zero
     far = TestFunction.indicator(Ball(p, Fraction(1, 4), -2))
-    assert restrict_to_ball(far, Ball(p, 0, 0)).canonicalize().terms == ()
+    assert not any(restrict_to_ball(far, Ball(p, 0, 0)).value_at(y)
+                   for y in points)
 
 
 @pytest.mark.parametrize("terms", [

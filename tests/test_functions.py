@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 
 from padicpme import functions
 from padicpme.errors import DomainError, PrecisionError
+from padicpme.fractional import _sup_abs
 from padicpme.functions import (GridFunction, RadialFunction, TestFunction,
                                 read_grid_csv, read_radial_csv, to_grid,
                                 write_grid_csv, write_grid_csvs,
@@ -50,26 +51,22 @@ def test_value_at_is_the_sum_over_containing_balls(p, data, a, b, j):
     assert f.value_at(x) == expected
 
 
-@given(_tf_strategy(), point_strategy(2, -3, 3))
-def test_canonicalize_preserves_values(f, x):
-    g = f.canonicalize()
-    assert abs(f.value_at(x) - g.value_at(x)) < 1e-12
-
-
-@given(_tf_strategy())
-def test_canonicalize_idempotent(f):
-    g = f.canonicalize()
-    assert g.canonicalize() == g
-
-
-@given(_tf_strategy())
-def test_canonical_terms_disjoint(f):
-    g = f.canonicalize()
-    balls = [b for _, b in g.terms]
-    for i, b1 in enumerate(balls):
-        for b2 in balls[:i]:
-            assert not b1.contains_value(b2.center)
-            assert not b2.contains_value(b1.center)
+@pytest.mark.parametrize("p", [2, 3, 5])
+@given(data=st.data())
+def test_sup_abs_is_the_max_over_cosets(p, data):
+    """The quadrature's exact sup|f|, from terms that overlap, repeat and
+    cancel, is max |value_at| over the cosets of the smallest term radius
+    p^c in B(0, p^2), which holds every term: the points m / p^2,
+    0 <= m < p^(2 - c)."""
+    f = data.draw(_tf_strategy(p))
+    if f.terms:  # repeat some terms, or cancel them
+        again = data.draw(st.lists(st.sampled_from(f.terms), max_size=3))
+        f += TestFunction(p, tuple(again)).scale(
+            data.draw(st.sampled_from([1, -1])))
+    c = f.constancy_radius_exp()
+    brute = 0.0 if c is None else max(
+        abs(f.value_at(Fraction(m, p**2))) for m in range(p ** (2 - c)))
+    assert _sup_abs(f) == brute
 
 
 def test_integral_is_linear_in_terms():

@@ -174,18 +174,6 @@ def test_ball_center_is_defined_modulo_the_radius(px, r, n):
     assert b.contains_value(c)
 
 
-def test_subballs_partition():
-    b = Ball(3, 0, 1)
-    parts = b.subballs(-1)
-    assert len(parts) == 9
-    assert sum(q.measure for q in parts) == b.measure
-    for i, q in enumerate(parts):
-        assert q.subset_of(b)
-        for r in parts[:i]:
-            assert not q.contains_value(r.center)
-            assert not r.contains_value(q.center)
-
-
 # ---------------------------------------------------------------------------
 # grids
 # ---------------------------------------------------------------------------
@@ -199,6 +187,12 @@ def test_grid_basic_shape():
     assert GridSpec(2, 10, 10).dim == LEVEL_GRID_CAP
     with pytest.raises(ResourceError):
         GridSpec(2, 10, 11)
+
+
+@pytest.mark.parametrize("N, M", [(1.0, 2), (1.5, 1.5), (True, 2), (1, 2.0)])
+def test_grid_refuses_non_integer_exponents(N, M):
+    with pytest.raises(DomainError):
+        GridSpec(2, N, M)
 
 
 def test_grid_equality_is_the_triple():
