@@ -127,7 +127,7 @@ def apply_radial_power(params: OperatorParams, beta: float) -> tuple:
 
 
 def hypersingular_quadrature(params: OperatorParams, f: TestFunction, x,
-                             k_lo: int, k_hi: int) -> tuple:
+                             k_hi: int) -> tuple:
     """Shell quadrature for D^alpha f at x with a certified truncation bound.
 
     f is constant on the cosets of B_c, c = f.constancy_radius_exp(), so
@@ -140,7 +140,7 @@ def hypersingular_quadrature(params: OperatorParams, f: TestFunction, x,
     coset when |z|_p <= p^{r - k_hi}.  The sample is the grid
     GridSpec(p, k_hi, -c), refused above its cap before it is allocated.
     Cell i != 0 lies on the shell k_hi - v_p(i), so one bincount over the
-    valuations sums every shell in [max(k_lo, c + 1), k_hi].  Shells above
+    valuations sums every shell in [c + 1, k_hi].  Shells above
     k_hi are bounded by 2 sup|f| times the remaining geometric integral,
     with sup|f| exact (_sup_abs).  Returns (value, tail_bound); f = 0
     returns (0j, 0.0).
@@ -153,9 +153,8 @@ def hypersingular_quadrature(params: OperatorParams, f: TestFunction, x,
     c_exp = f.constancy_radius_exp()
     x = Fraction(x)
 
-    lo = max(k_lo, c_exp + 1)
     total = 0j
-    if lo <= k_hi:
+    if c_exp < k_hi:
         grid = GridSpec(p, k_hi, -c_exp)
         sample = np.zeros(grid.dim, dtype=np.complex128)  # f(x - y) per coset
         for c, b in f.terms:
@@ -169,7 +168,7 @@ def hypersingular_quadrature(params: OperatorParams, f: TestFunction, x,
         re = np.bincount(grid.valuations, sample.real, minlength=K + 1)
         im = np.bincount(grid.valuations, sample.imag, minlength=K + 1)
         cell = float(p) ** c_exp  # measure of one constancy coset
-        for k in range(lo, k_hi + 1):
+        for k in range(c_exp + 1, k_hi + 1):
             shell = complex(re[k_hi - k], im[k_hi - k])
             total += float(p) ** (-k * (a + 1)) * cell * shell
 

@@ -175,14 +175,6 @@ def _cols(mask, *arrays) -> list:
     return [a[..., mask] if isinstance(a, np.ndarray) else a for a in arrays]
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray):
-    """Per column, whether a and b hold the same bits, signed zeros and
-    NaNs included, so that G gives the same bits on both."""
-    if a.ndim == 1:  # bytes compare in far less than a numpy call costs
-        return a.tobytes() == b.tobytes()
-    return (a.view(np.int64) == b.view(np.int64)).all(0)
-
-
 def _newton_solve(A: LevelOperator, m: float, f: np.ndarray, eps,
                   scale: float, v_prev=None) -> tuple:
     """Damped Newton for G(v) = eps v + scale A v + beta(v) - f = 0: the
@@ -201,10 +193,7 @@ def _newton_solve(A: LevelOperator, m: float, f: np.ndarray, eps,
     call.  In each column the first trial that is accepted or that rounds
     back to v decides, as in a search theta by theta: rounding is
     monotone, so every shorter step rounds back too, and the trials after
-    it are discarded.  Past the ladder the column stalls.  A block of one
-    trial that rounds to the rejected trial before it reuses its G and
-    residual (in a batch, when every column still searching does); only
-    the acceptance threshold has changed.
+    it are discarded.  Past the ladder the column stalls.
 
     For f of shape (n, k) the k columns are independent problems, with eps
     a scalar or one value per column.  They run in lockstep on one
@@ -245,7 +234,6 @@ def _newton_solve(A: LevelOperator, m: float, f: np.ndarray, eps,
         vs, ds, fs, es, rs, ts = v, d, f, eps, res, target
         stalled = np.zeros(len(live), bool) if batch else False
         j, width = 0, 1
-        prev = None  # the last rejected trial, with its G, s A v, residual
 
         def accepted(rn, theta):  # sufficient decrease, or the target
             return (rn <= (1 - 0.25 * theta) * rs) | (rn <= ts)
@@ -273,14 +261,8 @@ def _newton_solve(A: LevelOperator, m: float, f: np.ndarray, eps,
                     return stalled
                 cols, vs, ds, fs, es, rs, ts, trial, moved = _cols(
                     keep, cols, vs, ds, fs, es, rs, ts, trial, moved)
-                if prev is not None:
-                    prev = _cols(keep, *prev)
-            if (len(theta) == 1 and prev is not None
-                    and allof(_same_bits(trial[:, 0], prev[0][:, 0]))):
-                gn, sn, rn = prev[1:]
-            else:
-                gn, sn = G(trial, fs[:, None], es)
-                rn = np.abs(gn).max(0)
+            gn, sn = G(trial, fs[:, None], es)
+            rn = np.abs(gn).max(0)
             # most searches end at the first trial, in every column
             first = accepted(rn[0], theta[0])
             if allof(first) and (not batch or len(cols) == len(live)):
@@ -307,11 +289,9 @@ def _newton_solve(A: LevelOperator, m: float, f: np.ndarray, eps,
                 sav[:, idx], res[idx] = sn[:, k, c], rn[k, c]
                 if decided.all():
                     return stalled
-            prev = trial[:, -1:], gn[:, -1:], sn[:, -1:], rn[-1:]
             if batch:
                 cols, vs, ds, fs, es, rs, ts = _cols(
                     ~decided, cols, vs, ds, fs, es, rs, ts)
-                prev = _cols(~decided, *prev)
             j += len(theta)
             width = max(1, _BLOCK_CELLS // vs.size)
 

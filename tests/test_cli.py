@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from padicpme import heat
+from padicpme import heat, verification
 from padicpme.cli import _write_run, build_initial, main
 from padicpme.errors import DomainError
 from padicpme.functions import GridFunction, read_radial_csv, write_grid_csv
@@ -571,6 +571,21 @@ def test_digit_and_rational_centers_agree(tmp_path):
     # B(3/2, 2^-1) holds the cells 3/2 and 7/2 of the grid 2^-1 Z / 4 Z
     assert [r["center"] for r in rows if float(r["re"]) == 1.0] == [
         "-1:1,0:1", "-1:1,0:1,1:1"]
+
+
+def test_verify_reports_a_failed_check_and_exits_1(monkeypatch, capsys):
+    """A suite with a failing check prints its FAIL line, then the count
+    and names of the failures, and exits 1, which CI's certified-checks
+    step relies on."""
+    passing = lambda: verification.CheckResult("holds", True, "ok")
+    failing = lambda: verification.CheckResult("breaks", False, "off by 1")
+    monkeypatch.setitem(verification.SUITES, "explicit", (passing, failing))
+    assert main(["verify", "explicit"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS explicit.holds: ok",
+        "FAIL explicit.breaks: off by 1",
+        "1 check(s) failed: explicit.breaks",
+    ]
 
 
 def test_verify_all_runs_without_scipy():

@@ -90,7 +90,7 @@ def test_quadrature_certificate_honest():
     op = OperatorParams(2, 2.0)
     f = TestFunction.indicator(Ball(2, 0, 0))
     for x in _QUADRATURE_POINTS:
-        val, tail = hypersingular_quadrature(op, f, x, k_lo=-4, k_hi=12)
+        val, tail = hypersingular_quadrature(op, f, x, k_hi=12)
         closed = apply_testfunction_at(op, f, x)
         assert abs(val - closed) <= tail + 1e-12
 
@@ -101,7 +101,7 @@ def test_quadrature_node_cap():
     op = OperatorParams(2, 2.0)
     f = TestFunction.indicator(Ball(2, 0, -4))
     with pytest.raises(ResourceError):
-        hypersingular_quadrature(op, f, Fraction(0), k_lo=-4, k_hi=40)
+        hypersingular_quadrature(op, f, Fraction(0), k_hi=40)
 
 
 def test_quadrature_spans_wide_and_fine_terms():
@@ -112,20 +112,20 @@ def test_quadrature_spans_wide_and_fine_terms():
     f = (TestFunction.indicator(Ball(2, 0, 10))
          - TestFunction.indicator(Ball(2, Fraction(1, 4), -8)))
     x = Fraction(1, 4)
-    val, tail = hypersingular_quadrature(op, f, x, k_lo=-7, k_hi=8)
+    val, tail = hypersingular_quadrature(op, f, x, k_hi=8)
     closed = apply_testfunction_at(op, f, x)
     assert abs(closed + 37449.142857) < 1e-5
     assert abs(val - closed) <= tail < 2e-5
 
 
-def _quadrature_oracle(op, f, x, k_lo, k_hi):
+def _quadrature_oracle(op, f, x, k_hi):
     """The shell sum node by node: one exact f(x - y) per coset y + B_c of
-    each shell k in [max(k_lo, c + 1), k_hi], c the constancy exponent."""
+    each shell k in [c + 1, k_hi], c the constancy exponent."""
     p, a = op.p, op.alpha
     c = f.constancy_radius_exp()
     fx = f.value_at(x)
     total = 0j
-    for k in range(max(k_lo, c + 1), k_hi + 1):
+    for k in range(c + 1, k_hi + 1):
         ys = (Fraction(m) / Fraction(p) ** k
               for m in range(1, p ** (k - c)) if m % p)
         shell = sum(f.value_at(x - y) - fx for y in ys)
@@ -133,9 +133,9 @@ def _quadrature_oracle(op, f, x, k_lo, k_hi):
     return op.hypersingular_coefficient * total
 
 
-@pytest.mark.parametrize("p, alpha, k_lo, k_hi", [
-    (2, 2.0, -4, 6), (2, 0.7, -1, 3), (3, 1.3, -3, 4), (3, 2.5, 1, 2)])
-def test_quadrature_matches_exact_node_sum(p, alpha, k_lo, k_hi):
+@pytest.mark.parametrize("p, alpha, k_hi", [
+    (2, 2.0, 6), (2, 0.7, 3), (3, 1.3, 4), (3, 2.5, 2)])
+def test_quadrature_matches_exact_node_sum(p, alpha, k_hi):
     op = OperatorParams(p, alpha)
     at = lambda q, l: Ball(p, q, l)
     f = TestFunction(p, (  # overlapping raw terms, complex coefficients
@@ -146,8 +146,8 @@ def test_quadrature_matches_exact_node_sum(p, alpha, k_lo, k_hi):
         (-1.5 + 0j, at(4, 0)),
     ))
     for x in _QUADRATURE_POINTS:
-        val, _ = hypersingular_quadrature(op, f, x, k_lo=k_lo, k_hi=k_hi)
-        ref = _quadrature_oracle(op, f, x, k_lo, k_hi)
+        val, _ = hypersingular_quadrature(op, f, x, k_hi=k_hi)
+        ref = _quadrature_oracle(op, f, x, k_hi)
         assert abs(val - ref) <= 1e-15 * abs(ref), (x, val, ref)
 
 

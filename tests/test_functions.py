@@ -270,7 +270,8 @@ def test_grid_csvs_match_one_file_writes(tmp_path, monkeypatch, p, N, M):
 def test_grid_csv_reader_refuses_malformed_rows(tmp_path):
     """A repeated index, a short row and a non-numeric value each raise
     DomainError naming the line, not a silent zero or a bare
-    IndexError / ValueError."""
+    IndexError / ValueError; so do a foreign header and an index outside
+    the grid, at either end."""
     grid = GridSpec(2, 1, 1)
     path = tmp_path / "u.csv"
     write_grid_csv(str(path), GridFunction(grid, np.arange(1.0, 5.0)))
@@ -282,6 +283,11 @@ def test_grid_csv_reader_refuses_malformed_rows(tmp_path):
                                       + lines[4:]),
         "line 2: invalid literal": [lines[0], b"zero" + lines[1][1:]]
                                    + lines[2:],
+        r"unexpected grid CSV header \['idx'": [b"idx" + lines[0][5:]]
+                                               + lines[1:],
+        "index 4 outside grid of dim 4": lines[:4] + [b"4" + lines[4][1:]],
+        "index -1 outside grid of dim 4": [lines[0], b"-1" + lines[1][1:]]
+                                          + lines[2:],
     }
     for message, rows in bad.items():
         path.write_bytes(b"\r\n".join(rows))

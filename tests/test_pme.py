@@ -600,27 +600,6 @@ def test_column_input_refuses_a_wrong_shape():
             stationary_solve(prob, f, eps)
 
 
-def test_a_repeated_line_search_trial_reuses_its_residual(monkeypatch):
-    """The first m = 3 step from |x| on dim 2^14 halves theta to a trial
-    that rounds to the vector of the rejected trial before it.  That trial
-    reuses the rejected one's G and residual, so A is never applied to the
-    same input twice in a row."""
-    prob = _problem(p=2, alpha=1.5, N=7, M=7, m=3.0, tau=0.1, t_end=0.1)
-    u = build_initial(prob.grid, {"kind": "radial_power", "exponent": 1.0})
-    last, repeats = [None], []
-    apply = LevelOperator.apply
-
-    def recording(self, x):
-        if self is prob.levels:
-            repeats.append(last[0] is not None and np.array_equal(x, last[0]))
-            last[0] = x.copy()
-        return apply(self, x)
-
-    monkeypatch.setattr(LevelOperator, "apply", recording)
-    implicit_step(prob, u)
-    assert len(repeats) > 10 and not any(repeats)
-
-
 def _outcome(call) -> tuple:
     """The sha256 of v, w and w_free with iterations and residual, or the
     message, residual and column of the SolverError the call raises."""
@@ -706,6 +685,33 @@ def test_a_small_point_datum_at_m3_solves():
     u[0] = 1e-3
     _, res = implicit_step(prob, u)
     assert res.residual <= _NEWTON_TOL
+
+
+@pytest.mark.parametrize("rungs", [1, 2])
+def test_a_line_search_that_exhausts_its_ladder_stalls(monkeypatch, rungs):
+    """The (2, 2, 2), m = 3 point datum of size 1e-3 above rejects every
+    rung of a ladder cut to one or two thetas, and so stalls above its
+    rounding floor, alone and as column 1 of a batch whose constant and
+    zero columns solve; the batch names it with its solo message and
+    residual.  On the full ladder it runs out of iterations instead."""
+    def outcome(u):
+        prob = PMEProblem(p=2, alpha=0.5, N=2, M=2, m=3.0, tau=0.1,
+                          t_end=0.1)
+        return _outcome(lambda: implicit_step(prob, u)[1])
+
+    n = 16
+    point = np.zeros(n)
+    point[0] = 1e-3
+    batch = np.column_stack([np.ones(n), point, np.zeros(n)])
+    assert outcome(point)[0].startswith(
+        f"Newton did not converge in {_MAX_ITERS} iterations ")
+    monkeypatch.setattr(pme, "_LADDER", rungs)
+    monkeypatch.setattr(pme, "_THETA", np.ldexp(1.0, -np.arange(rungs)))
+    message, residual, column = outcome(point)
+    assert message.startswith(
+        "Newton line search stalled above the rounding floor ")
+    assert column is None
+    assert outcome(batch) == (f"column 1: {message}", residual, 1)
 
 
 @pytest.mark.parametrize("p, N, M", [(5, 2, 3), (2, 6, 6)])
