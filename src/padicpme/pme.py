@@ -11,13 +11,19 @@ stalls short of its target is accepted only at its computed rounding
 floor, else the step raises SolverError with its residual.
 A is held in level form (fractional.LevelOperator), so every Newton system
 is solved exactly by the O(n) class-tree solve and no n x n array is built.
-Each line search tries theta = 1 alone, then the rest of its halving
-ladder in blocks that one residual evaluation takes as extra columns of A,
-up to _BLOCK_CELLS = 2^11 cells (n x columns x trials).  On small grids the
-fixed cost of numpy calls, not arithmetic, sets the cost of an evaluation:
-at dim 16 a block of 45 trials costs about two single ones.  From dim 2048
-on a block holds one trial.  A column of a batched apply is bit-identical
-to A applied to it alone, so the width of a block changes no result.
+One Newton loop (_newton_solve) runs every solve, a vector as the batch
+of one column: damped Newton in lockstep over the columns of a model that
+holds the residual, start, Newton step and rounding floor; here the v
+form (_VForm).  A line search walks the ladder theta = 2^-j in blocks that one
+residual evaluation takes as extra columns of A, up to _BLOCK_CELLS = 2^11
+cells (n x columns x trials).  The first block is theta = 1 alone while
+every column took theta = 1 in its last search, and full width otherwise,
+theta = 1 included: each of pme-hard's six refusals rejects theta = 1 in
+all its 80 iterations.  On small grids the fixed cost of numpy calls sets
+the cost of an evaluation: at dim 16 a block of 46 trials costs about two
+single ones.  From dim 2048 on a block holds one trial.  A column of a
+batched apply is bit-identical to A applied to it alone, so the width of
+a block changes no result.
 The update is taken as u_next = u - tau A v, so the discrete mass identity
 holds to machine precision against the computed A v, independently of the
 nonlinear residual.  Against the exact identity
@@ -56,14 +62,9 @@ def beta(v, m: float) -> np.ndarray:
 
 def beta_prime(v, m: float) -> np.ndarray:
     """beta'(v) = |v|^{1/m - 1} / m, +inf at v = 0 for m > 1."""
+    v = np.asarray(v, dtype=np.float64)
     with np.errstate(divide="ignore"):
-        return _beta_prime(np.asarray(v, dtype=np.float64), m)
-
-
-def _beta_prime(v: np.ndarray, m: float) -> np.ndarray:
-    """beta_prime on a float64 array; at v = 0 with m > 1 the power
-    divides by zero, and the caller silences numpy's warning."""
-    return (1.0 / m) * np.abs(v) ** (1.0 / m - 1.0)
+        return (1.0 / m) * np.abs(v) ** (1.0 / m - 1.0)
 
 
 @dataclass
@@ -147,223 +148,204 @@ _THETA = np.ldexp(1.0, -np.arange(_LADDER))
 _BLOCK_CELLS = 2 ** 11   # n x columns x thetas per G call of a line search
 
 
-def _rounding_floor(A: LevelOperator, m: float, f: np.ndarray, eps,
-                    scale: float, v: np.ndarray):
-    """Bound on the rounding of the computed G(v) = eps v + s A v +
-    beta(v) - f: (p + 2)(K + 3) u max_i(|eps v| + s |A| |v| + |beta(v)| +
-    |f|)_i, u = 2^-53, |A| the level operator with weights |c| and |h_L|;
-    one bound per column of column-stacked v and f.
+@dataclass(frozen=True)
+class _VForm:
+    """The Newton model of a solve in v = phi(u): G(v) = eps v + s A v +
+    beta(v) - f = 0, one problem per column of f (n, k), with eps a scalar
+    or one value per column.  The Newton loop (_newton_solve) asks it for
+    the start, G, the Newton step and the rounding floor, and narrows it
+    to the columns still iterating with cols."""
 
-    A.apply folds each class sum from p rows K - L times, (p - 1) K
-    roundings relative to the sums of |v|, and tiles back with two per
-    level and two for c v: ((p + 1) K + 2) u (|A| |v|)_i in cell i.  The
-    scalings, beta's power and G's three additions add eight roundings of
-    the cell's magnitudes; (p + 2)(K + 3) covers both and second order.
-    Worst case, it sat 5e2-5e6 times above the residual Newton reached on
-    radial_power steps, so it only judges a Newton that has already stalled.
-    """
-    gamma = (A.grid.p + 2) * (len(A.h) + 3) * 2.0 ** -53
-    absA = LevelOperator(A.grid, abs(A.c), tuple(abs(h) for h in A.h))
-    size = (np.abs(eps * v) + scale * absA.apply(np.abs(v))
-            + np.abs(beta(v, m)) + np.abs(f))
-    return gamma * size.max(0)
+    A: LevelOperator
+    m: float
+    scale: float
+    f: np.ndarray
+    eps: object
+    v_prev: np.ndarray | None = None   # the v Newton starts around
 
+    def cols(self, mask) -> "_VForm":
+        eps = self.eps[mask] if np.ndim(self.eps) else self.eps
+        return replace(self, f=self.f[:, mask], eps=eps, v_prev=None)
 
-def _cols(mask, *arrays) -> list:
-    """The columns mask of each column-stacked array or per-column vector;
-    a scalar (an epsilon shared by all columns) is kept as it is."""
-    return [a[..., mask] if isinstance(a, np.ndarray) else a for a in arrays]
+    def target(self) -> np.ndarray:
+        return _NEWTON_TOL * np.fmax(1.0, np.abs(self.f).max(0))
 
+    def start(self) -> np.ndarray:
+        """The solution with beta linearized, one level solve: around
+        v_prev, with the clipped beta' of slope, or cold, as beta(v) ~ v.
+        At m = 1 the two are the same bits, since beta' = 1 and
+        beta(v) - v = +0 exactly."""
+        if self.v_prev is None:
+            return self.A.solve(self.eps + 1.0, self.f, self.scale)
+        v, bp = self.v_prev, self.slope(self.v_prev)
+        return self.A.solve(self.eps + bp, self.f - (beta(v, self.m) - bp * v),
+                            self.scale)
 
-def _newton_solve(A: LevelOperator, m: float, f: np.ndarray, eps,
-                  scale: float, v_prev=None) -> tuple:
-    """Damped Newton for G(v) = eps v + scale A v + beta(v) - f = 0: the
-    (v, scale A v, iterations, residual) that meet the target, or a stalled
-    v (the stalled iteration counts) within _rounding_floor; else
-    SolverError.
+    def slope(self, v) -> np.ndarray:
+        """beta'(v) clipped at _BP_CLIP; beta' is +inf at v = 0 for m > 1."""
+        return np.fmin(beta_prime(v, self.m), _BP_CLIP)
 
-    Newton starts at the solution with beta linearized, one level solve:
-    around v_prev, with the loop's clipped beta', or cold, as beta(v) ~ v,
-    when v_prev is None.  At m = 1 the two are the same bits, since beta'
-    = 1 and beta(v) - v = +0 exactly.
-
-    The line search tries theta = 2^-j for j < _LADDER: theta = 1 alone,
-    as most searches accept it, then blocks of as many thetas as fit in
-    _BLOCK_CELLS cells with the columns still searching, each block one G
-    call.  In each column the first trial that is accepted or that rounds
-    back to v decides, as in a search theta by theta: rounding is
-    monotone, so every shorter step rounds back too, and the trials after
-    it are discarded.  Past the ladder the column stalls.
-
-    For f of shape (n, k) the k columns are independent problems, with eps
-    a scalar or one value per column.  They run in lockstep on one
-    iteration count and one theta ladder: a column leaves the line search
-    when it accepts or stalls, and leaves the loop when it meets its
-    target or its rounding floor.  Each column computes exactly what it
-    would alone.  Iterations are summed and residuals maximised over the
-    columns; a column that refuses raises SolverError, which names it.
-    """
-    batch = f.ndim == 2
-    shape = f.shape
-    # one column's masks are numpy bools: branch on them directly
-    allof, anyof = (np.ndarray.all, np.ndarray.any) if batch else (bool, bool)
-
-    def G(v, f, eps):
-        """G(v) and s A v for trials v of shape (n, b) or (n, b, k), with f
-        and eps broadcast to them: A takes the b trials as extra columns,
-        and a single trial as the vector or batch it is."""
-        flat = v[:, 0] if v.shape[1] == 1 else v.reshape(len(v), -1)
-        sav = scale * A.apply(flat).reshape(v.shape)
+    def G(self, v) -> tuple:
+        """G(v) and s A v for trials v of shape (n, b, k): A takes the b
+        trials as extra columns."""
+        sav = self.scale * self.A.apply(v.reshape(len(v), -1)).reshape(v.shape)
+        eps = self.eps
         if isinstance(eps, np.ndarray):  # 0 v + sav can flip a zero's sign
             lin = np.where(eps != 0, eps * v + sav, sav)
         else:
             lin = eps * v + sav if eps else sav
-        return lin + beta(v, m) - f, sav
+        return lin + beta(v, self.m) - self.f[:, None], sav
 
-    def refusal(message, residual, column):
-        return SolverError(message, residual=float(residual),
-                           column=None if column is None else int(column))
+    def step(self, v, g) -> np.ndarray:
+        """The Newton step d: (eps + beta'(v)) d + s A d = -g."""
+        return self.A.solve(self.eps + self.slope(v), -g, self.scale)
 
-    def line_search(d):
-        """theta = 2^-j for all live columns at once, in blocks of trials
-        on axis 1: theta = 1 alone, then as many as _BLOCK_CELLS allows.
-        Each column's first accepted trial is committed to v, g, sav and
-        res; returns the mask of the columns that stalled."""
-        nonlocal v, g, sav, res
-        cols = np.arange(len(live)) if batch else None  # still searching
-        vs, ds, fs, es, rs, ts = v, d, f, eps, res, target
-        stalled = np.zeros(len(live), bool) if batch else False
-        j, width = 0, 1
+    def floor(self, v) -> np.ndarray:
+        """Bound on the rounding of the computed G(v), one per column:
+        (p + 2)(K + 3) u max_i(|eps v| + s |A| |v| + |beta(v)| + |f|)_i,
+        u = 2^-53, |A| the level operator with weights |c| and |h_L|.
 
-        def accepted(rn, theta):  # sufficient decrease, or the target
-            return (rn <= (1 - 0.25 * theta) * rs) | (rn <= ts)
+        A.apply folds each class sum from p rows K - L times, (p - 1) K
+        roundings relative to the sums of |v|, and tiles back with two per
+        level and two for c v: ((p + 1) K + 2) u (|A| |v|)_i in cell i.
+        The scalings, beta's power and G's three additions add eight
+        roundings of the cell's magnitudes; (p + 2)(K + 3) covers both and
+        second order.  Worst case, it sat 5e2-5e6 times above the residual
+        Newton reached on radial_power steps, so it only judges a Newton
+        that has already stalled."""
+        A = self.A
+        gamma = (A.grid.p + 2) * (len(A.h) + 3) * 2.0 ** -53
+        absA = LevelOperator(A.grid, abs(A.c), tuple(abs(h) for h in A.h))
+        size = (np.abs(self.eps * v) + self.scale * absA.apply(np.abs(v))
+                + np.abs(beta(v, self.m)) + np.abs(self.f))
+        return gamma * size.max(0)
 
-        while True:
-            if j == _LADDER:
-                if not batch:
-                    return True
-                stalled[cols] = True
-                return stalled
-            theta = _THETA[j:j + width]
-            if batch:
-                theta = theta[:, None]
-            if j:
-                trial = vs[:, None] + theta * ds[:, None]
-            else:  # v + 1 d, without the cost of broadcasting
-                trial = (vs + ds)[:, None]
-            moved = (trial != vs[:, None]).any(0)
-            if not allof(moved[0]):
-                if not batch:
-                    return True
-                keep = moved[0]
-                stalled[cols[~keep]] = True
-                if not keep.any():
-                    return stalled
-                cols, vs, ds, fs, es, rs, ts, trial, moved = _cols(
-                    keep, cols, vs, ds, fs, es, rs, ts, trial, moved)
-            gn, sn = G(trial, fs[:, None], es)
-            rn = np.abs(gn).max(0)
-            # most searches end at the first trial, in every column
-            first = accepted(rn[0], theta[0])
-            if allof(first) and (not batch or len(cols) == len(live)):
-                v, g, sav, res = trial[:, 0], gn[:, 0], sn[:, 0], rn[0]
-                return stalled
-            # a column's first trial that is accepted or unmoved decides it
-            stop = accepted(rn, theta)
-            if len(theta) > 1:  # the first trial has moved in every column
-                stop |= ~moved
-            k = stop.argmax(0)
-            if not batch:
-                if stop[k]:
-                    if not moved[k]:
-                        return True
-                    v, g, sav, res = trial[:, k], gn[:, k], sn[:, k], rn[k]
-                    return False
-            else:
-                c = np.arange(len(cols))
-                decided = stop[k, c]
-                took = decided & moved[k, c]
-                stalled[cols[decided & ~took]] = True
-                k, c, idx = k[took], c[took], cols[took]
-                v[:, idx], g[:, idx] = trial[:, k, c], gn[:, k, c]
-                sav[:, idx], res[idx] = sn[:, k, c], rn[k, c]
-                if decided.all():
-                    return stalled
-            if batch:
-                cols, vs, ds, fs, es, rs, ts = _cols(
-                    ~decided, cols, vs, ds, fs, es, rs, ts)
-            j += len(theta)
-            width = max(1, _BLOCK_CELLS // vs.size)
 
-    with np.errstate(divide="ignore"):  # beta' is +inf at v = 0 for m > 1
-        if v_prev is None:
-            v = A.solve(eps + 1.0, f, scale)
-        else:
-            bp = np.fmin(_beta_prime(v_prev, m), _BP_CLIP)
-            v = A.solve(eps + bp, f - (beta(v_prev, m) - bp * v_prev), scale)
-        target = _NEWTON_TOL * np.fmax(1.0, np.abs(f).max(0))
-        g, sav = (x[:, 0] for x in G(v[:, None], f[:, None], eps))
-        res = np.abs(g).max(0)
-        live = np.arange(shape[1]) if batch else None  # columns iterating
-        done = []  # (columns, v, s A v, iterations, residuals) as they leave
-        its = 0
-        while True:
-            going = res > target
-            if not allof(going):
-                if not batch:
-                    done.append((live, v, sav, its, res))
-                    break
-                done.append((*_cols(~going, live, v, sav), its, res[~going]))
-                if not going.any():
-                    break
-                live, v, g, sav, res, f, eps, target = _cols(
-                    going, live, v, g, sav, res, f, eps, target)
-            if its == _MAX_ITERS:
-                stall = f"Newton did not converge in {_MAX_ITERS} iterations"
-                stalled = np.ones(len(live), bool) if batch else True
-            else:
-                its += 1
-                bp = np.fmin(_beta_prime(v, m), _BP_CLIP)
-                try:
-                    d = A.solve(eps + bp, -g, scale)
-                except SolverError as exc:
-                    j = exc.column
-                    at = (res[j], live[j]) if batch else (res, None)
-                    raise refusal(f"singular Newton system: {exc.reason}", *at)
-                stalled = line_search(d)
-                if not anyof(stalled):
-                    continue
-                stall = "Newton line search stalled"
-            # a stalled column leaves at its rounding floor, or refuses
-            if batch:
-                out = _cols(stalled, live, v, sav, res, f, eps)
-            else:
-                out = live, v, sav, res, f, eps
-            cols, vs, ss, rs, fs, es = out
-            floor = _rounding_floor(A, m, fs, es, scale, vs)
-            over = rs > floor
-            if anyof(over):
-                col = None
-                if batch:
-                    j = int(np.flatnonzero(over)[0])
-                    floor, rs, col = floor[j], rs[j], cols[j]
-                raise refusal(f"{stall} above the rounding floor {floor:.3e}",
-                              rs, col)
-            done.append((cols, vs, ss, its, rs))
-            if allof(stalled):
+def _cols(mask, *arrays) -> list:
+    """The columns mask of each column-stacked array or per-column vector."""
+    return [a[..., mask] for a in arrays]
+
+
+def _line_search(model, d, it, target, full) -> tuple:
+    """Damp the Newton step d of each column of the iterate it = (v, G(v),
+    s A v, residual): theta = 2^-j for j < _LADDER in blocks of trials on
+    axis 1, one model.G call each.  The first block is theta = 1 alone if
+    every column took theta = 1 in its last search (full), else as wide as
+    the later ones: as many thetas as fit in _BLOCK_CELLS cells with the
+    columns still searching.  In each column the first trial that is
+    accepted or that rounds back to v decides, as in a search theta by
+    theta: rounding is monotone, so every shorter step rounds back too.
+    Past the ladder the column stalls.  If every column accepts the same
+    trial first (always so for one column), it is taken for all at once;
+    else the columns that decide are committed into it one by one.
+    Returns the new iterate and the mask of the columns that stalled, and
+    sets full to the columns that took theta = 1."""
+    v, _, _, res = it
+    stalled = np.zeros(len(res), bool)
+    cols, vs, ds = np.arange(len(res)), v, d  # the columns still searching
+    # accepted: sufficient decrease, or the target
+    bound = np.fmax((1 - 0.25 * _THETA[:, None]) * res, target)
+    j, width = 0, 1 if full.all() else max(1, _BLOCK_CELLS // v.size)
+    while j < _LADDER:
+        theta = _THETA[j:j + width, None]
+        trial = vs[:, None] + theta * ds[:, None]
+        moved = (trial != vs[:, None]).any(0)
+        if not moved[0].any():  # every column rounds back to v
+            break
+        gn, sn = model.G(trial)
+        rn = np.abs(gn).max(0)
+        accepted = rn <= bound[j:j + len(theta)]  # never where not moved
+        first = accepted.argmax(0).min()
+        if len(cols) == len(res) and accepted[first].all():
+            full[:] = j + first == 0
+            return (trial[:, first], gn[:, first], sn[:, first],
+                    rn[first]), stalled
+        stop = accepted | ~moved
+        k = stop.argmax(0)
+        c = np.arange(len(k))
+        decided = stop[k, c]
+        if decided.any():
+            took = decided & moved[k, c]
+            stalled[cols[decided & ~took]] = True
+            k, c, idx = k[took], c[took], cols[took]
+            for a, b in zip(it, (trial, gn, sn, rn)):
+                a[..., idx] = b[..., k, c]
+            full[idx] = j + k == 0
+            if decided.all():
+                return it, stalled
+            cols, vs, ds, bound = _cols(~decided, cols, vs, ds, bound)
+            model = model.cols(~decided)
+        j += len(theta)
+        width = max(1, _BLOCK_CELLS // vs.size)
+    stalled[cols] = True
+    return it, stalled
+
+
+def _newton_solve(model) -> tuple:
+    """Damped Newton for the k columns of the model, independent problems
+    run in lockstep on one iteration count and one theta ladder
+    (_line_search): the (v, s A v, iterations, residual) at which each
+    column met its target, or stalled (the stalled iteration counts)
+    within the model's rounding floor; else SolverError naming the column.
+    A column leaves when it meets its target or its floor, and computes
+    exactly what it would alone.  Iterations are summed and residuals
+    maximised over the columns."""
+    v = model.start()
+    g, sav = (x[:, 0] for x in model.G(v[:, None]))
+    it = [v, g, sav, np.abs(g).max(0)]
+    target = model.target()
+    k = v.shape[1]
+    v_out, sav_out = np.empty_like(v), np.empty_like(v)
+    live, full = np.arange(k), np.ones(k, bool)
+    its = total = 0
+    worst = 0.0
+
+    def leave(mask):  # the columns mask of it are done
+        nonlocal total, worst
+        cols = live[mask]
+        v_out[:, cols], sav_out[:, cols] = it[0][:, mask], it[2][:, mask]
+        total += its * len(cols)
+        worst = max(worst, float(it[3][mask].max()))
+
+    while True:
+        going = it[3] > target
+        if not going.all():
+            leave(~going)
+            if not going.any():
                 break
-            live, v, g, sav, res, f, eps, target = _cols(
-                ~stalled, live, v, g, sav, res, f, eps, target)
-
-    if not batch:
-        _, v, sav, its, res = done[0]
-        return v, sav, its, float(res)
-    v, sav = np.empty(shape), np.empty(shape)
-    its = 0
-    for cols, vc, sc, n_its, rc in done:
-        v[:, cols], sav[:, cols] = vc, sc
-        its += n_its * len(cols)
-    return v, sav, its, max(float(rc.max()) for *_, rc in done)
+            live, target, full, *it = _cols(going, live, target, full, *it)
+            model = model.cols(going)
+        if its == _MAX_ITERS:
+            stall = f"Newton did not converge in {_MAX_ITERS} iterations"
+            stalled = np.ones(len(live), bool)
+        else:
+            its += 1
+            try:
+                d = model.step(it[0], it[1])
+            except SolverError as exc:
+                j = exc.column
+                raise SolverError(f"singular Newton system: {exc.reason}",
+                                  residual=float(it[3][j]),
+                                  column=int(live[j]))
+            it, stalled = _line_search(model, d, it, target, full)
+            if not stalled.any():
+                continue
+            stall = "Newton line search stalled"
+        # a stalled column leaves at its rounding floor, or refuses
+        floor = model.cols(stalled).floor(it[0][:, stalled])
+        res = it[3][stalled]
+        over = np.flatnonzero(res > floor)
+        if over.size:
+            j = over[0]
+            raise SolverError(f"{stall} above the rounding floor "
+                              f"{floor[j]:.3e}", residual=float(res[j]),
+                              column=int(live[stalled][j]))
+        leave(stalled)
+        if stalled.all():
+            break
+        live, target, full, *it = _cols(~stalled, live, target, full, *it)
+        model = model.cols(~stalled)
+    return v_out, sav_out, total, worst
 
 
 def stationary_solve(problem: PMEProblem, f: np.ndarray, epsilon,
@@ -411,9 +393,17 @@ def stationary_solve(problem: PMEProblem, f: np.ndarray, epsilon,
     if (last is not None and last[0].shape == f.shape
             and np.array_equal(last[0].view(np.int64), f.view(np.int64))
             and np.array_equal(last[1], eps) and last[2] == operator_scale):
-        v_prev = last[3]
-    v, av, its, res = _newton_solve(problem.levels, problem.m, f, eps,
-                                    operator_scale, v_prev)
+        v_prev = last[3].reshape(n, -1)
+    # a vector is solved as the batch of one column
+    model = _VForm(problem.levels, problem.m, operator_scale,
+                   f.reshape(n, -1), eps, v_prev)
+    try:
+        v, av, its, res = _newton_solve(model)
+    except SolverError as exc:
+        if f.ndim == 2:
+            raise
+        raise SolverError(exc.reason, residual=exc.residual) from None
+    v, av = v.reshape(f.shape), av.reshape(f.shape)
     w = f - eps * v - av
     # copies, so that the caller may change the returned arrays
     problem._last_solve = (w.copy(), np.array(eps), operator_scale,

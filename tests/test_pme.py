@@ -381,13 +381,15 @@ def test_stalled_step_applies_A_once_to_its_result(monkeypatch):
     monkeypatch.setattr(LevelOperator, "apply", recording)
     _, res = implicit_step(prob, u)
     assert res.residual > _NEWTON_TOL * np.max(np.abs(u))  # it stalled
-    assert sum(np.array_equal(x, res.v) for x in seen) == 1
+    # A is applied to columns: v is the one argument of shape (n, 1)
+    assert sum(np.array_equal(x.ravel(), res.v) for x in seen) == 1
 
 
 def test_rounding_floor_bounds_the_rounding_of_G():
     """The computed G(v) = eps v + s A v + beta(v) - f differs from the
-    exact one, summed in rationals, by no more than _rounding_floor; m = 1
-    keeps beta(v) = v exact."""
+    exact one, summed in rationals, by no more than the v form's rounding
+    floor (_VForm.floor) of v as one column; m = 1 keeps beta(v) = v
+    exact."""
     rng = np.random.default_rng(3)
     for p, N, M in ((2, 3, 3), (3, 2, 2), (5, 1, 2)):
         A = PMEProblem(p=p, alpha=1.5, N=N, M=M, m=1.0, tau=1.0,
@@ -407,7 +409,8 @@ def test_rounding_floor_bounds_the_rounding_of_G():
                 exact.append((Fraction(eps) + 1) * fv[i]
                              + Fraction(scale) * av - Fraction(f[i]))
             err = max(abs(Fraction(x) - e) for x, e in zip(g, exact))
-            assert 0 < err <= pme._rounding_floor(A, 1.0, f, eps, scale, v)
+            model = pme._VForm(A, 1.0, scale, f[:, None], eps)
+            assert 0 < err <= model.floor(v[:, None])[0]
 
 
 _STEP_GRIDS = ((2, 2, 2), (2, 1, 4), (2, 3, 3), (3, 1, 2), (3, 2, 2))
@@ -625,10 +628,11 @@ def _outcome(call) -> tuple:
 def test_line_search_block_width_cannot_change_a_result(grid, alpha, m, tau,
                                                         columns, batch, seed):
     """With one trial per block (_BLOCK_CELLS = 1) the line search is the
-    sequential one, theta after theta.  At the default width it tries the
-    thetas after 1 as the columns of one G call, and a step or a solve,
-    of one vector or a batch with its own epsilon per column, returns
-    the same bits or refuses with the same message, residual and column."""
+    sequential one, theta after theta.  At the default width it tries
+    many thetas as the columns of one G call (theta = 1 among them after a
+    search that rejected it), and a step or a solve, of one vector or a
+    batch with its own epsilon per column, returns the same bits or
+    refuses with the same message, residual and column."""
     p, N, M = grid
     prob = PMEProblem(p=p, alpha=alpha, N=N, M=M, m=m, tau=tau, t_end=tau)
     rng = np.random.default_rng(seed)
@@ -649,10 +653,12 @@ def test_a_blocked_line_search_calls_G_at_most_twice_per_iteration(
         monkeypatch):
     """A (2, 2, 2), m = 8 point datum of size 1e-6, as in pme-hard's
     refusals: with one G call per trial, its 80 Newton iterations apply A
-    1776 times.  In blocks, theta = 1 is one call and the rest of the
-    ladder fits in one more, so A is applied at most twice per iteration,
-    plus once for the first G and once for the rounding floor.  The
-    refusal and its residual are those of the sequential search."""
+    1776 times.  In blocks, the first search tries theta = 1 alone, and
+    its whole ladder fits in one more call; it rejects theta = 1, so every
+    later search starts with the full ladder as one block, theta = 1
+    included.  So A is applied once per iteration, once more in the first,
+    once for the first G and once for the rounding floor.  The refusal
+    and its residual are those of the sequential search."""
     prob = PMEProblem(p=2, alpha=0.5, N=2, M=2, m=8.0, tau=1e3, t_end=1e3)
     u = np.zeros(prob.grid.dim)
     u[0] = 1e-6
@@ -670,7 +676,7 @@ def test_a_blocked_line_search_calls_G_at_most_twice_per_iteration(
         f"Newton did not converge in {_MAX_ITERS} iterations above the "
         f"rounding floor ")
     assert exc.value.residual == 0.0001474344268152183
-    assert len(calls) <= 2 * _MAX_ITERS + 2
+    assert len(calls) <= _MAX_ITERS + 3
 
 
 @pytest.mark.xfail(strict=True, raises=SolverError, reason=(
@@ -764,13 +770,14 @@ def _evolve_data(grid, kind, rng) -> np.ndarray:
 
 
 def _record_starts(monkeypatch) -> list:
-    """The v_prev that each later Newton run of pme starts from."""
+    """The v_prev that each later Newton run of pme starts from, in the
+    model's column form: (n, 1) for a vector."""
     starts = []
     newton = pme._newton_solve
 
-    def recording(A, m, f, eps, scale, v_prev=None):
-        starts.append(None if v_prev is None else v_prev.copy())
-        return newton(A, m, f, eps, scale, v_prev)
+    def recording(model):
+        starts.append(None if model.v_prev is None else model.v_prev.copy())
+        return newton(model)
     monkeypatch.setattr(pme, "_newton_solve", recording)
     return starts
 
