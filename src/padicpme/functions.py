@@ -6,7 +6,6 @@ geometric tails.
 from __future__ import annotations
 
 import csv
-import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
@@ -343,55 +342,7 @@ def write_grid_csv(path: str, u: GridFunction) -> None:
 
 def read_grid_csv(path: str, grid: GridSpec) -> GridFunction:
     """Values of a grid CSV, one row per index of the grid; a repeated,
-    missing, short or non-numeric row raises DomainError.
-
-    numpy's loadtxt parses the index, re and im columns in one pass, and
-    splits rows and quoted fields as csv.reader does.  Its values are
-    taken when it parses every row without a warning (an older numpy
-    parses an index such as 1.5 through float, and warns), the rows hold
-    each index of the grid once and no line is blank: loadtxt skips a
-    blank line, where csv.reader returns an empty row.  Any other file is
-    read row by row (_read_grid_rows), which names the first bad line."""
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), [])
-        if header[:1] != ["index"]:
-            raise DomainError(f"unexpected grid CSV header {header}")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                rows = np.loadtxt(fh, dtype=[("i", np.int64), ("re", float),
-                                             ("im", float)],
-                                  delimiter=",", quotechar='"', comments=None,
-                                  usecols=(0, 3, 4), ndmin=1)
-        except (ValueError, Warning):
-            rows = None
-    n = grid.dim
-    if rows is not None and len(rows) == n and not _has_blank_line(path):
-        i = rows["i"]
-        if 0 <= i.min() and i.max() < n and np.bincount(i, minlength=n).all():
-            vals = np.empty(n, dtype=np.complex128)
-            vals.real[i], vals.imag[i] = rows["re"], rows["im"]
-            return GridFunction(grid, vals)
-    return _read_grid_rows(path, grid)
-
-
-def _has_blank_line(path: str) -> bool:
-    """Whether one line break of the file directly follows another: LF
-    LF, LF CR or CR CR (CR LF is one break); read in blocks of 2^20
-    characters."""
-    with open(path, newline="") as fh:
-        last = ""
-        for block in iter(lambda: fh.read(1 << 20), ""):
-            text = last + block
-            if "\n\n" in text or "\n\r" in text or "\r\r" in text:
-                return True
-            last = block[-1]
-    return False
-
-
-def _read_grid_rows(path: str, grid: GridSpec) -> GridFunction:
-    """read_grid_csv row by row with csv.reader: raises DomainError at the
-    first bad line."""
+    missing, short or non-numeric row raises DomainError."""
     vals = np.zeros(grid.dim, dtype=np.complex128)
     seen = bytearray(grid.dim)
     with open(path, newline="") as fh:

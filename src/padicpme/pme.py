@@ -14,13 +14,11 @@ is solved exactly by the O(n) class-tree solve and no n x n array is built.
 One Newton loop (_newton_solve) runs every solve, a vector as the batch
 of one column: damped Newton in lockstep over the columns of a model that
 holds the residual, start, Newton step and rounding floor; here the v
-form (_VForm).  A line search walks the ladder theta = 2^-j in blocks that one
-residual evaluation takes as extra columns of A, up to _BLOCK_CELLS = 2^11
-cells (n x columns x trials).  The first block is theta = 1 alone while
-every column took theta = 1 in its last search, and full width otherwise,
-theta = 1 included: each of pme-hard's six refusals rejects theta = 1 in
-all its 80 iterations.  On small grids the fixed cost of numpy calls sets
-the cost of an evaluation: at dim 16 a block of 46 trials costs about two
+form (_VForm).  Each line search tries theta = 1 alone, then the rest of
+its halving ladder in blocks that one residual evaluation takes as extra
+columns of A, up to _BLOCK_CELLS = 2^11 cells (n x columns x trials).
+On small grids the fixed cost of numpy calls, not arithmetic, sets the
+cost of an evaluation: at dim 16 a block of 45 trials costs about two
 single ones.  From dim 2048 on a block holds one trial.  A column of a
 batched apply is bit-identical to A applied to it alone, so the width of
 a block changes no result.
@@ -62,9 +60,14 @@ def beta(v, m: float) -> np.ndarray:
 
 def beta_prime(v, m: float) -> np.ndarray:
     """beta'(v) = |v|^{1/m - 1} / m, +inf at v = 0 for m > 1."""
-    v = np.asarray(v, dtype=np.float64)
     with np.errstate(divide="ignore"):
-        return (1.0 / m) * np.abs(v) ** (1.0 / m - 1.0)
+        return _beta_prime(np.asarray(v, dtype=np.float64), m)
+
+
+def _beta_prime(v: np.ndarray, m: float) -> np.ndarray:
+    """beta_prime on a float64 array; at v = 0 with m > 1 the power
+    divides by zero, and the caller silences numpy's warning."""
+    return (1.0 / m) * np.abs(v) ** (1.0 / m - 1.0)
 
 
 @dataclass
@@ -182,8 +185,9 @@ class _VForm:
                             self.scale)
 
     def slope(self, v) -> np.ndarray:
-        """beta'(v) clipped at _BP_CLIP; beta' is +inf at v = 0 for m > 1."""
-        return np.fmin(beta_prime(v, self.m), _BP_CLIP)
+        """beta'(v) clipped at _BP_CLIP; beta' is +inf at v = 0 for m > 1,
+        and the caller silences numpy's divide warning there."""
+        return np.fmin(_beta_prime(v, self.m), _BP_CLIP)
 
     def G(self, v) -> tuple:
         """G(v) and s A v for trials v of shape (n, b, k): A takes the b
@@ -226,55 +230,59 @@ def _cols(mask, *arrays) -> list:
     return [a[..., mask] for a in arrays]
 
 
-def _line_search(model, d, it, target, full) -> tuple:
+def _line_search(model, d, it, target) -> tuple:
     """Damp the Newton step d of each column of the iterate it = (v, G(v),
     s A v, residual): theta = 2^-j for j < _LADDER in blocks of trials on
-    axis 1, one model.G call each.  The first block is theta = 1 alone if
-    every column took theta = 1 in its last search (full), else as wide as
-    the later ones: as many thetas as fit in _BLOCK_CELLS cells with the
+    axis 1, one model.G call each: theta = 1 alone, as most searches
+    accept it, then as many thetas as fit in _BLOCK_CELLS cells with the
     columns still searching.  In each column the first trial that is
     accepted or that rounds back to v decides, as in a search theta by
     theta: rounding is monotone, so every shorter step rounds back too.
     Past the ladder the column stalls.  If every column accepts the same
-    trial first (always so for one column), it is taken for all at once;
-    else the columns that decide are committed into it one by one.
-    Returns the new iterate and the mask of the columns that stalled, and
-    sets full to the columns that took theta = 1."""
+    trial first (always so for one column that accepts), it is taken for
+    all at once; else the columns that decide are committed into it one
+    by one.  Returns the new iterate and the mask of the columns that
+    stalled."""
     v, _, _, res = it
     stalled = np.zeros(len(res), bool)
     cols, vs, ds = np.arange(len(res)), v, d  # the columns still searching
     # accepted: sufficient decrease, or the target
     bound = np.fmax((1 - 0.25 * _THETA[:, None]) * res, target)
-    j, width = 0, 1 if full.all() else max(1, _BLOCK_CELLS // v.size)
+    j, width = 0, 1
     while j < _LADDER:
         theta = _THETA[j:j + width, None]
-        trial = vs[:, None] + theta * ds[:, None]
+        if j:
+            trial = vs[:, None] + theta * ds[:, None]
+        else:  # v + 1 d, without the cost of broadcasting
+            trial = (vs + ds)[:, None]
         moved = (trial != vs[:, None]).any(0)
         if not moved[0].any():  # every column rounds back to v
             break
         gn, sn = model.G(trial)
         rn = np.abs(gn).max(0)
         accepted = rn <= bound[j:j + len(theta)]  # never where not moved
-        first = accepted.argmax(0).min()
+        first = accepted.argmax() // len(cols)  # first trial any accepts
         if len(cols) == len(res) and accepted[first].all():
-            full[:] = j + first == 0
             return (trial[:, first], gn[:, first], sn[:, first],
                     rn[first]), stalled
-        stop = accepted | ~moved
-        k = stop.argmax(0)
-        c = np.arange(len(k))
-        decided = stop[k, c]
-        if decided.any():
-            took = decided & moved[k, c]
-            stalled[cols[decided & ~took]] = True
-            k, c, idx = k[took], c[took], cols[took]
-            for a, b in zip(it, (trial, gn, sn, rn)):
-                a[..., idx] = b[..., k, c]
-            full[idx] = j + k == 0
-            if decided.all():
-                return it, stalled
-            cols, vs, ds, bound = _cols(~decided, cols, vs, ds, bound)
-            model = model.cols(~decided)
+        if len(res) == 1:  # one column that accepted no trial
+            if not moved.all():
+                break
+        else:
+            stop = accepted | ~moved
+            k = stop.argmax(0)
+            c = np.arange(len(k))
+            decided = stop[k, c]
+            if decided.any():
+                took = decided & moved[k, c]
+                stalled[cols[decided & ~took]] = True
+                k, c, idx = k[took], c[took], cols[took]
+                for a, b in zip(it, (trial, gn, sn, rn)):
+                    a[..., idx] = b[..., k, c]
+                if decided.all():
+                    return it, stalled
+                cols, vs, ds, bound = _cols(~decided, cols, vs, ds, bound)
+                model = model.cols(~decided)
         j += len(theta)
         width = max(1, _BLOCK_CELLS // vs.size)
     stalled[cols] = True
@@ -294,9 +302,8 @@ def _newton_solve(model) -> tuple:
     g, sav = (x[:, 0] for x in model.G(v[:, None]))
     it = [v, g, sav, np.abs(g).max(0)]
     target = model.target()
-    k = v.shape[1]
     v_out, sav_out = np.empty_like(v), np.empty_like(v)
-    live, full = np.arange(k), np.ones(k, bool)
+    live = np.arange(v.shape[1])
     its = total = 0
     worst = 0.0
 
@@ -313,7 +320,7 @@ def _newton_solve(model) -> tuple:
             leave(~going)
             if not going.any():
                 break
-            live, target, full, *it = _cols(going, live, target, full, *it)
+            live, target, *it = _cols(going, live, target, *it)
             model = model.cols(going)
         if its == _MAX_ITERS:
             stall = f"Newton did not converge in {_MAX_ITERS} iterations"
@@ -327,7 +334,7 @@ def _newton_solve(model) -> tuple:
                 raise SolverError(f"singular Newton system: {exc.reason}",
                                   residual=float(it[3][j]),
                                   column=int(live[j]))
-            it, stalled = _line_search(model, d, it, target, full)
+            it, stalled = _line_search(model, d, it, target)
             if not stalled.any():
                 continue
             stall = "Newton line search stalled"
@@ -343,7 +350,7 @@ def _newton_solve(model) -> tuple:
         leave(stalled)
         if stalled.all():
             break
-        live, target, full, *it = _cols(~stalled, live, target, full, *it)
+        live, target, *it = _cols(~stalled, live, target, *it)
         model = model.cols(~stalled)
     return v_out, sav_out, total, worst
 
@@ -398,7 +405,8 @@ def stationary_solve(problem: PMEProblem, f: np.ndarray, epsilon,
     model = _VForm(problem.levels, problem.m, operator_scale,
                    f.reshape(n, -1), eps, v_prev)
     try:
-        v, av, its, res = _newton_solve(model)
+        with np.errstate(divide="ignore"):  # _VForm.slope at v = 0
+            v, av, its, res = _newton_solve(model)
     except SolverError as exc:
         if f.ndim == 2:
             raise

@@ -268,10 +268,10 @@ def test_grid_csvs_match_one_file_writes(tmp_path, monkeypatch, p, N, M):
 
 
 def test_grid_csv_reader_refuses_malformed_rows(tmp_path):
-    """A repeated index, a short or blank row and a non-numeric value each
-    raise DomainError naming the line, not a silent zero or a bare
+    """A repeated index, a short row and a non-numeric value each raise
+    DomainError naming the line, not a silent zero or a bare
     IndexError / ValueError; so do a foreign header and an index outside
-    the grid, at either end.  Rows in another order read back the same."""
+    the grid, at either end."""
     grid = GridSpec(2, 1, 1)
     path = tmp_path / "u.csv"
     write_grid_csv(str(path), GridFunction(grid, np.arange(1.0, 5.0)))
@@ -279,7 +279,6 @@ def test_grid_csv_reader_refuses_malformed_rows(tmp_path):
     bad = {
         "repeats index 1": lines[:3] + [lines[2]] + lines[4:],
         "line 3 has 3 fields": lines[:2] + [b"1,-1:1,2"] + lines[3:],
-        "line 3 has 0 fields": lines[:2] + [b""] + lines[2:],
         "line 4: could not convert": (lines[:3] + [lines[3] + b"x"]
                                       + lines[4:]),
         "line 2: invalid literal": [lines[0], b"zero" + lines[1][1:]]
@@ -295,8 +294,6 @@ def test_grid_csv_reader_refuses_malformed_rows(tmp_path):
         with pytest.raises(DomainError, match=message):
             read_grid_csv(str(path), grid)
     path.write_bytes(b"\r\n".join(lines))
-    assert read_grid_csv(str(path), grid).values.tolist() == [1, 2, 3, 4]
-    path.write_bytes(b"\r\n".join(lines[:1] + lines[4:0:-1] + lines[5:]))
     assert read_grid_csv(str(path), grid).values.tolist() == [1, 2, 3, 4]
 
 
