@@ -19,7 +19,6 @@ from .functions import (
     RadialFunction,
     TestFunction,
     read_grid_csv,
-    read_radial_csv,
     to_grid,
     write_grid_csv,
     write_grid_csvs,

@@ -296,7 +296,7 @@ def build_initial(grid: GridSpec, spec: dict) -> np.ndarray:
         if not isinstance(path, str) or not path:
             raise DomainError("csv initial data needs a 'path' field")
         try:
-            return pme.real_initial(read_grid_csv(path, grid).values)
+            return pme.real_initial(read_grid_csv(path, grid))
         except (OSError, ValueError, DomainError) as exc:
             raise DomainError(f"initial data {path}: {exc}") from exc
     raise DomainError(f"unknown initial kind {kind!r} "
@@ -418,7 +418,7 @@ def cmd_explicit(args) -> int:
         "nu": sol.nu,
         "amplitude": sol.amplitude,
         "time_factor": sol.time_factor(args.t),
-        "residual_sup": residual,
+        "residual_sup": residual if math.isfinite(residual) else None,
     }, args, started)
     print(f"wrote {out} (residual sup {residual:.3e})")
     return 0

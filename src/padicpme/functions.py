@@ -90,7 +90,8 @@ class TestFunction:
 @dataclass
 class GridFunction:
     """Complex values on the coset grid B_N / B_{-M}, one per
-    representative: the record of a grid CSV.  Computations use arrays."""
+    representative: the record that write_grid_csv writes.  Everything
+    else takes and returns arrays."""
 
     grid: GridSpec
     values: np.ndarray
@@ -340,9 +341,10 @@ def write_grid_csv(path: str, u: GridFunction) -> None:
     write_grid_csvs([path], u.grid, [u.values])
 
 
-def read_grid_csv(path: str, grid: GridSpec) -> GridFunction:
-    """Values of a grid CSV, one row per index of the grid; a repeated,
-    missing, short or non-numeric row raises DomainError."""
+def read_grid_csv(path: str, grid: GridSpec) -> np.ndarray:
+    """The values of a grid CSV as a complex array of shape (grid.dim,),
+    one row per index of the grid; a repeated, missing, short or
+    non-numeric row raises DomainError."""
     vals = np.zeros(grid.dim, dtype=np.complex128)
     seen = bytearray(grid.dim)
     with open(path, newline="") as fh:
@@ -371,7 +373,7 @@ def read_grid_csv(path: str, grid: GridSpec) -> GridFunction:
     if missing:
         raise DomainError(f"grid CSV has {grid.dim - missing} rows, "
                           f"expected {grid.dim}")
-    return GridFunction(grid, vals)
+    return vals
 
 
 def write_radial_csv(path: str, f: RadialFunction) -> None:
@@ -390,23 +392,3 @@ def write_radial_csv(path: str, f: RadialFunction) -> None:
         if f.tail is not None:
             c, s = f.tail
             w.writerow(["tail", repr(c.real), repr(s)])
-
-
-def read_radial_csv(path: str, p: int) -> RadialFunction:
-    shells = {}
-    zero = 0j
-    head = False
-    tail = None
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        next(r)
-        for row in r:
-            if row[0] == "zero":
-                zero = complex(float(row[2]), float(row[3]))
-                head = True
-            elif row[0] == "tail":
-                tail = (complex(float(row[1])), float(row[2]))
-            else:
-                shells[int(row[0])] = complex(float(row[2]), float(row[3]))
-    return RadialFunction(p, tuple(shells.items()), value_at_zero=zero,
-                          tail=tail, head_constant=head)

@@ -564,23 +564,22 @@ def ball_kernel_ZN(params: KernelParams, k_min: int) -> tuple:
     terms = float(p) ** (np.arange(L + 1) - N) * g
     values = np.cumsum(terms)  # values[j] = Z_N(t, p^{N-j}), values[L] at 0
 
-    u = 2.0 ** -53
     logs = np.abs(np.log(mu))
-    rho = u * (9 + logs[0] + 3 * (a + 1) * math.log(p) + logs[:-1] + logs[1:])
+    rho = _U * (9 + logs[0] + 3 * (a + 1) * math.log(p) + logs[:-1] + logs[1:])
     err_decay = t * (mu[:-1] + mu[0])
     err_decay[0] = 0.0  # t (mu_0 - lam) = 0 exactly
     y = t * np.diff(mu)
     err_gap = t * (mu[1:] + mu[:-1]) * np.exp(-y) / -np.expm1(-y)
-    rel = 2 * rho * (err_decay + err_gap) + 8 * u
+    rel = 2 * rho * (err_decay + err_gap) + 8 * _U
 
     ks = np.arange(k_min, N + 1)
     shell_values = values[np.minimum(N - ks, L)]
     profile = RadialFunction(p, tuple(zip(ks.tolist(), shell_values)),
                              value_at_zero=values[-1])
-    bound = terms @ rel + (L + 2) * u * values[-1] + _TARGET * float(p) ** -N
+    bound = terms @ rel + (L + 2) * _U * values[-1] + _TARGET * float(p) ** -N
     head = g @ np.minimum(1.0, float(p) ** (np.arange(L + 1) - N + k_min - 1))
     mass = float(p) ** ks * (1 - 1 / p) @ shell_values + head
-    mass_bound = g @ rel + (2 * L + len(ks) + 4) * u * mass + _TARGET
+    mass_bound = g @ rel + (2 * L + len(ks) + 4) * _U * mass + _TARGET
     return profile, bound, mass, mass_bound
 
 

@@ -168,13 +168,18 @@ def gamma_p(p: int, z: float) -> float:
     """p-adic gamma factor (1 - p^{z-1}) / (1 - p^{-z}).
 
     Simple pole at z = 0 and zero at z = 1; evaluation within 1e-9 of the
-    pole raises rather than returning a huge unstable value.
+    pole raises rather than returning a huge unstable value, and a power
+    of p beyond the double range raises ArithmeticError.
     """
     check_prime(p)
     z = float(z)
     if abs(z) <= _GAMMA_POLE_GUARD:
         raise DomainError(f"gamma_p pole at z=0 (requested z={z})")
-    return (1.0 - p ** (z - 1.0)) / (1.0 - p ** (-z))
+    try:
+        return (1.0 - p ** (z - 1.0)) / (1.0 - p ** (-z))
+    except OverflowError:
+        raise ArithmeticError(f"gamma_p(p={p}, z={z}) leaves the double "
+                              "range") from None
 
 
 # Largest grid a GridSpec describes.  Grid paths hold O(n) arrays; the few

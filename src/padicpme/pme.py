@@ -48,7 +48,6 @@ from .errors import DomainError, SolverError, check_int, check_real
 from .fractional import LevelOperator, OperatorParams, ball_levels
 # the benchmark's tracer wraps pme.ball_matrix; nothing here calls it
 from .fractional import ball_matrix  # noqa: F401
-from .functions import GridFunction
 from .padic import GridSpec, check_prime, gamma_p
 
 
@@ -58,15 +57,10 @@ def beta(v, m: float) -> np.ndarray:
     return np.sign(v) * np.abs(v) ** (1.0 / m)
 
 
-def beta_prime(v, m: float) -> np.ndarray:
-    """beta'(v) = |v|^{1/m - 1} / m, +inf at v = 0 for m > 1."""
-    with np.errstate(divide="ignore"):
-        return _beta_prime(np.asarray(v, dtype=np.float64), m)
-
-
 def _beta_prime(v: np.ndarray, m: float) -> np.ndarray:
-    """beta_prime on a float64 array; at v = 0 with m > 1 the power
-    divides by zero, and the caller silences numpy's warning."""
+    """beta'(v) = |v|^{1/m - 1} / m on a float64 array, +inf at v = 0 for
+    m > 1; there the power divides by zero, and the caller silences
+    numpy's warning."""
     return (1.0 / m) * np.abs(v) ** (1.0 / m - 1.0)
 
 
@@ -464,15 +458,11 @@ def norms(u: np.ndarray, meas: float) -> tuple:
 
 
 def evolve(problem: PMEProblem, u0) -> EvolutionResult:
-    """March u_t + A phi(u) = 0 from u0 to t_end with step tau; u0 is a
-    real array or a GridFunction on problem.grid with zero imaginary part.
+    """March u_t + A phi(u) = 0 from u0 to t_end with step tau; u0 is an
+    array of shape (problem.grid.dim,), real or with zero imaginary part.
     Each step after the first starts Newton from the v of the step before
     (implicit_step)."""
     grid = problem.grid
-    if isinstance(u0, GridFunction):
-        if u0.grid != grid:
-            raise DomainError("initial state lives on the wrong grid")
-        u0 = u0.values
     u = real_initial(u0)
     if u.shape != (grid.dim,):
         raise DomainError(f"initial state must have shape ({grid.dim},)")
@@ -552,7 +542,11 @@ def explicit_rho(p: int, alpha: float, m: float) -> float:
     ratio = num / ((m - 1.0) * den)
     if not ratio > 0:
         raise ArithmeticError(f"gamma ratio {ratio} is not positive")
-    return -(ratio ** nu)
+    try:
+        return -(ratio ** nu)
+    except OverflowError:
+        raise ArithmeticError(f"rho = -{ratio}^{nu} leaves the double "
+                              "range") from None
 
 
 @dataclass(frozen=True)
@@ -586,13 +580,26 @@ class ExplicitSolution:
         base = self.t0 + t if self.companion else self.t0 - t
         if not base > 0:
             raise DomainError(f"profile undefined at t={t} (T={self.t0})")
-        return base ** (-self.nu)
+        try:
+            return base ** (-self.nu)
+        except OverflowError:
+            raise ArithmeticError(f"time factor {base}^-{self.nu} at t={t} "
+                                  "leaves the double range") from None
 
     def value(self, t: float, shell: int | None) -> float:
+        """The profile at time t on the shell |x| = p^shell (None: x = 0);
+        a value beyond the double range raises ArithmeticError."""
         if shell is None:
             return 0.0  # |x|^{alpha nu} vanishes at the origin
-        return (self.amplitude * self.time_factor(t)
-                * float(self.p) ** (shell * self.alpha * self.nu))
+        factor = self.amplitude * self.time_factor(t)
+        try:
+            v = factor * float(self.p) ** (shell * self.alpha * self.nu)
+        except OverflowError:
+            v = math.inf
+        if not math.isfinite(v):
+            raise ArithmeticError(f"explicit profile at t={t} leaves the "
+                                  f"double range on shell {shell}")
+        return v
 
     def to_grid(self, grid: GridSpec, t: float) -> np.ndarray:
         return grid.radial(lambda k: self.value(t, k))

@@ -1,3 +1,4 @@
+import csv
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -39,3 +40,21 @@ def digit_text(p: int, x: Fraction) -> str:
             pairs.append(f"{j}:{d}")
         j += 1
     return ",".join(pairs) or "0"
+
+
+def read_radial_rows(path) -> tuple:
+    """A radial CSV read with csv alone: (zero, shells, tail), the value of
+    the "zero" row or None, {k: value} of the shell rows, and the (c, s) of
+    the "tail" row or None.  An oracle written apart from the package."""
+    zero, shells, tail = None, {}, None
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        assert next(rows) == ["k", "shell_abs", "re", "im"]
+        for row in rows:
+            if row[0] == "zero":
+                zero = complex(float(row[2]), float(row[3]))
+            elif row[0] == "tail":
+                tail = (float(row[1]), float(row[2]))
+            else:
+                shells[int(row[0])] = complex(float(row[2]), float(row[3]))
+    return zero, shells, tail

@@ -13,8 +13,10 @@ import pytest
 from padicpme import heat, verification
 from padicpme.cli import _write_run, build_initial, main
 from padicpme.errors import DomainError
-from padicpme.functions import GridFunction, read_radial_csv, write_grid_csv
+from padicpme.functions import GridFunction, write_grid_csv
 from padicpme.padic import GridSpec
+
+from conftest import read_radial_rows
 
 
 def _read_json(path):
@@ -85,9 +87,9 @@ def test_kernel_ball_certificate_at_large_times(tmp_path):
         assert side["mass_certificate"] <= 1e-12
         assert abs(side["mass_over_ball"] - 1.0) <= 1e-12
         if t == "100":
-            prof = read_radial_csv(str(out), 2)
-            assert len(prof.shell_values) == 14
-            for v in [prof.value_at_zero] + [v for _, v in prof.shell_values]:
+            zero, shells, _ = read_radial_rows(out)
+            assert len(shells) == 14
+            for v in [zero, *shells.values()]:
                 assert abs(v - 0.5) <= 1e-12
     assert side["mass_return_coefficient"] is None
     assert side["mass_return_certificate"] is None
@@ -110,15 +112,15 @@ def test_kernel_resolvent_positive_with_certificates(tmp_path):
     rc = main(["kernel", "--p", "5", "--alpha", "3", "--mu", "4",
                "--out", str(out)])
     assert rc == 0
-    prof = read_radial_csv(str(out), 5)
-    assert len(prof.shell_values) == 25
-    assert prof.value_at_zero.real > 0
-    assert all(v.real > 0 for _, v in prof.shell_values)
+    zero, shells, _ = read_radial_rows(out)
+    assert len(shells) == 25
+    assert zero.real > 0
+    assert all(v.real > 0 for v in shells.values())
     side = _read_json(tmp_path / "green.json")
     assert "series_target" not in side
     assert 0 < side["zero_truncation_bound"] <= 1e-13 * side["value_at_zero"]
     assert sorted(map(int, side["shell_truncation_bounds"])) == list(range(-12, 13))
-    for k, v in prof.shell_values:
+    for k, v in shells.items():
         assert 0 < side["shell_truncation_bounds"][str(k)] <= 1e-13 * v.real
 
 
@@ -171,9 +173,9 @@ def test_kernel_resolvent_tail_constant_beyond_the_double_range(tmp_path):
         assert side["tail_constant"] is None
         assert side["tail_exponent"] == -3.0
         assert side["value_at_zero"] > 0
-        prof = read_radial_csv(str(out), 2)
-        assert prof.tail is None
-        assert len(prof.shell_values) == 25
+        _, shells, tail = read_radial_rows(out)
+        assert tail is None
+        assert len(shells) == 25
 
 
 def test_kernel_flag_conflicts_and_domain(tmp_path, capsys):
@@ -294,6 +296,24 @@ def test_evolve_heat_at_large_times(tmp_path):
     assert len(rows) == 8
     assert [float(r["re"]) for r in rows] == pytest.approx([0.5] * 8,
                                                            abs=1e-12)
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["evolve-heat", "--p", "2", "--alpha", "2", "--N", "1",
+                  "--M", "1", "--t-end", "0"], "--t-end must be positive",
+                 id="evolve-heat-t-end"),
+    pytest.param(["evolve-heat", "--p", "2", "--alpha", "2", "--N", "1",
+                  "--M", "1", "--t-end", "1", "--snapshots", "0"],
+                 "--snapshots must be at least 1", id="evolve-heat-snapshots"),
+    pytest.param(["kernel", "--p", "2", "--alpha", "2", "--t", "1",
+                  "--ball", "-5", "--shells", "3"],
+                 "--shells 3 leaves no shells inside B_-5", id="kernel-ball"),
+])
+def test_cli_option_checks_exit_2(tmp_path, capsys, argv, message):
+    """Each refusal exits 2 with one error line, before any file."""
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_evolve_heat_bad_initial(tmp_path):
@@ -442,6 +462,48 @@ def test_explicit_bad_window(tmp_path):
                "--t0", "1.0", "--t", "2.0",
                "--out", str(tmp_path / "p.csv")])
     assert rc == 2
+
+
+def test_explicit_residual_beyond_the_double_range_is_null(tmp_path):
+    """At t0 = 1e-300 the residual's time factor (t0 - t)^{-nu-1} is 1e600:
+    the run succeeds and the sidecar, JSON proper, writes null for it."""
+    rc = main(["explicit", "--p", "2", "--alpha", "2", "--m", "2",
+               "--t0", "1e-300", "--t", "0",
+               "--out", str(tmp_path / "e.csv")])
+    assert rc == 0
+    side = _read_strict_json(tmp_path / "e.json")
+    assert side["residual_sup"] is None
+    assert side["time_factor"] == pytest.approx(1e300)
+
+
+def test_explicit_amplitude_beyond_the_double_range(tmp_path, capsys):
+    """m near 1 sends alpha / (m - 1) past the double range of p^z in
+    gamma_p, or rho's power 1 / (m - 1) past it, and a tiny t0 sends the
+    time factor (t0 - t)^{-nu} past it: exit 1 with a message that names
+    the quantity, and no files."""
+    for m, t0, message in (("1.0001", "1", "gamma_p(p=2, z=20001.0"),
+                           ("1.003", "1", "rho = -83.3"),
+                           ("1.5", "1e-200", "time factor 1e-200^-2.0")):
+        rc = main(["explicit", "--p", "2", "--alpha", "2", "--m", m,
+                   "--t0", t0, "--t", "0", "--out", str(tmp_path / "e.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}"), err
+        assert err.rstrip().endswith("leaves the double range"), err
+    assert os.listdir(tmp_path) == []
+
+
+def test_explicit_refuses_a_shell_beyond_the_double_range(tmp_path, capsys):
+    """p^{k alpha nu} leaves the double range from shell 512 on at
+    p = alpha = 2, m = 2: exit 1 naming that shell, and no files."""
+    rc = main(["explicit", "--p", "2", "--alpha", "2", "--m", "2",
+               "--t0", "1", "--t", "0", "--k-max", "600",
+               "--out", str(tmp_path / "e.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: explicit profile at t=0.0 leaves the double range on "
+        "shell 512\n")
+    assert os.listdir(tmp_path) == []
 
 
 def test_build_initial_kinds(tmp_path):

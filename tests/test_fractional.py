@@ -402,3 +402,39 @@ def test_exterior_constant_hand_values():
     psi2 = TestFunction.indicator(Ball(2, 0, 2))
     r2 = exterior_constant(op, psi2 - restrict_to_ball(psi2, ball_N), 0)
     assert r2.real == pytest.approx(-15 / 28, abs=1e-15)
+
+
+_NO_GRID = OperatorParams(2, 1.0)
+_AT_THREE = TestFunction.indicator(Ball(3, 0, 0))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: ball_matrix(_NO_GRID),
+                 "ball_matrix needs an OperatorParams with a grid",
+                 id="ball_matrix-no-grid"),
+    pytest.param(lambda: ball_spectrum(_NO_GRID),
+                 "ball_spectrum needs an OperatorParams with a grid",
+                 id="ball_spectrum-no-grid"),
+    pytest.param(lambda: OperatorParams(3, 1.0, GridSpec(2, 1, 1)),
+                 "grid prime differs from operator prime",
+                 id="OperatorParams-prime"),
+    pytest.param(lambda: apply_to_indicator(_NO_GRID, Ball(3, 0, 0)),
+                 "ball prime differs from operator prime",
+                 id="apply_to_indicator-prime"),
+    pytest.param(lambda: exterior_constant(_NO_GRID, _AT_THREE, 0),
+                 "prime mismatch", id="exterior_constant-prime"),
+    pytest.param(lambda: restrict_to_ball(_AT_THREE, Ball(2, 0, 0)),
+                 "prime mismatch", id="restrict_to_ball-prime"),
+])
+def test_fractional_input_checks_refuse(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+def test_quadrature_of_cancelling_terms_is_exactly_zero():
+    """Terms that cancel make f = 0: its sup is exactly 0, so the
+    quadrature returns (0j, 0.0) without summing a shell."""
+    one = TestFunction.indicator(Ball(2, Fraction(1, 2), -1), 1.5)
+    f = one + one.scale(-1.0)
+    assert hypersingular_quadrature(OperatorParams(2, 1.0), f, Fraction(0),
+                                    k_hi=8) == (0j, 0.0)

@@ -10,12 +10,12 @@ from padicpme import functions
 from padicpme.errors import DomainError, PrecisionError
 from padicpme.fractional import _sup_abs
 from padicpme.functions import (GridFunction, RadialFunction, TestFunction,
-                                read_grid_csv, read_radial_csv, to_grid,
+                                read_grid_csv, to_grid,
                                 write_grid_csv, write_grid_csvs,
                                 write_radial_csv)
 from padicpme.padic import Ball, GridSpec, rational_abs
 
-from conftest import digit_text, point_strategy
+from conftest import digit_text, point_strategy, read_radial_rows
 
 
 def _tf_strategy(p=2):
@@ -186,7 +186,8 @@ def test_grid_csv_round_trip(tmp_path):
     path = str(tmp_path / "u.csv")
     write_grid_csv(path, u)
     v = read_grid_csv(path, grid)
-    assert np.array_equal(u.values, v.values)   # repr round-trip is exact
+    assert v.dtype == np.complex128
+    assert np.array_equal(u.values, v)   # repr round-trip is exact
 
 
 _SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310,
@@ -294,7 +295,7 @@ def test_grid_csv_reader_refuses_malformed_rows(tmp_path):
         with pytest.raises(DomainError, match=message):
             read_grid_csv(str(path), grid)
     path.write_bytes(b"\r\n".join(lines))
-    assert read_grid_csv(str(path), grid).values.tolist() == [1, 2, 3, 4]
+    assert read_grid_csv(str(path), grid).tolist() == [1, 2, 3, 4]
 
 
 def test_grid_csv_wrong_grid_rejected(tmp_path):
@@ -307,12 +308,39 @@ def test_grid_csv_wrong_grid_rejected(tmp_path):
 
 
 def test_radial_csv_round_trip(tmp_path):
+    """The rows of write_radial_csv, read back with csv alone: header, the
+    "zero" row, one row per shell with its exact |x|, and the "tail" row."""
     f = RadialFunction(3, ((-1, 1.5), (2, -0.25)), value_at_zero=2.0,
                        tail=(0.75, -2.5), head_constant=True)
-    path = str(tmp_path / "f.csv")
-    write_radial_csv(path, f)
-    g = read_radial_csv(path, 3)
-    assert g.shell_values == f.shell_values
-    assert g.value_at_zero == f.value_at_zero
-    assert g.tail == f.tail
-    assert g.head_constant
+    path = tmp_path / "f.csv"
+    write_radial_csv(str(path), f)
+    with open(path, newline="") as fh:
+        assert list(csv.reader(fh)) == [
+            ["k", "shell_abs", "re", "im"], ["zero", "0", "2.0", "0.0"],
+            ["-1", "1/3", "1.5", "0.0"], ["2", "9", "-0.25", "0.0"],
+            ["tail", "0.75", "-2.5"]]
+    zero, shells, tail = read_radial_rows(path)
+    assert tuple(shells.items()) == f.shell_values
+    assert zero == f.value_at_zero
+    assert tail == (f.tail[0].real, f.tail[1])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda path: TestFunction(2, ((1.0, Ball(3, 0, 0)),)),
+                 "all balls must share the prime p", id="TestFunction-prime"),
+    pytest.param(lambda path: (TestFunction.indicator(Ball(2, 0, 0))
+                               + TestFunction.indicator(Ball(3, 0, 0))),
+                 "operands must share the prime p", id="add-prime"),
+    pytest.param(lambda path: GridFunction(GridSpec(2, 1, 1), np.zeros(3)),
+                 r"values must have shape \(4,\), got \(3,\)",
+                 id="GridFunction-shape"),
+    pytest.param(lambda path: write_grid_csvs([path], GridSpec(2, 1, 1),
+                                              [np.zeros((4, 1))]),
+                 r"values must have shape \(4,\), got \(4, 1\)",
+                 id="write_grid_csvs-shape"),
+])
+def test_functions_input_checks_refuse(tmp_path, call, message):
+    """Each refusal raises DomainError before any file is opened."""
+    with pytest.raises(DomainError, match=message):
+        call(tmp_path / "u.csv")
+    assert list(tmp_path.iterdir()) == []

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from padicpme import heat
 from padicpme.errors import DomainError
 from padicpme.fractional import OperatorParams, ball_matrix
+from padicpme.functions import TestFunction
 from padicpme.heat import (KernelParams, ball_c_coefficient,
                            ball_integral_of_Z, ball_kernel_ZN,
                            ball_semigroup_expm, ball_semigroup_matrix,
@@ -19,6 +20,7 @@ from padicpme.heat import (KernelParams, ball_c_coefficient,
                            kernel_Z_shell_series,
                            kernel_mass_estimate, linear_split_bound,
                            resolvent_apply,
+                           semigroup_apply_testfunction,
                            semigroup_matrix, semigroup_on_indicator,
                            smoothness_modulus)
 from padicpme.padic import Ball, GridSpec, int_valuation
@@ -704,3 +706,34 @@ def test_green_tail_constant_beyond_the_double_range():
         assert green_tail_constant(p, alpha, 1e-150) == pytest.approx(c * 1e300)
         for mu in (1e-160, 1e-200):
             assert green_tail_constant(p, alpha, mu) == math.copysign(math.inf, c)
+
+
+_NO_GRID = OperatorParams(2, 1.0)
+_ON_GRID = OperatorParams(2, 1.0, GridSpec(2, 1, 1))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: semigroup_matrix(_NO_GRID, 1.0),
+                 "semigroup_matrix needs a grid-bound operator",
+                 id="semigroup_matrix-no-grid"),
+    pytest.param(lambda: resolvent_apply(_NO_GRID, 1.0, np.zeros(4)),
+                 "resolvent_apply needs a grid-bound operator",
+                 id="resolvent_apply-no-grid"),
+    pytest.param(lambda: resolvent_apply(_ON_GRID, 0.0, np.zeros(4)),
+                 "resolvent parameter mu must be positive",
+                 id="resolvent_apply-mu-zero"),
+    pytest.param(lambda: ball_semigroup_matrix(_ON_GRID, -1.0),
+                 "time must be nonnegative, got -1.0",
+                 id="ball_semigroup_matrix-negative-t"),
+    pytest.param(lambda: semigroup_on_indicator(KernelParams(2, 1.0, 1.0),
+                                                Ball(3, 0, 0)),
+                 "ball prime differs from kernel prime",
+                 id="semigroup_on_indicator-prime"),
+    pytest.param(lambda: semigroup_apply_testfunction(
+                     KernelParams(2, 1.0, 1.0),
+                     TestFunction.indicator(Ball(3, 0, 0))),
+                 "prime mismatch", id="semigroup_apply_testfunction-prime"),
+])
+def test_heat_input_checks_refuse(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

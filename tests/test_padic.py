@@ -8,8 +8,8 @@ import hypothesis.strategies as st
 from padicpme.cli import build_initial
 from padicpme.errors import DomainError, ResourceError
 from padicpme.functions import RadialFunction
-from padicpme.padic import (LEVEL_GRID_CAP, Ball, GridSpec, gamma_p,
-                            int_valuation, parse_point, rational_abs,
+from padicpme.padic import (LEVEL_GRID_CAP, Ball, GridSpec, check_prime,
+                            gamma_p, int_valuation, parse_point, rational_abs,
                             rational_shell, rational_valuation)
 from padicpme.pme import PMEProblem, explicit_solution
 
@@ -274,3 +274,18 @@ def test_radial_gathers_match_per_index_references(p, N, M):
         else 1.3 * float(rational_abs(p, grid.representative(i))) ** 0.7
         for i, k in enumerate(shells)])
     assert np.array_equal(u0, ref)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: GridSpec(2, 1, 1).representative(4),
+                 r"index 4 out of range \[0, 4\)", id="representative"),
+    pytest.param(lambda: GridSpec(2, 1, 1).representative(-1),
+                 r"index -1 out of range", id="representative-negative"),
+    pytest.param(lambda: int_valuation(0, 3), "valuation of 0 is undefined",
+                 id="int_valuation"),
+    pytest.param(lambda: check_prime(2.0), "p must be a prime integer, got 2.0",
+                 id="check_prime-float"),
+])
+def test_padic_input_checks_refuse(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
