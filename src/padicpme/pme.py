@@ -14,9 +14,13 @@ is solved exactly by the O(n) class-tree solve and no n x n array is built.
 One Newton loop (_newton_solve) runs every solve, a vector as the batch
 of one column: damped Newton in lockstep over the columns of a model that
 holds the residual, start, Newton step and rounding floor; here the v
-form (_VForm).  Each line search tries theta = 1 alone, then the rest of
-its halving ladder in blocks that one residual evaluation takes as extra
-columns of A, up to _BLOCK_CELLS = 2^11 cells (n x columns x trials).
+form (_VForm).  A line search takes its halving ladder in blocks that
+one residual evaluation takes as extra columns of A, up to _BLOCK_CELLS =
+2^11 cells (n x columns x trials).  The first search of a solve, and each
+one after a search that took theta = 1, tries theta = 1 alone, as most
+Newton steps take it; after a search that rejected it, the next one's
+first block is full width from theta = 1 on, so up to dim 44 a solve
+that keeps damping makes one evaluation per iteration, not two.
 On small grids the fixed cost of numpy calls, not arithmetic, sets the
 cost of an evaluation: at dim 16 a block of 45 trials costs about two
 single ones.  From dim 2048 on a block holds one trial.  A column of a
@@ -142,6 +146,7 @@ _MAX_ITERS = 80
 _BP_CLIP = 1e16
 _LADDER = 46             # damping theta = 2^-j for j < _LADDER
 _THETA = np.ldexp(1.0, -np.arange(_LADDER))
+_DECREASE = (1 - 0.25 * _THETA)[:, None]   # sufficient decrease per theta
 _BLOCK_CELLS = 2 ** 11   # n x columns x thetas per G call of a line search
 
 
@@ -224,63 +229,65 @@ def _cols(mask, *arrays) -> list:
     return [a[..., mask] for a in arrays]
 
 
-def _line_search(model, d, it, target) -> tuple:
+def _line_search(model, d, it, target, wide) -> tuple:
     """Damp the Newton step d of each column of the iterate it = (v, G(v),
     s A v, residual): theta = 2^-j for j < _LADDER in blocks of trials on
-    axis 1, one model.G call each: theta = 1 alone, as most searches
-    accept it, then as many thetas as fit in _BLOCK_CELLS cells with the
-    columns still searching.  In each column the first trial that is
-    accepted or that rounds back to v decides, as in a search theta by
-    theta: rounding is monotone, so every shorter step rounds back too.
-    Past the ladder the column stalls.  If every column accepts the same
-    trial first (always so for one column that accepts), it is taken for
-    all at once; else the columns that decide are committed into it one
-    by one.  Returns the new iterate and the mask of the columns that
-    stalled."""
+    axis 1, one model.G call each, of as many thetas as fit in
+    _BLOCK_CELLS cells with the columns still searching.  Unless wide, the
+    first block is theta = 1 alone, as most searches accept it.  In each
+    column the first trial that is accepted or that rounds back to v
+    decides, as in a search theta by theta: rounding is monotone, so every
+    shorter step rounds back too.  Past the ladder the column stalls.  If
+    every column accepts the same trial first (always so for one column
+    that accepts), it is taken for all at once; else the columns that
+    decide are committed into it one by one.  Returns the new iterate, the
+    mask of the columns that stalled and whether every column took
+    theta = 1."""
     v, _, _, res = it
     stalled = np.zeros(len(res), bool)
     cols, vs, ds = np.arange(len(res)), v, d  # the columns still searching
     # accepted: sufficient decrease, or the target
-    bound = np.fmax((1 - 0.25 * _THETA[:, None]) * res, target)
-    j, width = 0, 1
+    bound = np.fmax(_DECREASE * res, target)
+    j, width = 0, max(1, _BLOCK_CELLS // vs.size) if wide else 1
     while j < _LADDER:
         theta = _THETA[j:j + width, None]
-        if j:
+        if j or width > 1:
             trial = vs[:, None] + theta * ds[:, None]
         else:  # v + 1 d, without the cost of broadcasting
             trial = (vs + ds)[:, None]
         moved = (trial != vs[:, None]).any(0)
-        if not moved[0].any():  # every column rounds back to v
+        if not np.count_nonzero(moved[0]):  # every column rounds back to v
             break
         gn, sn = model.G(trial)
         rn = np.abs(gn).max(0)
         accepted = rn <= bound[j:j + len(theta)]  # never where not moved
         first = accepted.argmax() // len(cols)  # first trial any accepts
-        if len(cols) == len(res) and accepted[first].all():
+        if (len(cols) == len(res)
+                and np.count_nonzero(accepted[first]) == len(cols)):
             return (trial[:, first], gn[:, first], sn[:, first],
-                    rn[first]), stalled
+                    rn[first]), stalled, j + first == 0
         if len(res) == 1:  # one column that accepted no trial
-            if not moved.all():
+            if np.count_nonzero(moved) < moved.size:
                 break
         else:
             stop = accepted | ~moved
             k = stop.argmax(0)
             c = np.arange(len(k))
             decided = stop[k, c]
-            if decided.any():
+            if np.count_nonzero(decided):
                 took = decided & moved[k, c]
                 stalled[cols[decided & ~took]] = True
                 k, c, idx = k[took], c[took], cols[took]
                 for a, b in zip(it, (trial, gn, sn, rn)):
                     a[..., idx] = b[..., k, c]
-                if decided.all():
-                    return it, stalled
+                if np.count_nonzero(decided) == len(cols):
+                    return it, stalled, False
                 cols, vs, ds, bound = _cols(~decided, cols, vs, ds, bound)
                 model = model.cols(~decided)
         j += len(theta)
         width = max(1, _BLOCK_CELLS // vs.size)
     stalled[cols] = True
-    return it, stalled
+    return it, stalled, False
 
 
 def _newton_solve(model) -> tuple:
@@ -300,6 +307,8 @@ def _newton_solve(model) -> tuple:
     live = np.arange(v.shape[1])
     its = total = 0
     worst = 0.0
+    full = True  # the last search took theta = 1 in every column (the
+    # first search of a solve tries it alone)
 
     def leave(mask):  # the columns mask of it are done
         nonlocal total, worst
@@ -310,9 +319,10 @@ def _newton_solve(model) -> tuple:
 
     while True:
         going = it[3] > target
-        if not going.all():
+        n_going = np.count_nonzero(going)
+        if n_going < len(going):
             leave(~going)
-            if not going.any():
+            if not n_going:
                 break
             live, target, *it = _cols(going, live, target, *it)
             model = model.cols(going)
@@ -328,8 +338,9 @@ def _newton_solve(model) -> tuple:
                 raise SolverError(f"singular Newton system: {exc.reason}",
                                   residual=float(it[3][j]),
                                   column=int(live[j]))
-            it, stalled = _line_search(model, d, it, target)
-            if not stalled.any():
+            it, stalled, full = _line_search(model, d, it, target,
+                                             not full)
+            if not np.count_nonzero(stalled):
                 continue
             stall = "Newton line search stalled"
         # a stalled column leaves at its rounding floor, or refuses
@@ -342,7 +353,7 @@ def _newton_solve(model) -> tuple:
                               f"{floor[j]:.3e}", residual=float(res[j]),
                               column=int(live[stalled][j]))
         leave(stalled)
-        if stalled.all():
+        if np.count_nonzero(stalled) == len(stalled):
             break
         live, target, *it = _cols(~stalled, live, target, *it)
         model = model.cols(~stalled)

@@ -631,14 +631,16 @@ def test_line_search_block_width_cannot_change_a_result(grid, alpha, m, tau,
         assert [_outcome(call) for call in calls] == wide
 
 
-def test_a_blocked_line_search_calls_G_at_most_twice_per_iteration(
-        monkeypatch):
+def test_a_refusing_step_calls_G_once_per_iteration(monkeypatch):
     """A (2, 2, 2), m = 8 point datum of size 1e-6, as in pme-hard's
     refusals: with one G call per trial, its 80 Newton iterations apply A
-    1776 times.  In blocks, theta = 1 is one call and the rest of the
-    ladder fits in one more, so A is applied at most twice per iteration,
-    plus once for the first G and once for the rounding floor.  The
-    refusal and its residual are those of the sequential search."""
+    1776 times.  Each of its line searches rejects theta = 1.  The first
+    tries theta = 1 alone and the rest of the ladder in one more call;
+    every later one follows a search that rejected theta = 1, so its first
+    block is the whole ladder, theta = 1 included.  So A is applied once
+    per iteration, plus once for the first search's second block, once
+    for the first G and once for the rounding floor.  The refusal and its
+    residual are those of the sequential search."""
     prob = PMEProblem(p=2, alpha=0.5, N=2, M=2, m=8.0, tau=1e3, t_end=1e3)
     u = np.zeros(prob.grid.dim)
     u[0] = 1e-6
@@ -656,7 +658,81 @@ def test_a_blocked_line_search_calls_G_at_most_twice_per_iteration(
         f"Newton did not converge in {_MAX_ITERS} iterations above the "
         f"rounding floor ")
     assert exc.value.residual == 0.0001474344268152183
-    assert len(calls) <= 2 * _MAX_ITERS + 2
+    assert len(calls) <= _MAX_ITERS + 3
+
+
+def _record_searches(monkeypatch) -> list:
+    """(solve, warm, wide, took, columns) of each line search of pme: the
+    number of its Newton run, whether that run started warm, whether the
+    search's first block was full width, whether it took theta = 1 in
+    every column, and its live columns."""
+    searches, warm = [], []
+    search, newton = pme._line_search, pme._newton_solve
+
+    def solving(model):
+        warm.append(model.v_prev is not None)
+        return newton(model)
+
+    def searching(model, d, it, target, wide):
+        out = search(model, d, it, target, wide)
+        searches.append((len(warm), warm[-1], wide, bool(out[2]),
+                         it[0].shape[1]))
+        return out
+    monkeypatch.setattr(pme, "_newton_solve", solving)
+    monkeypatch.setattr(pme, "_line_search", searching)
+    return searches
+
+
+@pytest.mark.parametrize("grid, alpha, m, tau", [((2, 2, 2), 0.5, 4.0, 10.0),
+                                                 ((3, 2, 1), 2.0, 3.0, 10.0)])
+def test_block_first_searches_keep_the_bits_of_the_sequential_search(
+        monkeypatch, grid, alpha, m, tau):
+    """From the domain of the block-width test above: a 4-step warm evolve
+    of signed data, a batch of three columns with their own epsilon and
+    the same batch with a refusing point datum of size 1e-6 in column 0.
+    Their searches alternate between taking theta = 1 and rejecting it, so
+    a search after a rejection tries theta = 1 in a full-width block, on
+    warm-started steps and with several columns live too.  At the default
+    width and at one trial per block (_BLOCK_CELLS = 1) they give the same
+    bits, iteration counts and refusals."""
+    p, N, M = grid
+    config = dict(p=p, alpha=alpha, N=N, M=M, m=m, tau=tau, t_end=4 * tau)
+    dim = p ** (N + M)
+    rng = np.random.default_rng(1)
+    u = _step_data(rng, "signed", dim)
+    columns = (("signed", 1.0, 0.0), ("gapped", 1.0, 2.0),
+               ("signed", 1e6, 0.01))
+    f = np.column_stack([scale * _step_data(rng, kind, dim)
+                         for kind, scale, _ in columns])
+    eps = np.array([e for *_, e in columns])
+    refusing = f.copy()
+    refusing[:, 0] = 1e-6 * _step_data(rng, "point", dim)
+
+    def outcomes():
+        out = evolve(PMEProblem(**config), u)
+        prob = PMEProblem(**config)
+        return ([_sha(x) for x in out.snapshots],
+                out.diagnostics["newton_iterations"],
+                out.diagnostics["residual"],
+                _outcome(lambda: stationary_solve(prob, f, eps, tau)),
+                _outcome(lambda: stationary_solve(prob, refusing, eps, tau)))
+
+    with pytest.MonkeyPatch.context() as mp:
+        searches = _record_searches(mp)
+        wide = outcomes()
+    assert wide[4][0].startswith("column 0: Newton did not converge")
+    # a search is wide exactly after one of its solve that rejected theta = 1
+    for before, (solve, _, w, _, _) in zip([None] + searches, searches):
+        assert w == (before is not None and before[0] == solve
+                     and not before[3])
+    # a wide first block that took theta = 1, on a warm step and on a batch
+    assert any(w and took and warm for _, warm, w, took, _ in searches)
+    assert any(w and took and k > 1 for *_, w, took, k in searches)
+    # and a search after one that took theta = 1 that rejected it
+    assert any(a[0] == b[0] and a[3] and not b[3]
+               for a, b in zip(searches, searches[1:]))
+    monkeypatch.setattr(pme, "_BLOCK_CELLS", 1)
+    assert outcomes() == wide
 
 
 @pytest.mark.xfail(strict=True, raises=SolverError, reason=(
