@@ -13,6 +13,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import functools
 import json
@@ -46,22 +47,34 @@ _MATRIX_DUMP_CAP = 512
 # artifact plumbing
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _naming(path: str):
+    """Turn an OSError into a DomainError that names the output path."""
+    try:
+        yield
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _atomic_write(paths, write) -> None:
     """Call write(*tmps) with one temp file per path, each in its path's
     directory, then rename every temp file to its path.  If write fails,
     every temp file is removed and no path is touched; if a rename fails,
-    the temp files not yet renamed are removed."""
-    targets = [os.path.abspath(path) for path in paths]
+    the temp files not yet renamed are removed.  A path that cannot take
+    a file, as its directory is missing or it is a directory, raises
+    DomainError naming it."""
     tmps = []
     try:
-        for target in targets:
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
-                                       prefix=".tmp_")
+        for path in paths:
+            with _naming(path):
+                fd, tmp = tempfile.mkstemp(
+                    dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp_")
             os.close(fd)
             tmps.append(tmp)
         write(*tmps)
-        for tmp, target in zip(tmps, targets):
-            os.replace(tmp, target)
+        for tmp, path in zip(tmps, paths):
+            with _naming(path):
+                os.replace(tmp, path)
     except BaseException:
         for tmp in tmps:
             if os.path.exists(tmp):
@@ -117,7 +130,8 @@ def _write_run(outdir: str, grid: GridSpec, snapshots, diagnostics: dict,
     none of an earlier run's.  diagnostics.json follows them, so a
     generator may still fill diagnostics.
     """
-    os.makedirs(outdir, exist_ok=True)
+    with _naming(outdir):
+        os.makedirs(outdir, exist_ok=True)
     artifacts = [os.path.join(outdir, f"snapshot_{j:04d}.csv")
                  for j in range(len(diagnostics["times"]))]
     _atomic_write(artifacts,

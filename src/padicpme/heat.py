@@ -160,10 +160,10 @@ def _gap_sum(p: int, a: float, gaps, knee: float, lower: float,
     terms (math.fsum), and its bound adds both tails to the rounding of
     every term of the window (one dot product over the window's slice),
     so each value and bound is the one a single top gives.  A window
-    wider than _MAX_SHELLS, or one that reaches p^k beyond e^{+-700},
-    raises ArithmeticError, as does a value that leaves the double range;
-    the error is raised when the generator reaches that top, after the
-    values of the tops before it.
+    wider than _MAX_SHELLS, one that reaches p^k beyond e^{+-700}, or one
+    whose bounds leave the double range raises ArithmeticError, as does a
+    value that leaves the double range; the error is raised when the
+    generator reaches that top, after the values of the tops before it.
     """
     lp = math.log(p)
     k_knee = math.floor(math.log(knee) / (a * lp))
@@ -171,19 +171,25 @@ def _gap_sum(p: int, a: float, gaps, knee: float, lower: float,
     shrink_low = math.log1p(-math.exp(-g_low))
     windows, failure = [], None
     for top in tops:
-        k0 = k_knee if top is None else min(k_knee, top)
-        # each tail is geometric: sum_{k>=K} e^{c - g k} = e^{c - g K} / (1 - e^-g)
-        log_ref = lower + g_low * k0 + math.log(_TAIL)
-        k_lo = k0 + math.floor((math.log(_TAIL) + shrink_low) / g_low) + 1
-        tails = math.exp(lower + g_low * (k_lo - 1) - shrink_low)
-        k_hi = top
-        if upper is not None:
-            c, g = upper[0], upper[1] * lp
-            shrink = math.log1p(-math.exp(-g))
-            cut = max(k0, math.ceil((c - shrink - log_ref) / g) - 1)
-            if top is None or cut < top:
-                k_hi = cut
-                tails += math.exp(c - g * (cut + 1) - shrink)
+        try:
+            k0 = k_knee if top is None else min(k_knee, top)
+            # each tail is geometric:
+            # sum_{k>=K} e^{c - g k} = e^{c - g K} / (1 - e^-g)
+            log_ref = lower + g_low * k0 + math.log(_TAIL)
+            k_lo = k0 + math.floor((math.log(_TAIL) + shrink_low) / g_low) + 1
+            tails = math.exp(lower + g_low * (k_lo - 1) - shrink_low)
+            k_hi = top
+            if upper is not None:
+                c, g = upper[0], upper[1] * lp
+                shrink = math.log1p(-math.exp(-g))
+                cut = max(k0, math.ceil((c - shrink - log_ref) / g) - 1)
+                if top is None or cut < top:
+                    k_hi = cut
+                    tails += math.exp(c - g * (cut + 1) - shrink)
+        except OverflowError:  # a window bound beyond the double range
+            failure = ArithmeticError(
+                "kernel series window leaves the double range")
+            break
         n = k_hi - k_lo + 1
         if n > _MAX_SHELLS:
             failure = ArithmeticError(
@@ -216,9 +222,14 @@ def _heat_series(params: KernelParams, shells: list) -> Iterator[KernelEvaluatio
     params._require_positive_time()
     p, a, t = params.p, params.alpha, params.t
     b = 2.0 / a
-    return _gap_sum(p, a, lambda k: _heat_gaps(t, p, a, k), 1.0 / t,
-                    math.log(t * (float(p) ** a - 1)),
-                    (b * math.log(b / (math.e * t)), 1.0), _tops(shells))
+    knee, slope = 1.0 / t, t * (float(p) ** a - 1)
+    for name, x in (("1/t", knee), ("t (p^alpha - 1)", slope)):
+        if not 0 < x < math.inf:  # the window below takes their logs
+            raise ArithmeticError(f"heat kernel series: {name} = {x!r} "
+                                  "leaves the double range")
+    return _gap_sum(p, a, lambda k: _heat_gaps(t, p, a, k), knee,
+                    math.log(slope), (b * math.log(b / (math.e * t)), 1.0),
+                    _tops(shells))
 
 
 def kernel_Z_shell_series(params: KernelParams,
@@ -539,7 +550,9 @@ def ball_kernel_ZN(params: KernelParams, k_min: int) -> tuple:
     with t mu_{L+1} (p^alpha - 1) >= log(2p), from where the terms at
     least halve, and 2 p^{L+1} e^{-t (mu_{L+1} - lam)} <= _TARGET; as
     Z_N(t, 0) >= p^{-N}, the dropped levels weigh <= _TARGET p^{-N} at any
-    point and <= _TARGET in mass.  The head ball B_{k_min-1} integrates to
+    point and <= _TARGET in mass.  A series that needs a level where mu_l
+    or p^{l-N} passes e^700 raises ArithmeticError; small alpha does that
+    first.  The head ball B_{k_min-1} integrates to
     sum_l g_l min(1, p^{l-N+k_min-1}).  The rounding certificate carries
     each mu's relative error u (9 + |log mu| + ...) through the exponents.
     """
@@ -550,7 +563,8 @@ def ball_kernel_ZN(params: KernelParams, k_min: int) -> tuple:
     mu = [params.lam]
     while True:
         l = len(mu)
-        if a * (l - N) * math.log(p) > 700.0:
+        # mu_l = p^{a (l - N)}, and the terms' factor p^{l - N}, stay finite
+        if max(a, 1.0) * (l - N) * math.log(p) > 700.0:
             raise ArithmeticError(
                 "restricted kernel series failed to localize")
         mu.append(float(p) ** (a * (l - N)))

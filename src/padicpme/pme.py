@@ -14,13 +14,18 @@ is solved exactly by the O(n) class-tree solve and no n x n array is built.
 One Newton loop (_newton_solve) runs every solve, a vector as the batch
 of one column: damped Newton in lockstep over the columns of a model that
 holds the residual, start, Newton step and rounding floor; here the v
-form (_VForm).  A line search takes its halving ladder in blocks that
-one residual evaluation takes as extra columns of A, up to _BLOCK_CELLS =
-2^11 cells (n x columns x trials).  The first search of a solve, and each
-one after a search that took theta = 1, tries theta = 1 alone, as most
-Newton steps take it; after a search that rejected it, the next one's
-first block is full width from theta = 1 on, so up to dim 44 a solve
-that keeps damping makes one evaluation per iteration, not two.
+form (_VForm).  A column leaves the loop at one place, the top of an
+iteration, once it meets its target or stalls within its rounding floor.
+A line search takes its halving ladder in blocks that one residual
+evaluation takes as extra columns of A, up to _BLOCK_CELLS = 2^11 cells
+(n x columns x trials).  A block in which every column accepts the same
+trial ends the search; any other block commits the columns it decides
+through one path, and they leave the search.  The first search of a
+solve, and each one after a search that took theta = 1, tries theta = 1
+alone, as most Newton steps take it; after a search that rejected it,
+the next one's first block is full width from theta = 1 on, so up to
+dim 44 a solve that keeps damping makes one evaluation per iteration,
+not two.
 On small grids the fixed cost of numpy calls, not arithmetic, sets the
 cost of an evaluation: at dim 16 a block of 45 trials costs about two
 single ones.  From dim 2048 on a block holds one trial.  A column of a
@@ -239,10 +244,11 @@ def _line_search(model, d, it, target, wide) -> tuple:
     decides, as in a search theta by theta: rounding is monotone, so every
     shorter step rounds back too.  Past the ladder the column stalls.  If
     every column accepts the same trial first (always so for one column
-    that accepts), it is taken for all at once; else the columns that
-    decide are committed into it one by one.  Returns the new iterate, the
-    mask of the columns that stalled and whether every column took
-    theta = 1."""
+    that accepts), it is taken for all at once.  Else each column that
+    decides in a block is committed into it, or marked stalled, and leaves
+    the search; a block in which none decides goes on to the next.
+    Returns the new iterate, the mask of the columns that stalled and
+    whether every column took theta = 1."""
     v, _, _, res = it
     stalled = np.zeros(len(res), bool)
     cols, vs, ds = np.arange(len(res)), v, d  # the columns still searching
@@ -266,24 +272,20 @@ def _line_search(model, d, it, target, wide) -> tuple:
                 and np.count_nonzero(accepted[first]) == len(cols)):
             return (trial[:, first], gn[:, first], sn[:, first],
                     rn[first]), stalled, j + first == 0
-        if len(res) == 1:  # one column that accepted no trial
-            if np.count_nonzero(moved) < moved.size:
-                break
-        else:
-            stop = accepted | ~moved
+        stop = accepted | ~moved  # the trials that decide their column
+        if np.count_nonzero(stop):
             k = stop.argmax(0)
             c = np.arange(len(k))
             decided = stop[k, c]
-            if np.count_nonzero(decided):
-                took = decided & moved[k, c]
-                stalled[cols[decided & ~took]] = True
-                k, c, idx = k[took], c[took], cols[took]
-                for a, b in zip(it, (trial, gn, sn, rn)):
-                    a[..., idx] = b[..., k, c]
-                if np.count_nonzero(decided) == len(cols):
-                    return it, stalled, False
-                cols, vs, ds, bound = _cols(~decided, cols, vs, ds, bound)
-                model = model.cols(~decided)
+            took = decided & moved[k, c]
+            stalled[cols[decided & ~took]] = True
+            k, c, idx = k[took], c[took], cols[took]
+            for a, b in zip(it, (trial, gn, sn, rn)):
+                a[..., idx] = b[..., k, c]
+            if np.count_nonzero(decided) == len(cols):
+                return it, stalled, False
+            cols, vs, ds, bound = _cols(~decided, cols, vs, ds, bound)
+            model = model.cols(~decided)
         j += len(theta)
         width = max(1, _BLOCK_CELLS // vs.size)
     stalled[cols] = True
@@ -296,9 +298,9 @@ def _newton_solve(model) -> tuple:
     (_line_search): the (v, s A v, iterations, residual) at which each
     column met its target, or stalled (the stalled iteration counts)
     within the model's rounding floor; else SolverError naming the column.
-    A column leaves when it meets its target or its floor, and computes
-    exactly what it would alone.  Iterations are summed and residuals
-    maximised over the columns."""
+    Every column leaves at the top of the loop, once it meets its target
+    or stalls within its floor, and computes exactly what it would alone.
+    Iterations are summed and residuals maximised over the columns."""
     v = model.start()
     g, sav = (x[:, 0] for x in model.G(v[:, None]))
     it = [v, g, sav, np.abs(g).max(0)]
@@ -309,55 +311,44 @@ def _newton_solve(model) -> tuple:
     worst = 0.0
     full = True  # the last search took theta = 1 in every column (the
     # first search of a solve tries it alone)
-
-    def leave(mask):  # the columns mask of it are done
-        nonlocal total, worst
-        cols = live[mask]
-        v_out[:, cols], sav_out[:, cols] = it[0][:, mask], it[2][:, mask]
-        total += its * len(cols)
-        worst = max(worst, float(it[3][mask].max()))
-
+    stalled = np.zeros(len(live), bool)
     while True:
         going = it[3] > target
+        if np.count_nonzero(stalled):
+            # a stalled column leaves at its rounding floor, or refuses
+            floor = model.cols(stalled).floor(it[0][:, stalled])
+            res = it[3][stalled]
+            over = np.flatnonzero(res > floor)
+            if over.size:
+                j = over[0]
+                raise SolverError(f"{stall} above the rounding floor "
+                                  f"{floor[j]:.3e}", residual=float(res[j]),
+                                  column=int(live[stalled][j]))
+            going &= ~stalled
         n_going = np.count_nonzero(going)
-        if n_going < len(going):
-            leave(~going)
+        if n_going < len(going):  # the columns not going leave
+            done = ~going
+            cols = live[done]
+            v_out[:, cols], sav_out[:, cols] = it[0][:, done], it[2][:, done]
+            total += its * len(cols)
+            worst = max(worst, float(it[3][done].max()))
             if not n_going:
-                break
+                return v_out, sav_out, total, worst
             live, target, *it = _cols(going, live, target, *it)
             model = model.cols(going)
         if its == _MAX_ITERS:
             stall = f"Newton did not converge in {_MAX_ITERS} iterations"
             stalled = np.ones(len(live), bool)
-        else:
-            its += 1
-            try:
-                d = model.step(it[0], it[1])
-            except SolverError as exc:
-                j = exc.column
-                raise SolverError(f"singular Newton system: {exc.reason}",
-                                  residual=float(it[3][j]),
-                                  column=int(live[j]))
-            it, stalled, full = _line_search(model, d, it, target,
-                                             not full)
-            if not np.count_nonzero(stalled):
-                continue
-            stall = "Newton line search stalled"
-        # a stalled column leaves at its rounding floor, or refuses
-        floor = model.cols(stalled).floor(it[0][:, stalled])
-        res = it[3][stalled]
-        over = np.flatnonzero(res > floor)
-        if over.size:
-            j = over[0]
-            raise SolverError(f"{stall} above the rounding floor "
-                              f"{floor[j]:.3e}", residual=float(res[j]),
-                              column=int(live[stalled][j]))
-        leave(stalled)
-        if np.count_nonzero(stalled) == len(stalled):
-            break
-        live, target, *it = _cols(~stalled, live, target, *it)
-        model = model.cols(~stalled)
-    return v_out, sav_out, total, worst
+            continue
+        its += 1
+        try:
+            d = model.step(it[0], it[1])
+        except SolverError as exc:
+            j = exc.column
+            raise SolverError(f"singular Newton system: {exc.reason}",
+                              residual=float(it[3][j]), column=int(live[j]))
+        it, stalled, full = _line_search(model, d, it, target, not full)
+        stall = "Newton line search stalled"
 
 
 def stationary_solve(problem: PMEProblem, f: np.ndarray, epsilon,
@@ -549,7 +540,12 @@ def explicit_rho(p: int, alpha: float, m: float) -> float:
         raise DomainError("alpha must be positive")
     nu = 1.0 / (m - 1.0)
     num = gamma_p(p, 1.0 + alpha * nu)
-    den = gamma_p(p, 1.0 + alpha * (nu + 1.0))
+    z = 1.0 + alpha * (nu + 1.0)
+    den = gamma_p(p, z)
+    if not den:  # p^{z-1} rounds to 1, and so num is 0 too
+        raise ArithmeticError(f"gamma_p(p={p}, z={z}) rounds to 0 at alpha="
+                              f"{alpha}: the gamma ratio leaves the double "
+                              "range")
     ratio = num / ((m - 1.0) * den)
     if not ratio > 0:
         raise ArithmeticError(f"gamma ratio {ratio} is not positive")

@@ -316,6 +316,70 @@ def test_cli_option_checks_exit_2(tmp_path, capsys, argv, message):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["kernel", "--p", "2", "--alpha", "1e-300", "--t", "1"],
+                 "heat kernel series: t (p^alpha - 1) = 0.0 leaves the "
+                 "double range", id="kernel-alpha-1e-300"),
+    pytest.param(["kernel", "--p", "2", "--alpha", "2", "--t", "1e-320"],
+                 "heat kernel series: 1/t = inf leaves the double range",
+                 id="kernel-t-1e-320"),
+    pytest.param(["kernel", "--p", "2", "--alpha", "0.01", "--t", "1e-100"],
+                 "kernel series window leaves the double range",
+                 id="kernel-window"),
+    pytest.param(["explicit", "--p", "2", "--alpha", "1e-300", "--m", "2",
+                  "--t0", "1", "--t", "0"],
+                 "gamma_p(p=2, z=1.0) rounds to 0 at alpha=1e-300: the "
+                 "gamma ratio leaves the double range",
+                 id="explicit-alpha-1e-300"),
+])
+def test_extreme_alpha_or_t_exit_1(tmp_path, capsys, argv, message):
+    """A kernel or profile whose closed forms leave the double range at an
+    extreme alpha or t exits 1 with one error line naming what left it,
+    and writes nothing."""
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["kernel", "--p", "2", "--alpha", "2", "--t", "1"],
+                 id="kernel"),
+    pytest.param(["operator", "--p", "2", "--alpha", "2", "--N", "1",
+                  "--M", "1"], id="operator"),
+])
+def test_an_unwritable_out_file_exits_2(tmp_path, capsys, argv):
+    """_write_artifacts: an --out whose directory does not exist, or that
+    is a directory, exits 2 with one error line naming that path, and
+    leaves no file."""
+    (tmp_path / "adir").mkdir()
+    for out in (str(tmp_path / "nodir" / "out.csv"), str(tmp_path / "adir")):
+        assert main(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and \
+            err.count("\n") == 1, err
+    assert os.listdir(tmp_path) == ["adir"]
+    assert os.listdir(tmp_path / "adir") == []
+
+
+def test_a_run_directory_that_is_a_file_exits_2(tmp_path, capsys):
+    """_write_run: evolve-heat and evolve with --out an existing file exit
+    2 with one error line naming it, and leave it and the directory as
+    they were."""
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(_GOOD_CONFIG))
+    for argv in (["evolve-heat", "--p", "2", "--alpha", "2", "--N", "1",
+                  "--M", "1", "--t-end", "1"],
+                 ["evolve", "--config", str(config)]):
+        assert main(argv + ["--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {taken}: ") and \
+            err.count("\n") == 1, err
+    assert taken.read_text() == "kept"
+    assert sorted(os.listdir(tmp_path)) == ["run.json", "taken"]
+
+
 def test_evolve_heat_bad_initial(tmp_path):
     base = ["evolve-heat", "--p", "2", "--alpha", "2.0", "--N", "1",
             "--M", "1", "--t-end", "1.0", "--out", str(tmp_path / "r")]
@@ -633,6 +697,11 @@ def test_digit_and_rational_centers_agree(tmp_path):
     # B(3/2, 2^-1) holds the cells 3/2 and 7/2 of the grid 2^-1 Z / 4 Z
     assert [r["center"] for r in rows if float(r["re"]) == 1.0] == [
         "-1:1,0:1", "-1:1,0:1,1:1"]
+
+
+def test_run_suite_refuses_an_unknown_name():
+    with pytest.raises(KeyError, match="unknown suite 'bogus'"):
+        verification.run_suite("bogus")
 
 
 def test_verify_reports_a_failed_check_and_exits_1(monkeypatch, capsys):

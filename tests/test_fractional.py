@@ -7,11 +7,11 @@ from padicpme.errors import DomainError, ResourceError, SolverError
 from padicpme.fractional import (DENSE_GRID_CAP, LevelOperator,
                                  OperatorParams, apply_radial_power,
                                  apply_testfunction_at, apply_to_indicator,
-                                 ball_levels, ball_matrix, ball_spectrum,
+                                 ball_eigenvalue_floor, ball_levels, ball_matrix, ball_spectrum,
                                  exterior_constant, hypersingular_quadrature,
                                  mass_of_image, restrict_to_ball)
 from padicpme.functions import TestFunction, to_grid
-from padicpme.padic import Ball, GridSpec, gamma_p
+from padicpme.padic import Ball, GridSpec, gamma_p, int_valuation
 from padicpme.pme import _BP_CLIP
 
 
@@ -165,6 +165,35 @@ def test_ball_matrix_structure():
     off = m[~np.eye(grid.dim, dtype=bool)]
     assert np.all(off < 0) and np.all(np.diag(m) > 0)
     assert np.allclose(m.sum(axis=1), B.lam)
+
+
+@pytest.mark.parametrize("p, alpha, N, M", [
+    (2, 2.0, 1, 2), (2, 0.5, 3, 3), (2, 3.0, 0, 1), (3, 1.5, 2, 2),
+    (3, 0.3, 0, 4), (5, 0.7, 2, 1), (5, 2.0, 3, -1), (7, 1.0, 1, 1),
+    (7, 0.5, -1, 3)])
+def test_ball_matrix_entries_bit_for_bit(p, alpha, N, M):
+    """Every entry has the bits of its closed form, evaluated here one
+    entry at a time: the inside value of the coset-indicator image on the
+    diagonal, and p^-M Gamma_p(alpha + 1) p^{-k (alpha + 1)} where
+    |x_i - x_j| = p^k with k = N - v_p(i - j)."""
+    grid = GridSpec(p, N, M)
+    B = ball_matrix(OperatorParams(p, alpha, grid)).matrix
+    gp = gamma_p(p, alpha + 1.0)
+    for i in range(grid.dim):
+        for j in range(grid.dim):
+            if i == j:
+                ref = (float(p) ** (M * alpha) * (1 - 1 / p)
+                       / (1 - float(p) ** (-alpha - 1)))
+            else:
+                k = N - int_valuation(i - j, p)
+                ref = float(p) ** (-M) * gp * float(p) ** (-k * (alpha + 1))
+            assert B[i, j] == ref, (i, j)
+
+
+def test_ball_eigenvalue_floor_refuses_a_nonpositive_alpha():
+    for alpha in (0.0, -1.0):
+        with pytest.raises(DomainError, match="alpha must be positive"):
+            ball_eigenvalue_floor(2, alpha, 1)
 
 
 def test_dense_oracles_refuse_past_the_dense_cap():

@@ -327,6 +327,17 @@ def test_ball_kernel_certificates_hold(p, alpha, N):
         assert abs(mass - 1.0) <= mass_bound <= 1e-13, t
 
 
+@pytest.mark.parametrize("alpha, t", [(1e-300, 1.0), (1e-15, 1.0),
+                                      (0.005, 1.0), (0.01, 1e-3)])
+def test_ball_kernel_refuses_levels_beyond_the_double_range(alpha, t):
+    """At small alpha the series needs levels past p^{l - N} = e^700
+    before it localizes: the call refuses.  It once returned a nan value
+    at 0 with a nan certificate (alpha 0.005 and 0.01), or added levels
+    without end (alpha 1e-300 and 1e-15, where mu_l stays near 1)."""
+    with pytest.raises(ArithmeticError, match="failed to localize"):
+        ball_kernel_ZN(KernelParams(2, alpha, t, N=1), -3)
+
+
 def test_ball_c_coefficient_short_time():
     params0 = KernelParams(2, 2.0, 0.0, N=0)
     c0, _ = ball_c_coefficient(params0)

@@ -210,6 +210,15 @@ def test_explicit_rho_oracle_and_guards():
         explicit_rho(2, 2.0, 1.0)
     with pytest.raises(DomainError):
         explicit_solution(2, 2.0, 2.0, t0=0.0)
+    for alpha in (0.0, -1.0):
+        with pytest.raises(DomainError, match="alpha must be positive"):
+            explicit_rho(2, alpha, 2.0)
+
+
+def test_residual_check_explicit_refuses_m_at_most_1():
+    for m in (1.0, 0.5):
+        with pytest.raises(DomainError, match="needs m > 1"):
+            residual_check_explicit(2, 2.0, m, t0=1.0, t=0.5)
 
 
 def test_explicit_profile_values():
