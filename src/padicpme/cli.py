@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import errno
 import functools
 import json
 import math
@@ -119,6 +120,19 @@ def _write_artifacts(out: str, write, sidecar: dict, args,
               [out, root + ".json"], started)
 
 
+def _check_run_dir(outdir: str) -> None:
+    """Refuse, before a run computes anything, an outdir that _write_run's
+    os.makedirs cannot make because the nearest existing path at or above
+    it is not a directory, with the line makedirs would give.  Nothing is
+    created: a run that refuses leaves no directory."""
+    path = top = os.path.abspath(outdir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        code = errno.EEXIST if path == top else errno.ENOTDIR
+        raise DomainError(f"cannot write {outdir}: {os.strerror(code)}")
+
+
 def _write_run(outdir: str, grid: GridSpec, snapshots, diagnostics: dict,
                command: str, config: dict, started: float) -> None:
     """Write the arrays that snapshots yields, one per entry of
@@ -188,7 +202,7 @@ def _kernel_heat(args) -> int:
     params = KernelParams(p, alpha, t)
     shells, prof, fields = _shell_table(
         p, S, lambda ks: heat.kernel_Z(params, ks))
-    mass, mass_bound = heat.kernel_mass_estimate(params, known=shells)
+    mass, mass_bound = heat.kernel_mass_estimate(params)
     agreement = max((ev.series_gap for ev in shells.values()
                      if ev.series_gap is not None), default=0.0)
 
@@ -208,18 +222,18 @@ def _kernel_heat(args) -> int:
 def _kernel_ball(args) -> int:
     started = time.time()
     p, alpha, t, S, N = args.p, args.alpha, args.t, args.shells, args.ball
-    params = KernelParams(p, alpha, t, N=N)
+    params = KernelParams(p, alpha, t)
     if -S > N:
         raise DomainError(f"--shells {S} leaves no shells inside B_{N}")
-    prof, bound, mass, mass_bound = heat.ball_kernel_ZN(params, -S)
-    c, c_bound = heat.ball_c_coefficient(params)
+    prof, bound, mass, mass_bound = heat.ball_kernel_ZN(params, N, -S)
+    c, c_bound = heat.ball_c_coefficient(params, N)
     if not math.isfinite(c):  # c(t) ~ -e^{lam t} left the double range
         c = c_bound = None
     out = args.out or "kernel.csv"
     _write_artifacts(out, lambda tmp: write_radial_csv(tmp, prof), {
         "kind": "ball_kernel",
         "p": p, "alpha": alpha, "t": t, "shells": S, "ball": N,
-        "lambda": params.lam,
+        "lambda": ball_eigenvalue_floor(p, alpha, N),
         "mass_return_coefficient": c,
         "mass_return_certificate": c_bound,
         "pointwise_certificate": bound,
@@ -374,11 +388,13 @@ def cmd_evolve(args) -> int:
 
     problem = pme.PMEProblem.from_config(cfg)
     u0 = build_initial(problem.grid, cfg.get("initial"))
+    outdir = args.out or "evolve_out"
+    _check_run_dir(outdir)
 
     result = pme.evolve(problem, u0)
     diags = {"kind": "pme_evolution", "config": problem.to_config(),
              "times": result.times, **result.diagnostics}
-    _write_run(args.out or "evolve_out", problem.grid, result.snapshots,
+    _write_run(outdir, problem.grid, result.snapshots,
                diags, args.command,
                {"config_path": os.path.abspath(args.config), **cfg}, started)
     return 0

@@ -26,15 +26,9 @@ from .padic import (
 from .padic import int_valuation  # noqa: F401
 
 _POLE_GUARD = 1e-9
-# Largest grid the n x n oracles (ball_matrix, LevelOperator.dense) build:
-# 128 MB of float64 at the cap.
+# Largest grid the n x n oracle ball_matrix builds: 128 MB of float64 at
+# the cap.  A level operator's dense view is A @ np.eye(n).
 DENSE_GRID_CAP = 4096
-
-
-def _check_dense(grid: GridSpec) -> None:
-    if grid.dim > DENSE_GRID_CAP:
-        raise ResourceError(f"an n x n matrix at dim {grid.dim} exceeds the "
-                            f"dense cap {DENSE_GRID_CAP}")
 
 
 @dataclass(frozen=True)
@@ -220,25 +214,22 @@ class BallOperatorMatrix:
 def ball_matrix(params: OperatorParams) -> BallOperatorMatrix:
     """Matrix B with B[i, j] = (D^alpha_N 1_{x_j + B_{-M}})(x_i).
 
-    Entries depend only on (i - j) mod dim: the diagonal carries the inside
-    value of the coset-indicator image and off-diagonal entries the power
-    tail at the exact p-adic distance.  Row sums equal the constant-mode
-    eigenvalue lambda.
+    Entries depend only on (i - j) mod dim: B[d, 0] is the image of the
+    zero coset's indicator (apply_to_indicator) at x_d, the inside value on
+    the diagonal and the power tail at the exact p-adic distance off it.
+    Row sums equal the constant-mode eigenvalue lambda.
     """
     grid = params.grid
     if grid is None:
         raise DomainError("ball_matrix needs an OperatorParams with a grid")
-    _check_dense(grid)
-    p, a = params.p, params.alpha
-    M, dim = grid.M, grid.dim
-    inside = float(p) ** (M * a) * (1 - 1 / p) / (1 - float(p) ** (-a - 1))
-    gp = gamma_p(p, a + 1.0)
-    # B[d, 0] is the value at the distance |x_d - x_0| = p^k, one per shell
-    kernel = grid.radial(lambda k: inside if k is None
-                         else float(p) ** (-M) * gp * float(p) ** (-k * (a + 1)))
-
+    dim = grid.dim
+    if dim > DENSE_GRID_CAP:
+        raise ResourceError(f"an n x n matrix at dim {dim} exceeds the "
+                            f"dense cap {DENSE_GRID_CAP}")
+    image = apply_to_indicator(params, Ball(params.p, 0, -grid.M))
+    kernel = grid.radial(lambda k: image.value_at_shell(k).real)
     idx = (np.arange(dim)[:, None] - np.arange(dim)[None, :]) % dim
-    lam = ball_eigenvalue_floor(p, a, grid.N)
+    lam = ball_eigenvalue_floor(params.p, params.alpha, grid.N)
     return BallOperatorMatrix(grid, kernel[idx], lam)
 
 
@@ -295,17 +286,6 @@ class LevelOperator:
     def nbytes(self) -> int:
         """Bytes of the weights that carry the operator."""
         return 8 * (len(self.h) + 1)
-
-    def dense(self) -> np.ndarray:
-        """The n x n matrix, entry by entry; an oracle for small grids."""
-        _check_dense(self.grid)
-        p, n = self.grid.p, self.grid.dim
-        i = np.arange(n)
-        diff = i[:, None] - i[None, :]
-        out = self.c * np.eye(n)
-        for L, h in enumerate(self.h):
-            out += h * (diff % p**L == 0)
-        return out
 
     def solve(self, d, b: np.ndarray, scale: float) -> np.ndarray:
         """Exact solution x of (diag(d) + scale A) x = b for real b of
@@ -449,13 +429,3 @@ def restrict_to_ball(f: TestFunction, ball: Ball) -> TestFunction:
     return TestFunction(f.p, tuple(
         (c, b if b.radius_exp <= ball.radius_exp else ball) for c, b in f.terms
         if b.subset_of(ball) or ball.subset_of(b)))
-
-
-def mass_of_image(params: OperatorParams, ball: Ball) -> float:
-    """Total integral of D^alpha 1_B; vanishes identically (mass cancellation).
-
-    Computed from the exact profile rather than asserted, so tests can pin
-    the cancellation numerically.
-    """
-    profile = apply_to_indicator(params, ball)
-    return float(abs(profile.integral()))

@@ -387,7 +387,7 @@ def write_radial_csv(path: str, f: RadialFunction) -> None:
             w.writerow(["zero", "0", repr(f.value_at_zero.real),
                         repr(f.value_at_zero.imag)])
         for k, v in f.shell_values:
-            ab = Fraction(f.p**k) if k >= 0 else Fraction(1, f.p ** (-k))
+            ab = Fraction(f.p) ** k
             w.writerow([k, str(ab), repr(v.real), repr(v.imag)])
         if f.tail is not None:
             c, s = f.tail

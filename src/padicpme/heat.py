@@ -45,13 +45,11 @@ def _exp_neg_t_pow(t: float, p: int, a: float, k: int) -> float:
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Prime, exponent and time for kernel evaluations; N fixes the ball
-    B_N when the restricted kernel is wanted."""
+    """Prime, exponent and time for kernel evaluations."""
 
     p: int
     alpha: float
     t: float
-    N: int | None = None
 
     def __post_init__(self):
         check_prime(self.p)
@@ -59,12 +57,6 @@ class KernelParams:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
         if not check_real("t", self.t) >= 0:
             raise DomainError(f"time must be nonnegative, got {self.t}")
-
-    @property
-    def lam(self) -> float:
-        if self.N is None:
-            raise DomainError("lam needs the ball exponent N")
-        return ball_eigenvalue_floor(self.p, self.alpha, self.N)
 
     def _require_positive_time(self):
         if self.t == 0:
@@ -222,7 +214,11 @@ def _heat_series(params: KernelParams, shells: list) -> Iterator[KernelEvaluatio
     params._require_positive_time()
     p, a, t = params.p, params.alpha, params.t
     b = 2.0 / a
-    knee, slope = 1.0 / t, t * (float(p) ** a - 1)
+    knee = 1.0 / t
+    try:
+        slope = t * (float(p) ** a - 1)
+    except OverflowError:  # p^alpha itself leaves the double range
+        slope = math.inf
     for name, x in (("1/t", knee), ("t (p^alpha - 1)", slope)):
         if not 0 < x < math.inf:  # the window below takes their logs
             raise ArithmeticError(f"heat kernel series: {name} = {x!r} "
@@ -249,7 +245,8 @@ def kernel_Z_alternating(params: KernelParams, shell: int) -> KernelEvaluation:
     Terms are ((-1)^m / m!) (1 - p^{alpha m}) / (1 - p^{-alpha m - 1})
     t^m |x|^{-alpha m - 1}; the m-th term is dominated by
     (|x|^{-1} / (1 - p^{-alpha-1})) z^m / m! with z = t p^{alpha(1-shell)},
-    which certifies the factorial tail.  Diverges at x = 0 by design.
+    which certifies the factorial tail.  Diverges at x = 0 by design.  A
+    power of p beyond the double range raises ArithmeticError.
     """
     params._require_positive_time()
     if shell is None:
@@ -257,33 +254,36 @@ def kernel_Z_alternating(params: KernelParams, shell: int) -> KernelEvaluation:
     p, a, t = params.p, params.alpha, params.t
     j = int(shell)
     z = _alternating_z(params, j)
-    scale = float(p) ** (-j) / (1 - float(p) ** (-a - 1))
-
     if z > 60.0:
         raise DomainError(
             f"alternating series is numerically unusable at z={z:.3g}")
-
-    total = 0.0
-    zpow = 1.0
-    fact = 1.0
-    max_abs = 0.0
-    m = 0
-    while True:
-        m += 1
-        zpow *= z
-        fact *= m
-        coeff = (1 - float(p) ** (a * m)) / (1 - float(p) ** (-a * m - 1))
-        term = ((-1) ** m / fact) * coeff * (t * float(p) ** (-j * a)) ** m
-        term *= float(p) ** (-j)
-        total += term
-        max_abs = max(max_abs, abs(term))
-        if m > 2 and z < m + 2:
-            rem = scale * zpow * z / (fact * (m + 1)) / (1 - z / (m + 2))
-            if rem <= max(_TARGET, 1e-17 * (1 + abs(total))):
-                roundoff = 3e-16 * m * max_abs
-                return KernelEvaluation(total, rem + roundoff)
-        if m > 500:
-            raise ArithmeticError("alternating kernel series failed to converge")
+    try:  # p^{alpha m} or p^{-shell} may leave the double range
+        scale = float(p) ** (-j) / (1 - float(p) ** (-a - 1))
+        total = 0.0
+        zpow = 1.0
+        fact = 1.0
+        max_abs = 0.0
+        m = 0
+        while True:
+            m += 1
+            zpow *= z
+            fact *= m
+            coeff = (1 - float(p) ** (a * m)) / (1 - float(p) ** (-a * m - 1))
+            term = ((-1) ** m / fact) * coeff * (t * float(p) ** (-j * a)) ** m
+            term *= float(p) ** (-j)
+            total += term
+            max_abs = max(max_abs, abs(term))
+            if m > 2 and z < m + 2:
+                rem = scale * zpow * z / (fact * (m + 1)) / (1 - z / (m + 2))
+                if rem <= max(_TARGET, 1e-17 * (1 + abs(total))):
+                    roundoff = 3e-16 * m * max_abs
+                    return KernelEvaluation(total, rem + roundoff)
+            if m > 500:
+                raise ArithmeticError(
+                    "alternating kernel series failed to converge")
+    except OverflowError:
+        raise ArithmeticError(f"alternating kernel series at shell {j} "
+                              "leaves the double range") from None
 
 
 def _alternating_z(params: KernelParams, shell: int) -> float:
@@ -344,17 +344,14 @@ def ball_integral_of_Z(params: KernelParams, l: int) -> tuple:
     return total, float(p) ** l * ev.truncation_bound + rounding + _U * total
 
 
-def kernel_mass_estimate(params: KernelParams,
-                         known: dict | None = None) -> tuple:
+def kernel_mass_estimate(params: KernelParams) -> tuple:
     """(mass estimate, certificate) for int Z(t, x) dx from pointwise values.
 
     The head ball B_{-26} is integrated in closed form, shells [-25, 25]
-    use certified pointwise kernel values (known[k], a kernel_Z result the
-    caller already has, is reused), and the exterior is bounded through
+    use certified pointwise kernel values from one kernel_Z call, and the
+    exterior is bounded through
     0 <= Z(t, p^k) <= (p^a - 1) t p^{-k(a+1)} / (1 - p^{-a-1}).
-    The shells not in known come from one kernel_Z call.
     """
-    known = known or {}
     k_min, k_max = -25, 25
     p, a, t = params.p, params.alpha, params.t
     head, head_bound = ball_integral_of_Z(params, k_min - 1)
@@ -362,10 +359,7 @@ def kernel_mass_estimate(params: KernelParams,
     bound = head_bound
     w = 1 - 1.0 / p
     shells = range(k_min, k_max + 1)
-    missing = [k for k in shells if k not in known]
-    known = {**known, **dict(zip(missing, kernel_Z(params, missing)))}
-    for k in shells:
-        ev = known[k]
+    for k, ev in zip(shells, kernel_Z(params, shells)):
         total += float(p) ** k * w * ev.value
         bound += float(p) ** k * w * ev.truncation_bound
     tail = (w * (float(p) ** a - 1) * t / (1 - float(p) ** (-a - 1))
@@ -391,15 +385,15 @@ class SemigroupExpansion:
     mass_deficit: float
 
 
-def semigroup_on_indicator(params: KernelParams, ball: Ball,
-                           k_max: int | None = None) -> SemigroupExpansion:
+def semigroup_on_indicator(params: KernelParams,
+                           ball: Ball) -> SemigroupExpansion:
     """S(t) applied to a ball indicator, as nested indicator layers.
 
     S(t) 1_{B(x0, p^l)} = e^{-t p^{-l a}} 1_{B(x0, p^l)}
                         + p^l sum_{k > l} p^{-k} c_{-k}(t) 1_{B(x0, p^k)},
     truncated at k_max with pointwise remainder
     t (p^a - 1) p^l p^{-(k_max+1)(a+1)} / (1 - p^{-a-1}) and truncated mass
-    exactly p^l exp(-t p^{-k_max a}).  Without k_max, the first k_max whose
+    exactly p^l exp(-t p^{-k_max a}); k_max is the first layer whose
     remainder is at most _LAYER_TARGET (at most l + 400).
     """
     p, a, t = params.p, params.alpha, params.t
@@ -411,17 +405,16 @@ def semigroup_on_indicator(params: KernelParams, ball: Ball,
         return (t * (float(p) ** a - 1) * float(p) ** l
                 * float(p) ** (-(K + 1) * (a + 1)) / (1 - float(p) ** (-a - 1)))
 
-    if k_max is None:
-        k_max = l + 1
-        while pointwise_tail(k_max) > _LAYER_TARGET and k_max < l + 400:
-            k_max += 1
+    k_max = l + 1
+    while pointwise_tail(k_max) > _LAYER_TARGET and k_max < l + 400:
+        k_max += 1
 
     terms = [(complex(_exp_neg_t_pow(t, p, a, -l)), ball)]
     ks = np.arange(l + 1, k_max + 1)
     for k, ck in zip(ks.tolist(), coeff_ck(params, -ks)):
         terms.append((complex(float(p) ** (l - k) * ck),
                       Ball(p, ball.center, k)))
-    # p^l (1 - e^{-x}) without cancellation: x << 1 at the default k_max
+    # p^l (1 - e^{-x}) without cancellation: x << 1 at this k_max
     x = t * math.exp(min(a * -k_max * math.log(p), 700.0))
     deficit = float(p) ** l * -math.expm1(-x)
     return SemigroupExpansion(TestFunction(p, tuple(terms)),
@@ -492,8 +485,9 @@ def semigroup_matrix(op: OperatorParams, t: float) -> LevelOperator:
                                    gaps)
 
 
-def ball_c_coefficient(params: KernelParams) -> tuple:
-    """(c(t), certificate) for the constant part of the restricted kernel.
+def ball_c_coefficient(params: KernelParams, N: int) -> tuple:
+    """(c(t), certificate) for the constant part of the restricted kernel
+    on the ball B_N.
 
     Z_N(t, x) = e^{lam t} Z(t, x) + c(t) on B_N.  Z_N has mass 1 over B_N
     and int_{B_N} Z = p^N Z(t, p^N) + e^{-t mu_1} with mu_1 = p^{a(1-N)},
@@ -507,12 +501,10 @@ def ball_c_coefficient(params: KernelParams) -> tuple:
     like -e^{lam t}; once that leaves the double range the result is
     (-inf, inf).
     """
-    if params.N is None:
-        raise DomainError("ball coefficient needs the ball exponent N")
-    p, a, t, N = params.p, params.alpha, params.t, params.N
+    p, a, t = params.p, params.alpha, params.t
     if t == 0:
         return 0.0, 0.0
-    lam = params.lam
+    lam = ball_eigenvalue_floor(p, a, N)
     if lam * t > 709.0:  # e^{lam t} overflows
         return -math.inf, math.inf
     w = a * (1 - N) * math.log(p)
@@ -539,9 +531,9 @@ def _ball_gaps(mu: np.ndarray, t: float) -> tuple:
     return gaps, math.exp(-decay[-1])
 
 
-def ball_kernel_ZN(params: KernelParams, k_min: int) -> tuple:
+def ball_kernel_ZN(params: KernelParams, N: int, k_min: int) -> tuple:
     """(profile of Z_N(t, .) on shells [k_min, N] and at 0, pointwise
-    certificate, mass over B_N, mass certificate).
+    certificate, mass over B_N, mass certificate) for the ball B_N.
 
     With g_l the level gaps of the ball semigroup, Z_N(t, .) is
     sum_l g_l p^{l-N} 1_{B_{N-l}}: Z_N(t, p^k) sums the levels l <= N - k
@@ -556,11 +548,9 @@ def ball_kernel_ZN(params: KernelParams, k_min: int) -> tuple:
     sum_l g_l min(1, p^{l-N+k_min-1}).  The rounding certificate carries
     each mu's relative error u (9 + |log mu| + ...) through the exponents.
     """
-    if params.N is None:
-        raise DomainError("restricted kernel needs the ball exponent N")
     params._require_positive_time()
-    p, a, t, N = params.p, params.alpha, params.t, params.N
-    mu = [params.lam]
+    p, a, t = params.p, params.alpha, params.t
+    mu = [ball_eigenvalue_floor(p, a, N)]
     while True:
         l = len(mu)
         # mu_l = p^{a (l - N)}, and the terms' factor p^{l - N}, stay finite
@@ -611,8 +601,9 @@ def ball_semigroup_expm(op: OperatorParams, t: float) -> np.ndarray:
 
     On grid functions the restricted generator acts exactly as B - lam I
     (the matrix B keeps the constant-mode eigenvalue lam that the
-    mass-conserving flow subtracts), so this equals ball_semigroup_matrix(op,
-    t).dense(); it is the independent dense oracle of that path.  B - lam I
+    mass-conserving flow subtracts), so this equals the dense view
+    ball_semigroup_matrix(op, t) @ np.eye(dim); it is the independent dense
+    oracle of that path.  B - lam I
     is symmetric, so its exponential is (V e^{-t w}) V^T from the
     eigendecomposition B - lam I = V diag(w) V^T of the dense entries.
     """

@@ -55,7 +55,7 @@ def rational_abs(p: int, q: Fraction) -> Fraction:
     v = rational_valuation(p, q)
     if v is None:
         return Fraction(0)
-    return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
+    return Fraction(p) ** -v
 
 
 def rational_shell(p: int, q: Fraction):
@@ -131,8 +131,7 @@ class Ball:
 
     @property
     def measure(self) -> Fraction:
-        p, l = self.p, self.radius_exp
-        return Fraction(p**l) if l >= 0 else Fraction(1, p ** (-l))
+        return Fraction(self.p) ** self.radius_exp
 
     def contains_value(self, q) -> bool:
         """|q - center|_p <= p^radius_exp."""
@@ -182,9 +181,9 @@ def gamma_p(p: int, z: float) -> float:
                               "range") from None
 
 
-# Largest grid a GridSpec describes.  Grid paths hold O(n) arrays; the few
-# that build an n x n one (fractional.ball_matrix, LevelOperator.dense)
-# check their own, smaller limit before they allocate.
+# Largest grid a GridSpec describes.  Grid paths hold O(n) arrays; the one
+# that builds an n x n array (fractional.ball_matrix) checks its own,
+# smaller limit before it allocates.
 LEVEL_GRID_CAP = 2**20
 
 
@@ -218,7 +217,7 @@ class GridSpec:
 
     @property
     def coset_measure(self) -> Fraction:
-        return Fraction(1, self.p**self.M) if self.M >= 0 else Fraction(self.p ** (-self.M))
+        return Fraction(self.p) ** -self.M
 
     def representative(self, i: int) -> Fraction:
         if not 0 <= i < self.dim:

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from padicpme import heat, verification
+from padicpme import heat, pme, verification
 from padicpme.cli import _write_run, build_initial, main
-from padicpme.errors import DomainError
+from padicpme.errors import DomainError, SolverError
 from padicpme.functions import GridFunction, write_grid_csv
 from padicpme.padic import GridSpec
 
@@ -43,9 +43,10 @@ def test_kernel_heat_artifacts(tmp_path):
 
 
 def test_kernel_heat_compares_each_shell_once(tmp_path, monkeypatch):
-    """Each shell's alternating series is summed once: kernel_Z's gap feeds
-    both its own check and series_agreement_max, and the mass estimate
-    reuses the shell values."""
+    """Each shell's alternating series is summed once per kernel_Z call:
+    the table's gap feeds both its own check and series_agreement_max, and
+    the mass estimate's one call over the shells [-25, 25] sums it again.
+    At alpha = 2, t = 1 the cross-check runs on the shells j >= 0."""
     calls = Counter()
     alternating = heat.kernel_Z_alternating
 
@@ -57,7 +58,7 @@ def test_kernel_heat_compares_each_shell_once(tmp_path, monkeypatch):
     rc = main(["kernel", "--p", "2", "--alpha", "2.0", "--t", "1.0",
                "--shells", "8", "--out", str(tmp_path / "z.csv")])
     assert rc == 0
-    assert calls and max(calls.values()) == 1
+    assert calls == {j: 2 if j <= 8 else 1 for j in range(26)}
     assert _read_json(tmp_path / "z.json")["series_agreement_max"] > 0
 
 
@@ -326,6 +327,12 @@ def test_cli_option_checks_exit_2(tmp_path, capsys, argv, message):
     pytest.param(["kernel", "--p", "2", "--alpha", "0.01", "--t", "1e-100"],
                  "kernel series window leaves the double range",
                  id="kernel-window"),
+    pytest.param(["kernel", "--p", "2", "--alpha", "100", "--t", "1"],
+                 "alternating kernel series at shell 1 leaves the double "
+                 "range", id="kernel-alpha-100"),
+    pytest.param(["kernel", "--p", "2", "--alpha", "3000", "--t", "1"],
+                 "heat kernel series: t (p^alpha - 1) = inf leaves the "
+                 "double range", id="kernel-alpha-3000"),
     pytest.param(["explicit", "--p", "2", "--alpha", "1e-300", "--m", "2",
                   "--t0", "1", "--t", "0"],
                  "gamma_p(p=2, z=1.0) rounds to 0 at alpha=1e-300: the "
@@ -361,10 +368,18 @@ def test_an_unwritable_out_file_exits_2(tmp_path, capsys, argv):
     assert os.listdir(tmp_path / "adir") == []
 
 
-def test_a_run_directory_that_is_a_file_exits_2(tmp_path, capsys):
-    """_write_run: evolve-heat and evolve with --out an existing file exit
-    2 with one error line naming it, and leave it and the directory as
-    they were."""
+def test_a_run_directory_that_is_a_file_exits_2(tmp_path, capsys,
+                                                monkeypatch):
+    """evolve-heat and evolve with --out an existing file, or a path under
+    one, exit 2 with one error line naming it, evolve before its first
+    implicit step, and leave it and the directory as they were."""
+    steps = []
+
+    def refuse(*args):
+        steps.append(args)
+        raise SolverError("refused")
+
+    monkeypatch.setattr(pme, "implicit_step", refuse)
     taken = tmp_path / "taken"
     taken.write_text("kept")
     config = tmp_path / "run.json"
@@ -372,12 +387,30 @@ def test_a_run_directory_that_is_a_file_exits_2(tmp_path, capsys):
     for argv in (["evolve-heat", "--p", "2", "--alpha", "2", "--N", "1",
                   "--M", "1", "--t-end", "1"],
                  ["evolve", "--config", str(config)]):
-        assert main(argv + ["--out", str(taken)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot write {taken}: ") and \
-            err.count("\n") == 1, err
+        for out, reason in ((taken, "File exists"),
+                            (taken / "run", "Not a directory")):
+            assert main(argv + ["--out", str(out)]) == 2
+            assert capsys.readouterr().err == \
+                f"error: cannot write {out}: {reason}\n"
+    assert steps == []
     assert taken.read_text() == "kept"
     assert sorted(os.listdir(tmp_path)) == ["run.json", "taken"]
+
+
+def test_a_refusing_evolve_leaves_no_run_directory(tmp_path, capsys,
+                                                   monkeypatch):
+    """evolve checks --out but makes it only once the run has solved, so
+    a step that refuses exits 1 and leaves no directory."""
+    def refuse(*args):
+        raise SolverError("refused")
+
+    monkeypatch.setattr(pme, "implicit_step", refuse)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(_GOOD_CONFIG))
+    assert main(["evolve", "--config", str(config),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "error: refused\n"
+    assert os.listdir(tmp_path) == ["run.json"]
 
 
 def test_evolve_heat_bad_initial(tmp_path):

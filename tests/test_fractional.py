@@ -9,7 +9,7 @@ from padicpme.fractional import (DENSE_GRID_CAP, LevelOperator,
                                  apply_testfunction_at, apply_to_indicator,
                                  ball_eigenvalue_floor, ball_levels, ball_matrix, ball_spectrum,
                                  exterior_constant, hypersingular_quadrature,
-                                 mass_of_image, restrict_to_ball)
+                                 restrict_to_ball)
 from padicpme.functions import TestFunction, to_grid
 from padicpme.padic import Ball, GridSpec, gamma_p, int_valuation
 from padicpme.pme import _BP_CLIP
@@ -59,8 +59,9 @@ def test_image_of_shifted_ball_recenters():
 
 
 def test_image_mass_cancels():
-    assert mass_of_image(OperatorParams(2, 2.0), Ball(2, 0, 0)) < 1e-14
-    assert mass_of_image(OperatorParams(5, 0.7), Ball(5, 0, -1)) < 1e-14
+    for op, ball in ((OperatorParams(2, 2.0), Ball(2, 0, 0)),
+                     (OperatorParams(5, 0.7), Ball(5, 0, -1))):
+        assert abs(apply_to_indicator(op, ball).integral()) < 1e-14
 
 
 def test_superposition_linearity():
@@ -198,16 +199,13 @@ def test_ball_eigenvalue_floor_refuses_a_nonpositive_alpha():
 
 def test_dense_oracles_refuse_past_the_dense_cap():
     """dim 8192 is a valid grid, but an n x n matrix there would take
-    512 MB: both dense oracles refuse before they allocate."""
+    512 MB: the dense oracle ball_matrix refuses before it allocates."""
     op = OperatorParams(2, 2.0, GridSpec(2, 7, 6))
     assert op.grid.dim == 2 * DENSE_GRID_CAP
     with pytest.raises(ResourceError):
         ball_matrix(op)
-    levels = ball_levels(op)
-    with pytest.raises(ResourceError):
-        levels.dense()
     x = np.ones(op.grid.dim)  # the level form still applies there
-    assert np.allclose(levels @ x, ball_spectrum(op)[0])
+    assert np.allclose(ball_levels(op) @ x, ball_spectrum(op)[0])
 
 
 # (p, alpha, N, M): dims 8 to 1024, including M < 0 and N = 0
@@ -234,12 +232,13 @@ def test_level_apply_matches_ball_matrix(p, alpha, N, M):
 
 @pytest.mark.parametrize("p, alpha, N, M", LEVEL_GRIDS)
 def test_level_dense_and_operators(p, alpha, N, M):
-    """dense() is the ball matrix entry by entry; @ applies, and nbytes
-    counts the K + 1 weights."""
+    """The dense view levels @ np.eye(n) is the ball matrix; @ applies,
+    and nbytes counts the K + 1 weights."""
     op = OperatorParams(p, alpha, GridSpec(p, N, M))
     B = ball_matrix(op).matrix
     levels = ball_levels(op)
-    assert np.max(np.abs(levels.dense() - B)) <= 1e-14 * np.max(np.abs(B))
+    dense = levels @ np.eye(len(B))
+    assert np.max(np.abs(dense - B)) <= 1e-14 * np.max(np.abs(B))
     x = np.random.default_rng(p).standard_normal(len(B))
     assert np.array_equal(levels @ x, levels.apply(x))
     assert levels.nbytes == 8 * (N + M + 1)
@@ -262,7 +261,7 @@ def test_from_gaps_has_the_given_spectrum(p, N, M):
     ball = ball_spectrum(op)
     for mu in (ball, np.random.default_rng(p + K).uniform(-1.0, 2.0, K + 1)):
         levels = LevelOperator.from_gaps(grid, mu[-1], mu[:-1] - mu[1:])
-        got = np.linalg.eigvalsh(levels.dense())
+        got = np.linalg.eigvalsh(levels @ np.eye(grid.dim))
         want = np.sort(np.repeat(mu, mult))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(mu))
     assert ball_levels(op) == LevelOperator.from_gaps(grid, ball[-1],

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from padicpme import heat
 from padicpme.errors import DomainError
-from padicpme.fractional import OperatorParams, ball_matrix
+from padicpme.fractional import OperatorParams, ball_eigenvalue_floor
 from padicpme.functions import TestFunction
 from padicpme.heat import (KernelParams, ball_c_coefficient,
                            ball_integral_of_Z, ball_kernel_ZN,
@@ -117,18 +117,14 @@ def test_semigroup_expansion_mass_accounting():
     relative against 40-digit arithmetic (abs=0: pytest.approx's default
     abs=1e-12 would swamp a deficit of ~3e-10)."""
     p, l, a, t = 2, 1, 2.0, 0.7
-    params = KernelParams(p, a, t)
-    ball = Ball(p, 0, l)
-    for k_max in (l + 2, l + 6, l + 15):
-        exp = semigroup_on_indicator(params, ball, k_max=k_max)
-        assert exp.k_max == k_max
-        mass = exp.function.integral().real
-        assert mass + exp.mass_deficit == pytest.approx(float(p) ** l,
-                                                        rel=1e-13, abs=0)
-        with mpmath.workdps(40):
-            x = mpmath.mpf(t) * mpmath.mpf(p) ** (-k_max * mpmath.mpf(a))
-            deficit = float(mpmath.mpf(p) ** l * -mpmath.expm1(-x))
-        assert exp.mass_deficit == pytest.approx(deficit, rel=1e-12, abs=0)
+    exp = semigroup_on_indicator(KernelParams(p, a, t), Ball(p, 0, l))
+    mass = exp.function.integral().real
+    assert mass + exp.mass_deficit == pytest.approx(float(p) ** l,
+                                                    rel=1e-13, abs=0)
+    with mpmath.workdps(40):
+        x = mpmath.mpf(t) * mpmath.mpf(p) ** (-exp.k_max * mpmath.mpf(a))
+        deficit = float(mpmath.mpf(p) ** l * -mpmath.expm1(-x))
+    assert exp.mass_deficit == pytest.approx(deficit, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("p, a, t, l", [(2, 2.0, 0.7, 0), (2, 2.0, 1e-3, 2)])
@@ -155,12 +151,12 @@ def test_semigroup_expansion_value_vs_ball_integral():
 
 def test_semigroup_matrix_positive_and_column_stochastic():
     op = OperatorParams(2, 2.0, GridSpec(2, 1, 2))
-    for T in (semigroup_matrix(op, 0.4).dense(),
-              ball_semigroup_matrix(op, 0.4).dense(),
+    eye = np.eye(op.grid.dim)
+    TN = ball_semigroup_matrix(op, 0.4) @ eye
+    for T in (semigroup_matrix(op, 0.4) @ eye, TN,
               ball_semigroup_expm(op, 0.4)):
         assert np.all(T > -1e-14)
     # the restricted flow conserves mass: columns sum to one
-    TN = ball_semigroup_matrix(op, 0.4).dense()
     assert np.allclose(TN.sum(axis=0), 1.0, atol=1e-12)
     assert np.allclose(TN, ball_semigroup_expm(op, 0.4), atol=1e-9)
 
@@ -180,9 +176,9 @@ def _semigroup_gather(op, t):
 
 
 def _ball_semigroup_gather(op, t):
-    kp = KernelParams(op.p, op.alpha, t, N=op.grid.N)
-    c, _ = ball_c_coefficient(kp)
-    return (math.exp(kp.lam * t) * _semigroup_gather(op, t)
+    c, _ = ball_c_coefficient(KernelParams(op.p, op.alpha, t), op.grid.N)
+    lam = ball_eigenvalue_floor(op.p, op.alpha, op.grid.N)
+    return (math.exp(lam * t) * _semigroup_gather(op, t)
             + c * float(op.grid.coset_measure))
 
 
@@ -201,11 +197,12 @@ def test_semigroup_levels_match_dense_oracles(p, alpha, N, M, t):
     S, T = semigroup_matrix(op, t), ball_semigroup_matrix(op, t)
     for got, ref in ((S, _semigroup_gather(op, t)),
                      (T, _ball_semigroup_gather(op, t))):
-        dense = got.dense()
+        dense = got @ np.eye(len(ref))
         assert np.max(np.abs(dense - ref)) <= 1e-14 * np.max(np.abs(ref))
         x = np.random.default_rng(p + N).standard_normal(len(ref))
         assert np.max(np.abs(got @ x - ref @ x)) <= 1e-14 * np.sum(np.abs(x))
-    assert np.max(np.abs(T.dense() - ball_semigroup_expm(op, t))) <= 1e-12
+    assert (np.max(np.abs(T @ np.eye(len(ref)) - ball_semigroup_expm(op, t)))
+            <= 1e-12)
 
 
 # (p, alpha, N, M): dims 2^12 to 2^16
@@ -245,7 +242,7 @@ def test_ball_semigroup_matches_expm_at_large_times(p, alpha, N, M, t):
     """At times where the kernel route e^{lam t} S(t) + c(t) cancels, the
     level weights equal expm of the dense generator."""
     op = OperatorParams(p, alpha, GridSpec(p, N, M))
-    T = ball_semigroup_matrix(op, t).dense()
+    T = ball_semigroup_matrix(op, t) @ np.eye(op.grid.dim)
     assert np.max(np.abs(T - ball_semigroup_expm(op, t))) <= 1e-12
 
 
@@ -262,19 +259,8 @@ def test_ball_semigroup_weights_at_every_time(p, alpha, N, M):
         assert np.max(np.abs(T @ ones - 1.0)) <= 1e-14, t
 
 
-def test_ball_kernel_needs_N():
-    params = KernelParams(2, 2.0, 1.0)  # N unset
-    with pytest.raises(DomainError):
-        ball_c_coefficient(params)
-    with pytest.raises(DomainError):
-        ball_kernel_ZN(params, -4)
-    with pytest.raises(DomainError):
-        params.lam
-
-
 def test_ball_kernel_mass_is_one():
-    params = KernelParams(2, 2.0, 0.9, N=1)
-    _, _, mass, bound = ball_kernel_ZN(params, -25)
+    _, _, mass, bound = ball_kernel_ZN(KernelParams(2, 2.0, 0.9), 1, -25)
     assert abs(mass - 1.0) <= bound + 1e-9
 
 
@@ -285,7 +271,7 @@ def test_ball_kernel_profile_matches_expm(p, alpha, N, M, t):
     with |x_i - x_j| = p^k, also where e^{lam t} Z + c(t) cancels."""
     op = OperatorParams(p, alpha, GridSpec(p, N, M))
     T = ball_semigroup_expm(op, t)
-    prof = ball_kernel_ZN(KernelParams(p, alpha, t, N=N), 1 - M)[0]
+    prof = ball_kernel_ZN(KernelParams(p, alpha, t), N, 1 - M)[0]
     col = op.grid.radial(
         lambda k: 0.0 if k is None else prof.value_at_shell(k).real)
     assert np.max(np.abs(float(p) ** -M * col[1:] - T[1:, 0])) <= 1e-12
@@ -317,7 +303,7 @@ def test_ball_kernel_certificates_hold(p, alpha, N):
     of 1, from t = 1e-4 to 1e6."""
     for t in (1e-4, 1e-2, 0.5, 100.0, 1e6):
         prof, bound, mass, mass_bound = ball_kernel_ZN(
-            KernelParams(p, alpha, t, N=N), N - 8)
+            KernelParams(p, alpha, t), N, N - 8)
         ref = _ZN_reference(p, alpha, N, t)
         points = [(ref[min(N - k, len(ref) - 1)], v)
                   for k, v in prof.shell_values]
@@ -335,15 +321,14 @@ def test_ball_kernel_refuses_levels_beyond_the_double_range(alpha, t):
     at 0 with a nan certificate (alpha 0.005 and 0.01), or added levels
     without end (alpha 1e-300 and 1e-15, where mu_l stays near 1)."""
     with pytest.raises(ArithmeticError, match="failed to localize"):
-        ball_kernel_ZN(KernelParams(2, alpha, t, N=1), -3)
+        ball_kernel_ZN(KernelParams(2, alpha, t), 1, -3)
 
 
 def test_ball_c_coefficient_short_time():
-    params0 = KernelParams(2, 2.0, 0.0, N=0)
-    c0, _ = ball_c_coefficient(params0)
+    c0, _ = ball_c_coefficient(KernelParams(2, 2.0, 0.0), 0)
     assert c0 == pytest.approx(0.0, abs=1e-15)
     # c(t) = O(t^2): halving t divides c by about four
-    cs = [ball_c_coefficient(KernelParams(2, 2.0, t, N=0))[0]
+    cs = [ball_c_coefficient(KernelParams(2, 2.0, t), 0)[0]
           for t in (1e-2, 5e-3, 2.5e-3)]
     assert cs[0] / cs[1] == pytest.approx(4.0, rel=0.02)
     assert cs[1] / cs[2] == pytest.approx(4.0, rel=0.02)
@@ -450,8 +435,8 @@ def test_ball_c_coefficient_certificate_holds(p, alpha, N, ts):
     digit; once e^{lam t} leaves the double range the result is
     (-inf, inf)."""
     for t in ts:
-        params = KernelParams(p, alpha, t, N=N)
-        c, bound = ball_c_coefficient(params)
+        params = KernelParams(p, alpha, t)
+        c, bound = ball_c_coefficient(params, N)
         with mpmath.workdps(40):
             P, A, T = mpmath.mpf(p), mpmath.mpf(alpha), mpmath.mpf(t)
             lam = P ** (A * (1 - N)) * (P - 1) / (P ** (A + 1) - 1)
@@ -461,8 +446,8 @@ def test_ball_c_coefficient_certificate_holds(p, alpha, N, ts):
         # the two parts of c(t) are O(p^{-N} min(1, t mu_1)) and cancel
         parts = float(p) ** -N * min(1.0, t * float(p) ** (alpha * (1 - N)))
         assert bound <= 1e-12 * abs(want) + 1e-14 * parts, t
-    assert ball_c_coefficient(KernelParams(2, 2.0, 1e4, N=1)) == (-math.inf,
-                                                                   math.inf)
+    assert ball_c_coefficient(KernelParams(2, 2.0, 1e4), 1) == (-math.inf,
+                                                                math.inf)
 
 
 def test_green_domain_guards():
@@ -504,11 +489,11 @@ def test_semigroup_matrix_agrees_with_testfunction_route():
     grid = GridSpec(2, 1, 1)
     op = OperatorParams(2, 2.0, grid)
     t = 0.6
-    K = semigroup_matrix(op, t).dense()
+    K = semigroup_matrix(op, t) @ np.eye(grid.dim)
     params = KernelParams(2, 2.0, t)
     j = 2
     ball_j = Ball(2, grid.representative(j), -grid.M)
-    exp = semigroup_on_indicator(params, ball_j, k_max=40)
+    exp = semigroup_on_indicator(params, ball_j)
     for i in range(grid.dim):
         want = exp.function.value_at(grid.representative(i)).real
         assert K[i, j] == pytest.approx(want, abs=exp.pointwise_bound + 1e-10)
