@@ -1,19 +1,21 @@
-"""March the implicit stepper against the separable closed-form profile.
+"""The separable profile's amplitude, and the solver against the exact
+discrete solution that the profile's companion branch gives.
 
-The blow-up branch grows like (t0 - t)^{-nu}, so the run stops well before
-t0.  Reports the sup error on the grid at each snapshot together with the
-pointwise PDE residual of the reference profile itself.  The profile solves
-the full-space equation while the stepper sees the ball-restricted operator,
-so the reported gap mixes O(tau) stepping error with the restriction drift;
-the profile residual line isolates how exact the reference itself is.
+Prints rho, nu and the relative defect of rho in its amplitude equation
+nu rho + |rho|^m C = 0.  Then it solves `--steps` implicit steps of the
+companion profile a |x|^{alpha nu} on the grid B_N / B_-M, each from the
+data of pme.DiscreteOracle: every step must return a_{n+1} |x|^{alpha nu}
+exactly, up to the solver's tolerance.  Per step it prints the gap
+max |w - a_{n+1} g| and the gap over its bound, 2 (Newton target +
+rounding floor), which must stay <= 1; the exit code is 1 if it does not.
 """
 
 import argparse
 
 import numpy as np
 
-from padicpme.pme import (PMEProblem, evolve, explicit_solution,
-                          residual_check_explicit)
+from padicpme.pme import (DiscreteOracle, PMEProblem, amplitude_defect,
+                          explicit_rho)
 
 
 def main() -> int:
@@ -21,35 +23,24 @@ def main() -> int:
     ap.add_argument("--p", type=int, default=2)
     ap.add_argument("--alpha", type=float, default=2.0)
     ap.add_argument("--m", type=float, default=2.0)
-    ap.add_argument("--t0", type=float, default=4.0)
     ap.add_argument("--N", type=int, default=1)
     ap.add_argument("--M", type=int, default=2)
     ap.add_argument("--tau", type=float, default=0.01)
-    ap.add_argument("--t-end", type=float, default=0.2, dest="t_end")
-    ap.add_argument("--companion", action="store_true",
-                    help="use the decaying (t0 + t) branch")
+    ap.add_argument("--steps", type=int, default=20)
     args = ap.parse_args()
 
-    sol = explicit_solution(args.p, args.alpha, args.m, args.t0,
-                            companion=args.companion)
+    rho = explicit_rho(args.p, args.alpha, args.m)
+    defect = amplitude_defect(args.p, args.alpha, args.m, rho)
+    print(f"rho = {rho:.12f}, nu = {1 / (args.m - 1):.6f}, "
+          f"relative amplitude defect {defect:.3e}")
     problem = PMEProblem(p=args.p, alpha=args.alpha, N=args.N, M=args.M,
-                         m=args.m, tau=args.tau, t_end=args.t_end)
-    grid = problem.grid
-    u0 = sol.to_grid(grid, 0.0)
-    run = evolve(problem, u0)
-
-    print(f"rho = {sol.rho:.12f}, nu = {sol.nu:.6f}, "
-          f"branch = {'t0 + t' if args.companion else 't0 - t'}")
-    res = residual_check_explicit(args.p, args.alpha, args.m, args.t0,
-                                  args.t_end, companion=args.companion)
-    print(f"reference profile residual sup on shells [-10, 10]: {res:.3e}")
-    print(f"{'t':>8} {'sup error':>12} {'rel error':>12}")
-    for t, snap in zip(run.times, run.snapshots):
-        ref = sol.to_grid(grid, t)
-        err = float(np.max(np.abs(snap - ref)))
-        scale = float(np.max(np.abs(ref)))
-        print(f"{t:8.3f} {err:12.3e} {err / scale:12.3e}")
-    return 0
+                         m=args.m, tau=args.tau, t_end=args.tau * args.steps)
+    gap, bound = DiscreteOracle(problem).step_gap(1.0, args.steps)
+    print(f"oracle gap over {args.steps} steps ending at amplitude 1:")
+    print(f"{'step':>5} {'gap':>12} {'gap / bound':>12}")
+    for n, (e, b) in enumerate(zip(gap, bound), 1):
+        print(f"{n:5d} {e:12.3e} {e / b:12.3e}")
+    return 0 if np.all(gap <= bound) else 1
 
 
 if __name__ == "__main__":

@@ -56,7 +56,6 @@ from .pme import (
     explicit_solution,
     implicit_step,
     refinement_ladder,
-    residual_check_explicit,
     stationary_solve,
 )
 from .verification import SUITES, CheckResult, run_all, run_suite

@@ -63,7 +63,11 @@ def ball_eigenvalue_floor(p: int, alpha: float, N: int) -> float:
     check_prime(p)
     if not alpha > 0:
         raise DomainError("alpha must be positive")
-    return float(p) ** (alpha * (1 - N)) * (p - 1) / (float(p) ** (alpha + 1) - 1)
+    try:
+        return float(p) ** (alpha * (1 - N)) * (p - 1) / (float(p) ** (alpha + 1) - 1)
+    except OverflowError:
+        raise ArithmeticError(f"ball eigenvalue floor at p={p}, alpha={alpha}, "
+                              f"N={N} leaves the double range") from None
 
 
 def apply_to_indicator(params: OperatorParams, ball: Ball) -> RadialFunction:
@@ -82,7 +86,11 @@ def apply_to_indicator(params: OperatorParams, ball: Ball) -> RadialFunction:
     if ball.p != p:
         raise DomainError("ball prime differs from operator prime")
     l = ball.radius_exp
-    inside = float(p) ** (-l * a) * (1 - 1 / p) / (1 - float(p) ** (-a - 1))
+    try:
+        inside = float(p) ** (-l * a) * (1 - 1 / p) / (1 - float(p) ** (-a - 1))
+    except OverflowError:
+        raise ArithmeticError(f"image of 1_B at p={p}, alpha={a}, radius p^{l}"
+                              " leaves the double range") from None
     tail_c = float(p) ** l * gamma_p(p, a + 1)
     return RadialFunction(
         p,

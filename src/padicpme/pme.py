@@ -39,9 +39,10 @@ reproduces lambda on constants: for one alpha = 2, m = 2, tau = 0.1 step
 from indicator data the two differ by 1.4e-5 relative at dim 3^12 and
 8.8e-5 at dim 2^20 (ROADMAP.md item 1, the detail-form apply).
 
-A separable closed-form profile rho (T -+ t)^{-nu} |x|^{alpha nu} is kept
-alongside as an exact benchmark; its defining constant is checked in high
-precision rather than trusted.
+The separable closed-form profile rho (T -+ t)^{-nu} |x|^{alpha nu} is
+kept alongside, with the relative defect of its amplitude; its companion
+branch solves the ball scheme exactly up to a closed-form source, an
+oracle for the solver (DiscreteOracle).
 """
 
 from __future__ import annotations
@@ -50,11 +51,11 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-import mpmath
 import numpy as np
 
 from .errors import DomainError, SolverError, check_int, check_real
-from .fractional import LevelOperator, OperatorParams, ball_levels
+from .fractional import (LevelOperator, OperatorParams,
+                         apply_radial_power, ball_levels)
 # the benchmark's tracer wraps pme.ball_matrix; nothing here calls it
 from .fractional import ball_matrix  # noqa: F401
 from .padic import GridSpec, check_prime, gamma_p
@@ -221,12 +222,19 @@ class _VForm:
         second order.  Worst case, it sat 5e2-5e6 times above the residual
         Newton reached on radial_power steps, so it only judges a Newton
         that has already stalled."""
-        A = self.A
-        gamma = (A.grid.p + 2) * (len(A.h) + 3) * 2.0 ** -53
-        absA = LevelOperator(A.grid, abs(A.c), tuple(abs(h) for h in A.h))
-        size = (np.abs(self.eps * v) + self.scale * absA.apply(np.abs(v))
+        gamma, absAv = _abs_apply(self.A, v)
+        size = (np.abs(self.eps * v) + self.scale * absAv
                 + np.abs(beta(v, self.m)) + np.abs(self.f))
         return gamma * size.max(0)
+
+
+def _abs_apply(A: LevelOperator, v: np.ndarray) -> tuple:
+    """(gamma, |A| |v|) for the rounding bounds of a level apply (see
+    _VForm.floor): gamma = (p + 2)(K + 3) 2^-53, and |A| the level
+    operator with weights |c| and |h_L|."""
+    gamma = (A.grid.p + 2) * (len(A.h) + 3) * 2.0 ** -53
+    absA = LevelOperator(A.grid, abs(A.c), tuple(abs(h) for h in A.h))
+    return gamma, absA.apply(np.abs(v))
 
 
 def _cols(mask, *arrays) -> list:
@@ -612,6 +620,15 @@ class ExplicitSolution:
         return grid.radial(lambda k: self.value(t, k))
 
 
+def amplitude_defect(p: int, alpha: float, m: float, rho: float) -> float:
+    """The relative defect |nu rho + |rho|^m C| / max(1, nu |rho|) of rho,
+    C as in explicit_rho, formed without |rho|^m, which may overflow."""
+    nu, r = 1.0 / (m - 1.0), abs(rho)
+    C = gamma_p(p, alpha * m / (m - 1) + 1) / gamma_p(p, alpha / (m - 1) + 1)
+    return r / max(1.0, nu * r) * abs(math.copysign(nu, rho)
+                                      + r ** (m - 1.0) * C)
+
+
 def explicit_solution(p: int, alpha: float, m: float, t0: float,
                       companion: bool = False) -> ExplicitSolution:
     if not check_real("t0", t0) > 0:
@@ -620,45 +637,59 @@ def explicit_solution(p: int, alpha: float, m: float, t0: float,
                             companion)
 
 
-def residual_check_explicit(p: int, alpha: float, m: float, t0: float, t: float,
-                            k_lo: int = -10, k_hi: int = 10,
-                            companion: bool = False,
-                            rho_override: float | None = None) -> float:
-    """Max pointwise PDE residual of the separable profile on shells
-    [k_lo, k_hi], evaluated in 50-digit arithmetic.
+class DiscreteOracle:
+    """The companion profile a |x|^b, b = alpha nu, as an exact solution of
+    the problem's ball scheme (m > 1).  With g = |x|^b on the grid (0 on
+    the centre cell), A g^m = C g + c_N - h_M cell by cell:
+    C = Gamma_p(b + alpha + 1) / Gamma_p(b + 1); c_N = -kappa (1 - 1/p)
+    q^{N+1} / (1 - q), q = p^b, the image of |x|^{b + alpha} beyond B_N,
+    continued to q > 1; h_M, the image of |x|^{b + alpha} on B_-M, is
+    kappa (1 - 1/p) p^{-M(1+b+alpha)} / (1 - p^{-(1+b+alpha)}) |x|^{-alpha-1}
+    off the centre cell and kappa (1 - 1/p) p^{-M b} / (1 - p^{-b}) on it.
+    So the step from a_n g with the source tau a_{n+1}^m (c_N - h_M)
+    returns a_{n+1} g, where a_{n+1} + tau C a_{n+1}^m = a_n."""
 
-    Both branches reduce to the same core defect |nu rho + |rho|^m C| times
-    (T -+ t)^{-nu-1} p^{k alpha nu}; in double precision the large-shell
-    scale factor would contaminate the cancellation, hence mpmath here.
-    Without rho_override, rho comes from the gamma ratio that C inverts,
-    so the defect vanishes for any gamma values and only the 50-digit
-    rounding is measured, not the double rho of explicit_rho.
-    """
-    check_prime(p)
-    if not m > 1:
-        raise DomainError("the separable profile needs m > 1")
-    with mpmath.workdps(50):
-        P = mpmath.mpf(p)
-        al = mpmath.mpf(alpha)
-        em = mpmath.mpf(m)
-        nu = 1 / (em - 1)
+    def __init__(self, problem: PMEProblem):
+        p, alpha, m, grid = (float(problem.p), problem.alpha, problem.m,
+                             problem.grid)
+        if not m > 1:
+            raise DomainError("the separable profile needs m > 1")
+        b = alpha / (m - 1.0)
+        e = 1.0 + b + alpha
+        kappa = problem.operator.hypersingular_coefficient * (1.0 - 1.0 / p)
+        inner = kappa * p ** (-grid.M * e) / (1.0 - p ** -e)
+        centre = kappa * p ** (-grid.M * b) / (1.0 - p ** -b)
+        self.problem = problem
+        self.g = grid.radial(lambda k: 0.0 if k is None else p ** (k * b))
+        self.C = apply_radial_power(problem.operator, b + alpha)[0]
+        self.c_N = -kappa * p ** (b * (grid.N + 1)) / (1.0 - p ** b)
+        self.h_M = grid.radial(lambda k: centre if k is None
+                               else inner * p ** (-k * (alpha + 1.0)))
 
-        def gp(z):
-            return (1 - P ** (z - 1)) / (1 - P ** (-z))
+    def identity_gap(self) -> tuple:
+        """|A g^m - (C g + c_N - h_M)| per cell, and its rounding bound:
+        gamma of _VForm.floor times |A| g^m + |C g| + |c_N| + |h_M|."""
+        A, gm, cg = self.problem.levels, self.g ** self.problem.m, self.C * self.g
+        gamma, absAg = _abs_apply(A, gm)
+        return (np.abs(A @ gm - (cg + self.c_N - self.h_M)), gamma * (
+            absAg + np.abs(cg) + abs(self.c_N) + np.abs(self.h_M)))
 
-        C = gp(al * em / (em - 1) + 1) / gp(al / (em - 1) + 1)
-        if rho_override is None:
-            ratio = gp(1 + al * nu) / ((em - 1) * gp(1 + al * (nu + 1)))
-            rho = -(ratio ** nu)
-        else:
-            rho = mpmath.mpf(rho_override)
-        core = abs(nu * rho + abs(rho) ** em * C)
-
-        base = mpmath.mpf(t0) + t if companion else mpmath.mpf(t0) - t
-        if base <= 0:
-            raise DomainError("time outside the profile's domain")
-        tf = base ** (-nu - 1)
-        worst = mpmath.mpf(0)
-        for k in range(k_lo, k_hi + 1):
-            worst = max(worst, core * tf * P ** (k * al * nu))
-        return float(worst)
+    def step_gap(self, a_end: float, count: int) -> tuple:
+        """Solve count steps that end at amplitude a_end > 0, with
+        a_n = a_{n+1} + tau C a_{n+1}^m, as the columns of one
+        stationary_solve; return per step max |w - a_{n+1} g| and its bound
+        2 (Newton target + rounding floor of G).  The solve is
+        sup-nonexpansive in f, so a residual r moves beta(v) by at most r,
+        and w = f - tau A v = beta(v) - r adds r again; the floor covers
+        the rounding."""
+        tau, m = self.problem.tau, self.problem.m
+        a = [float(a_end)]
+        for _ in range(count):
+            a.insert(0, a[0] + tau * self.C * a[0] ** m)
+        a = np.array(a)
+        f = self.g[:, None] * a[:-1] + tau * a[1:] ** m * (
+            self.c_N - self.h_M)[:, None]
+        res = stationary_solve(self.problem, f, 0.0, tau)
+        model = _VForm(self.problem.levels, m, tau, f, 0.0)
+        return (np.abs(res.w - self.g[:, None] * a[1:]).max(0),
+                2.0 * (model.target() + model.floor(res.v)))

@@ -23,6 +23,7 @@ whose values are those of one call per shell (see heat._gap_sum).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +45,7 @@ from .fractional import (
 )
 from .functions import RadialFunction, TestFunction, to_grid
 from .heat import KernelParams
-from .padic import Ball, GridSpec, gamma_p
+from .padic import Ball, GridSpec
 
 
 @dataclass
@@ -674,43 +675,38 @@ def check_rho_frozen() -> CheckResult:
 
 
 def check_amplitude_identity() -> CheckResult:
-    worst = 0.0
-    for p in (2, 3):
-        for a in (1.5, 2.0, 3.0):
-            for m in (2.0, 3.0):
-                nu = 1.0 / (m - 1.0)
-                rho = pme.explicit_rho(p, a, m)
-                C = gamma_p(p, a * m / (m - 1) + 1) / gamma_p(p, a / (m - 1) + 1)
-                defect = abs(nu * rho + abs(rho) ** m * C) / max(1.0, nu * abs(rho))
-                worst = max(worst, defect)
+    worst = max(pme.amplitude_defect(p, a, m, pme.explicit_rho(p, a, m))
+                for p in (2, 3) for a in (1.5, 2.0, 3.0) for m in (2.0, 3.0))
     return _check("amplitude_identity", worst <= 1e-12,
                   f"max relative defect of nu rho + |rho|^m C = {worst:.3e} "
                   "over the (p, alpha, m) lattice")
 
 
-def check_residual_main() -> CheckResult:
+def check_oracle_identity() -> CheckResult:
     worst = 0.0
-    for (p, a, m) in ((2, 2.0, 2.0), (3, 1.5, 2.0), (2, 2.0, 3.0)):
-        worst = max(worst, pme.residual_check_explicit(p, a, m, t0=2.0, t=1.0))
-    return _check("residual_main", worst <= 1e-10,
-                  f"max residual = {worst:.3e} over shells [-10,10] (tol 1e-10)")
+    for (p, N, M), (a, m) in itertools.product(
+            ((2, 1, 2), (3, 1, 1), (5, 1, 1)), ((0.5, 3.0), (2.0, 1.5))):
+        gap, bound = pme.DiscreteOracle(pme.PMEProblem(
+            p=p, alpha=a, N=N, M=M, m=m, tau=0.1, t_end=0.1)).identity_gap()
+        worst = max(worst, float(np.max(gap / bound)))
+    return _check("oracle_identity", worst <= 1.0, f"max |A g^m - (C g + "
+                  f"c_N - h_M)| / rounding bound = {worst:.3f} (need <= 1)")
 
 
-def check_residual_companion() -> CheckResult:
-    worst = 0.0
-    for (p, a, m) in ((2, 2.0, 2.0), (3, 1.5, 2.0)):
-        worst = max(worst, pme.residual_check_explicit(p, a, m, t0=1.0, t=1.0,
-                                                       companion=True))
-    return _check("residual_companion", worst <= 1e-10,
-                  f"max residual = {worst:.3e} (tol 1e-10)")
+def check_oracle_solve() -> CheckResult:
+    prob = pme.PMEProblem(p=2, alpha=2.0, N=1, M=2, m=2.0, tau=0.1, t_end=0.1)
+    gap, bound = pme.DiscreteOracle(prob).step_gap(1.0, 2)
+    worst = float(np.max(gap / bound))
+    return _check("oracle_solve", worst <= 1.0,
+                  f"max |w - a_(n+1) g| / 2 (Newton target + rounding floor)"
+                  f" = {worst:.3e} over two steps at p = 2, alpha = 2, m = 2")
 
 
 def check_perturbation_detected() -> CheckResult:
     rho = pme.explicit_rho(2, 2.0, 2.0)
-    res = pme.residual_check_explicit(2, 2.0, 2.0, t0=2.0, t=1.0,
-                                      rho_override=1.01 * rho)
-    return _check("perturbation_detected", res > 1e-4,
-                  f"1% amplitude error inflates residual to {res:.3e} (> 1e-4)")
+    defect = pme.amplitude_defect(2, 2.0, 2.0, 1.01 * rho)
+    return _check("perturbation_detected", defect > 1e-4, f"1% amplitude "
+                  f"error inflates the relative defect to {defect:.3e} (> 1e-4)")
 
 
 # ---------------------------------------------------------------------------
@@ -762,8 +758,8 @@ SUITES = {
     "explicit": (
         check_rho_frozen,
         check_amplitude_identity,
-        check_residual_main,
-        check_residual_companion,
+        check_oracle_identity,
+        check_oracle_solve,
         check_perturbation_detected,
     ),
 }

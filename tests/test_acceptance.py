@@ -68,10 +68,13 @@ CRITERIA = {
          "tau-halvings"),
     11: ("explicit_profile",
          ["explicit.rho_frozen", "explicit.amplitude_identity",
-          "explicit.residual_main", "explicit.residual_companion"],
-         "rho(2,2,2) = -31/140 to 1e-12; amplitude identity <= 1e-12 on a "
-         "(p,a,m) lattice; radial residual <= 1e-10 on shells [-10,10] for "
-         "both time branches"),
+          "explicit.oracle_identity", "explicit.oracle_solve",
+          "explicit.perturbation_detected"],
+         "rho(2,2,2) = -31/140 to 1e-12; relative amplitude defect <= 1e-12 "
+         "on a (p,a,m) lattice; A g^m = C g + c_N - h_M cell by cell within "
+         "its rounding bound; two implicit steps return a_(n+1) g within "
+         "2 (Newton target + rounding floor); 1.01 rho gives a defect "
+         "> 1e-4"),
 }
 
 

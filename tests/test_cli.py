@@ -38,7 +38,7 @@ def test_kernel_heat_artifacts(tmp_path):
     assert man["command"] == "kernel"
     assert sorted(man["artifacts"]) == man["artifacts"]
     assert str(out) in man["artifacts"] and str(tmp_path / "zprof.json") in man["artifacts"]
-    assert "numpy" in man["versions"] and "mpmath" in man["versions"]
+    assert man["versions"] == {"numpy": np.__version__}
     assert man["wall_seconds"] >= 0
 
 
@@ -338,6 +338,21 @@ def test_cli_option_checks_exit_2(tmp_path, capsys, argv, message):
                  "gamma_p(p=2, z=1.0) rounds to 0 at alpha=1e-300: the "
                  "gamma ratio leaves the double range",
                  id="explicit-alpha-1e-300"),
+    pytest.param(["kernel", "--p", "2", "--alpha", "3000", "--t", "1",
+                  "--ball", "1"],
+                 "ball eigenvalue floor at p=2, alpha=3000.0, N=1 leaves the "
+                 "double range",
+                 id="kernel-ball-alpha-3000"),
+    pytest.param(["evolve-heat", "--p", "2", "--alpha", "1100", "--N", "1",
+                  "--M", "1", "--t-end", "1"],
+                 "ball eigenvalue floor at p=2, alpha=1100.0, N=1 leaves the "
+                 "double range",
+                 id="evolve-heat-alpha-1100"),
+    pytest.param(["operator", "--p", "2", "--alpha", "1100", "--N", "1",
+                  "--M", "1"],
+                 "image of 1_B at p=2, alpha=1100.0, radius p^-1 leaves the "
+                 "double range",
+                 id="operator-alpha-1100"),
 ])
 def test_extreme_alpha_or_t_exit_1(tmp_path, capsys, argv, message):
     """A kernel or profile whose closed forms leave the double range at an
@@ -541,7 +556,7 @@ def test_explicit_artifacts_and_overwrite(tmp_path):
     assert main(argv) == 0
     side = _read_json(tmp_path / "prof.json")
     assert side["rho"] == pytest.approx(-31 / 140, abs=1e-14)
-    assert side["residual_sup"] < 1e-10
+    assert side["amplitude_defect"] <= 1e-12
     assert side["time_factor"] == pytest.approx(1.0)
     first = out.read_text()
     # atomic overwrite leaves a single consistent file and no temp litter
@@ -561,15 +576,18 @@ def test_explicit_bad_window(tmp_path):
     assert rc == 2
 
 
-def test_explicit_residual_beyond_the_double_range_is_null(tmp_path):
-    """At t0 = 1e-300 the residual's time factor (t0 - t)^{-nu-1} is 1e600:
-    the run succeeds and the sidecar, JSON proper, writes null for it."""
+def test_explicit_sidecar_at_a_tiny_t0_is_strict_json(tmp_path):
+    """At t0 = 1e-300 the time factor (t0 - t)^{-nu} is 1e300, and the PDE
+    residual's (t0 - t)^{-nu-1} would be 1e600: the run succeeds, and the
+    sidecar, JSON proper, reports the amplitude defect, which no time
+    factor scales."""
     rc = main(["explicit", "--p", "2", "--alpha", "2", "--m", "2",
                "--t0", "1e-300", "--t", "0",
                "--out", str(tmp_path / "e.csv")])
     assert rc == 0
     side = _read_strict_json(tmp_path / "e.json")
-    assert side["residual_sup"] is None
+    assert side["amplitude_defect"] <= 1e-12
+    assert "residual_sup" not in side
     assert side["time_factor"] == pytest.approx(1e300)
 
 
@@ -752,19 +770,28 @@ def test_verify_reports_a_failed_check_and_exits_1(monkeypatch, capsys):
     ]
 
 
-def test_verify_all_runs_without_scipy():
-    """The runtime needs numpy and mpmath only: with scipy made
-    unimportable, verify all passes and loads no scipy module."""
+def test_the_runtime_needs_numpy_alone(tmp_path):
+    """The runtime needs numpy only: with scipy and mpmath made
+    unimportable, verify all, explicit and a small evolve succeed and
+    load no scipy or mpmath module."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "p": 2, "alpha": 2.0, "N": 1, "M": 1, "m": 2.0, "tau": 0.05,
+        "t_end": 0.1, "initial": {"kind": "radial_power", "exponent": 1.0}}))
     code = (
         "import sys\n"
-        "sys.modules['scipy'] = None\n"
+        "sys.modules['scipy'] = sys.modules['mpmath'] = None\n"
         "from padicpme.cli import main\n"
         "assert main(['verify', 'all']) == 0\n"
+        "assert main(['explicit', '--p', '2', '--alpha', '2', '--m', '2',\n"
+        "             '--t0', '2', '--t', '1', '--out', 'e.csv']) == 0\n"
+        "assert main(['evolve', '--config', 'config.json',\n"
+        "             '--out', 'run']) == 0\n"
         "loaded = [m for m, mod in sys.modules.items() if mod is not None\n"
-        "          and (m == 'scipy' or m.startswith('scipy.'))]\n"
+        "          and m.split('.')[0] in ('scipy', 'mpmath')]\n"
         "assert not loaded, loaded\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
-    run = subprocess.run([sys.executable, "-c", code],
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
