@@ -35,7 +35,8 @@ def main() -> int:
           f"relative amplitude defect {defect:.3e}")
     problem = PMEProblem(p=args.p, alpha=args.alpha, N=args.N, M=args.M,
                          m=args.m, tau=args.tau, t_end=args.tau * args.steps)
-    gap, bound = DiscreteOracle(problem).step_gap(1.0, args.steps)
+    gap, target, floor = DiscreteOracle(problem).step_gap(args.steps)
+    bound = 2 * (target + floor)
     print(f"oracle gap over {args.steps} steps ending at amplitude 1:")
     print(f"{'step':>5} {'gap':>12} {'gap / bound':>12}")
     for n, (e, b) in enumerate(zip(gap, bound), 1):

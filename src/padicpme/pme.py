@@ -54,8 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, SolverError, check_int, check_real
-from .fractional import (LevelOperator, OperatorParams,
-                         apply_radial_power, ball_levels)
+from .fractional import LevelOperator, OperatorParams, ball_levels
 # the benchmark's tracer wraps pme.ball_matrix; nothing here calls it
 from .fractional import ball_matrix  # noqa: F401
 from .padic import GridSpec, check_prime, gamma_p
@@ -620,13 +619,19 @@ class ExplicitSolution:
         return grid.radial(lambda k: self.value(t, k))
 
 
+def _profile_constant(p: int, alpha: float, m: float) -> float:
+    """C in D^alpha |x|^{alpha m/(m-1)} = C |x|^{alpha/(m-1)}, from these
+    exponents: amplitude_defect checks explicit_rho's rewritten form
+    against it, and DiscreteOracle.identity_gap checks it against A."""
+    return gamma_p(p, alpha * m / (m - 1) + 1) / gamma_p(p, alpha / (m - 1) + 1)
+
+
 def amplitude_defect(p: int, alpha: float, m: float, rho: float) -> float:
     """The relative defect |nu rho + |rho|^m C| / max(1, nu |rho|) of rho,
-    C as in explicit_rho, formed without |rho|^m, which may overflow."""
+    formed without |rho|^m, which may overflow."""
     nu, r = 1.0 / (m - 1.0), abs(rho)
-    C = gamma_p(p, alpha * m / (m - 1) + 1) / gamma_p(p, alpha / (m - 1) + 1)
-    return r / max(1.0, nu * r) * abs(math.copysign(nu, rho)
-                                      + r ** (m - 1.0) * C)
+    return r / max(1.0, nu * r) * abs(math.copysign(nu, rho) + r ** (m - 1.0)
+                                      * _profile_constant(p, alpha, m))
 
 
 def explicit_solution(p: int, alpha: float, m: float, t0: float,
@@ -640,14 +645,14 @@ def explicit_solution(p: int, alpha: float, m: float, t0: float,
 class DiscreteOracle:
     """The companion profile a |x|^b, b = alpha nu, as an exact solution of
     the problem's ball scheme (m > 1).  With g = |x|^b on the grid (0 on
-    the centre cell), A g^m = C g + c_N - h_M cell by cell:
-    C = Gamma_p(b + alpha + 1) / Gamma_p(b + 1); c_N = -kappa (1 - 1/p)
-    q^{N+1} / (1 - q), q = p^b, the image of |x|^{b + alpha} beyond B_N,
-    continued to q > 1; h_M, the image of |x|^{b + alpha} on B_-M, is
-    kappa (1 - 1/p) p^{-M(1+b+alpha)} / (1 - p^{-(1+b+alpha)}) |x|^{-alpha-1}
-    off the centre cell and kappa (1 - 1/p) p^{-M b} / (1 - p^{-b}) on it.
-    So the step from a_n g with the source tau a_{n+1}^m (c_N - h_M)
-    returns a_{n+1} g, where a_{n+1} + tau C a_{n+1}^m = a_n."""
+    the centre cell), A g^m = C g + c_N - h_M cell by cell: C of
+    _profile_constant; c_N = -kappa (1 - 1/p) q^{N+1} / (1 - q), q = p^b,
+    the image of |x|^{b + alpha} beyond B_N, continued to q > 1; h_M, the
+    image of |x|^{b + alpha} on B_-M, is kappa (1 - 1/p) p^{-M(1+b+alpha)}
+    / (1 - p^{-(1+b+alpha)}) |x|^{-alpha-1} off the centre cell and
+    kappa (1 - 1/p) p^{-M b} / (1 - p^{-b}) on it.  So the step from a_n g
+    with the source tau a_{n+1}^m (c_N - h_M) returns a_{n+1} g, where
+    a_{n+1} + tau C a_{n+1}^m = a_n."""
 
     def __init__(self, problem: PMEProblem):
         p, alpha, m, grid = (float(problem.p), problem.alpha, problem.m,
@@ -661,7 +666,7 @@ class DiscreteOracle:
         centre = kappa * p ** (-grid.M * b) / (1.0 - p ** -b)
         self.problem = problem
         self.g = grid.radial(lambda k: 0.0 if k is None else p ** (k * b))
-        self.C = apply_radial_power(problem.operator, b + alpha)[0]
+        self.C = _profile_constant(problem.p, alpha, m)
         self.c_N = -kappa * p ** (b * (grid.N + 1)) / (1.0 - p ** b)
         self.h_M = grid.radial(lambda k: centre if k is None
                                else inner * p ** (-k * (alpha + 1.0)))
@@ -674,16 +679,16 @@ class DiscreteOracle:
         return (np.abs(A @ gm - (cg + self.c_N - self.h_M)), gamma * (
             absAg + np.abs(cg) + abs(self.c_N) + np.abs(self.h_M)))
 
-    def step_gap(self, a_end: float, count: int) -> tuple:
-        """Solve count steps that end at amplitude a_end > 0, with
+    def step_gap(self, count: int) -> tuple:
+        """Solve count steps that end at amplitude 1, with
         a_n = a_{n+1} + tau C a_{n+1}^m, as the columns of one
-        stationary_solve; return per step max |w - a_{n+1} g| and its bound
-        2 (Newton target + rounding floor of G).  The solve is
-        sup-nonexpansive in f, so a residual r moves beta(v) by at most r,
-        and w = f - tau A v = beta(v) - r adds r again; the floor covers
-        the rounding."""
+        stationary_solve; per step, max |w - a_{n+1} g|, the Newton target
+        and the rounding floor of G.  The solve is sup-nonexpansive in f,
+        so a residual r moves beta(v) by at most r, and w = f - tau A v =
+        beta(v) - r adds r again: the gap is at most 2 (target + floor),
+        where the floor covers a stalled Newton and the rounding."""
         tau, m = self.problem.tau, self.problem.m
-        a = [float(a_end)]
+        a = [1.0]
         for _ in range(count):
             a.insert(0, a[0] + tau * self.C * a[0] ** m)
         a = np.array(a)
@@ -692,4 +697,4 @@ class DiscreteOracle:
         res = stationary_solve(self.problem, f, 0.0, tau)
         model = _VForm(self.problem.levels, m, tau, f, 0.0)
         return (np.abs(res.w - self.g[:, None] * a[1:]).max(0),
-                2.0 * (model.target() + model.floor(res.v)))
+                model.target(), model.floor(res.v))

@@ -73,8 +73,7 @@ CRITERIA = {
          "rho(2,2,2) = -31/140 to 1e-12; relative amplitude defect <= 1e-12 "
          "on a (p,a,m) lattice; A g^m = C g + c_N - h_M cell by cell within "
          "its rounding bound; two implicit steps return a_(n+1) g within "
-         "2 (Newton target + rounding floor); 1.01 rho gives a defect "
-         "> 1e-4"),
+         "2 x Newton target; 1.01 rho gives a defect > 1e-4"),
 }
 
 

@@ -288,7 +288,8 @@ def test_discrete_oracle_steps_return_the_profile(case):
     """Two implicit steps from a_n g plus the oracle's source, solved as
     two columns, return a_{n+1} g, with a_{n+1} the backward Euler
     amplitudes, within 2 (Newton target + rounding floor)."""
-    gap, bound = _oracle(*case).step_gap(1.0, 2)
+    gap, target, floor = _oracle(*case).step_gap(2)
+    bound = 2 * (target + floor)
     assert np.all(gap <= bound), float(np.max(gap / bound))
 
 
