@@ -31,7 +31,8 @@ import numpy as np
 from . import heat, pme, verification
 from .errors import (DomainError, PrecisionError, ResourceError, SolverError,
                      check_int, check_real)
-from .fractional import OperatorParams, ball_eigenvalue_floor, ball_matrix
+from .fractional import (OperatorParams, ball_eigenvalue_floor, ball_matrix,
+                         ball_spectrum)
 from .functions import (RadialFunction, TestFunction, read_grid_csv, to_grid,
                         write_grid_csvs, write_radial_csv)
 # the benchmark's tracer wraps cli.write_grid_csv; nothing here calls it
@@ -111,8 +112,13 @@ def _config(args, **over) -> dict:
 def _write_artifacts(out: str, write, sidecar: dict, args,
                      started: float) -> None:
     """Write the data file out through write(tmp), its JSON sidecar
-    <root>.json and a manifest <root>.manifest.json listing both."""
-    root, _ = os.path.splitext(out)
+    <root>.json and a manifest <root>.manifest.json listing both.  An out
+    ending in .json would be its own sidecar, and is refused before any
+    write."""
+    root, ext = os.path.splitext(out)
+    if ext == ".json":
+        raise DomainError(f"cannot write {out}: a data file ending in .json "
+                          "would be its own sidecar")
     _atomic_write([out], write)
     _atomic_json(root + ".json", sidecar)
     _manifest(root + ".manifest.json", args.command, _config(args),
@@ -355,7 +361,9 @@ def cmd_evolve_heat(args) -> int:
         "kind": "heat_evolution",
         "p": args.p, "alpha": args.alpha, "N": args.N, "M": args.M,
         "t_end": args.t_end, "snapshots": args.snapshots,
-        "lambda": ball_eigenvalue_floor(args.p, args.alpha, args.N),
+        # the whole spectrum, so that one past the double range refuses
+        # before the run directory is made
+        "lambda": ball_spectrum(op)[0],
         "times": times, "mass": [], "l1": [], "linf": [],
     }
 

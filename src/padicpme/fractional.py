@@ -91,6 +91,10 @@ def apply_to_indicator(params: OperatorParams, ball: Ball) -> RadialFunction:
     except OverflowError:
         raise ArithmeticError(f"image of 1_B at p={p}, alpha={a}, radius p^{l}"
                               " leaves the double range") from None
+    if a + 1 == 1:  # the tail |y|^{-(alpha+1)} would not be integrable
+        raise ArithmeticError(f"image of 1_B at p={p}, alpha={a}, radius p^{l}"
+                              ": its tail exponent -(alpha + 1) rounds to -1,"
+                              " so its mass leaves the double range")
     tail_c = float(p) ** l * gamma_p(p, a + 1)
     return RadialFunction(
         p,
@@ -392,9 +396,13 @@ def ball_spectrum(params: OperatorParams) -> np.ndarray:
     if grid is None:
         raise DomainError("ball_spectrum needs an OperatorParams with a grid")
     p, a, N = params.p, params.alpha, grid.N
-    return np.array([ball_eigenvalue_floor(p, a, N)]
-                    + [float(p) ** (a * (l - N))
-                       for l in range(1, N + grid.M + 1)])
+    try:
+        return np.array([ball_eigenvalue_floor(p, a, N)]
+                        + [float(p) ** (a * (l - N))
+                           for l in range(1, N + grid.M + 1)])
+    except OverflowError:
+        raise ArithmeticError(f"ball spectrum at p={p}, alpha={a}, N={N}, "
+                              f"M={grid.M} leaves the double range") from None
 
 
 def ball_levels(params: OperatorParams) -> LevelOperator:

@@ -402,8 +402,14 @@ def semigroup_on_indicator(params: KernelParams,
     l = ball.radius_exp
 
     def pointwise_tail(K: int) -> float:
-        return (t * (float(p) ** a - 1) * float(p) ** l
-                * float(p) ** (-(K + 1) * (a + 1)) / (1 - float(p) ** (-a - 1)))
+        try:
+            return (t * (float(p) ** a - 1) * float(p) ** l
+                    * float(p) ** (-(K + 1) * (a + 1))
+                    / (1 - float(p) ** (-a - 1)))
+        except OverflowError:
+            raise ArithmeticError(
+                f"layer tail of S(t) 1_B at p={p}, alpha={a}, radius p^{l}, "
+                f"layer {K} leaves the double range") from None
 
     k_max = l + 1
     while pointwise_tail(k_max) > _LAYER_TARGET and k_max < l + 400:

@@ -546,13 +546,13 @@ def explicit_rho(p: int, alpha: float, m: float) -> float:
     if not check_real("alpha", alpha) > 0:
         raise DomainError("alpha must be positive")
     nu = 1.0 / (m - 1.0)
-    num = gamma_p(p, 1.0 + alpha * nu)
-    z = 1.0 + alpha * (nu + 1.0)
-    den = gamma_p(p, z)
-    if not den:  # p^{z-1} rounds to 1, and so num is 0 too
+    z = 1.0 + alpha * nu
+    num = gamma_p(p, z)
+    if not num:  # p^{z-1} rounds to 1 at small alpha or large m
         raise ArithmeticError(f"gamma_p(p={p}, z={z}) rounds to 0 at alpha="
-                              f"{alpha}: the gamma ratio leaves the double "
-                              "range")
+                              f"{alpha}, m={m}: the gamma ratio leaves the "
+                              "double range")
+    den = gamma_p(p, 1.0 + alpha * (nu + 1.0))  # nonzero, as num is
     ratio = num / ((m - 1.0) * den)
     if not ratio > 0:
         raise ArithmeticError(f"gamma ratio {ratio} is not positive")

@@ -335,9 +335,14 @@ def test_cli_option_checks_exit_2(tmp_path, capsys, argv, message):
                  "double range", id="kernel-alpha-3000"),
     pytest.param(["explicit", "--p", "2", "--alpha", "1e-300", "--m", "2",
                   "--t0", "1", "--t", "0"],
-                 "gamma_p(p=2, z=1.0) rounds to 0 at alpha=1e-300: the "
-                 "gamma ratio leaves the double range",
+                 "gamma_p(p=2, z=1.0) rounds to 0 at alpha=1e-300, m=2.0: "
+                 "the gamma ratio leaves the double range",
                  id="explicit-alpha-1e-300"),
+    pytest.param(["explicit", "--p", "2", "--alpha", "2", "--m", "1e300",
+                  "--t0", "1", "--t", "0"],
+                 "gamma_p(p=2, z=1.0) rounds to 0 at alpha=2.0, m=1e+300: "
+                 "the gamma ratio leaves the double range",
+                 id="explicit-m-1e300"),
     pytest.param(["kernel", "--p", "2", "--alpha", "3000", "--t", "1",
                   "--ball", "1"],
                  "ball eigenvalue floor at p=2, alpha=3000.0, N=1 leaves the "
@@ -353,11 +358,22 @@ def test_cli_option_checks_exit_2(tmp_path, capsys, argv, message):
                  "image of 1_B at p=2, alpha=1100.0, radius p^-1 leaves the "
                  "double range",
                  id="operator-alpha-1100"),
+    pytest.param(["evolve-heat", "--p", "2", "--alpha", "700", "--N", "1",
+                  "--M", "2", "--t-end", "1"],
+                 "ball spectrum at p=2, alpha=700.0, N=1, M=2 leaves the "
+                 "double range",
+                 id="evolve-heat-alpha-700"),
+    pytest.param(["operator", "--p", "2", "--alpha", "1e-300", "--N", "1",
+                  "--M", "1"],
+                 "image of 1_B at p=2, alpha=1e-300, radius p^-1: its tail "
+                 "exponent -(alpha + 1) rounds to -1, so its mass leaves the "
+                 "double range",
+                 id="operator-alpha-1e-300"),
 ])
 def test_extreme_alpha_or_t_exit_1(tmp_path, capsys, argv, message):
-    """A kernel or profile whose closed forms leave the double range at an
-    extreme alpha or t exits 1 with one error line naming what left it,
-    and writes nothing."""
+    """A kernel, operator or profile whose closed forms leave the double
+    range at an extreme alpha, t or m exits 1 with one error line naming
+    what left it, and writes nothing."""
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert os.listdir(tmp_path) == []
@@ -368,13 +384,16 @@ def test_extreme_alpha_or_t_exit_1(tmp_path, capsys, argv, message):
                  id="kernel"),
     pytest.param(["operator", "--p", "2", "--alpha", "2", "--N", "1",
                   "--M", "1"], id="operator"),
+    pytest.param(["explicit", "--p", "2", "--alpha", "2", "--m", "2",
+                  "--t0", "1", "--t", "0"], id="explicit"),
 ])
 def test_an_unwritable_out_file_exits_2(tmp_path, capsys, argv):
-    """_write_artifacts: an --out whose directory does not exist, or that
-    is a directory, exits 2 with one error line naming that path, and
-    leaves no file."""
+    """_write_artifacts: an --out whose directory does not exist, that is
+    a directory, or that ends in .json and so would be its own sidecar,
+    exits 2 with one error line naming that path, and leaves no file."""
     (tmp_path / "adir").mkdir()
-    for out in (str(tmp_path / "nodir" / "out.csv"), str(tmp_path / "adir")):
+    for out in (str(tmp_path / "nodir" / "out.csv"), str(tmp_path / "adir"),
+                str(tmp_path / "k.json"), str(tmp_path / "k.manifest.json")):
         assert main(argv + ["--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out}: ") and \
@@ -796,3 +815,24 @@ def test_the_runtime_needs_numpy_alone(tmp_path):
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
     assert "all checks passed" in run.stdout
+
+
+def test_the_package_root_re_exports_nothing():
+    """Each name has one import path, its module: importing padicpme.padic
+    loads padicpme, padicpme.errors and padicpme.padic only, and the
+    package root holds neither a re-export nor a version."""
+    code = (
+        "import sys\n"
+        "import padicpme.padic\n"
+        "loaded = sorted(m for m in sys.modules\n"
+        "                if m.split('.')[0] == 'padicpme')\n"
+        "assert loaded == ['padicpme', 'padicpme.errors', 'padicpme.padic'],"
+        " loaded\n"
+        "import padicpme\n"
+        "assert not hasattr(padicpme, 'evolve')\n"
+        "assert not hasattr(padicpme, '__version__')\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr[-2000:]

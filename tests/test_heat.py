@@ -140,6 +140,16 @@ def test_semigroup_mass_deficit_is_relatively_accurate(p, a, t, l):
     assert abs(exp.mass_deficit - ref) <= 1e-14 * ref
 
 
+def test_semigroup_expansion_of_a_tiny_ball_names_its_overflow():
+    """A ball of radius p^-600 puts the first layers' remainder bound
+    t (p^a - 1) p^l p^{-(k+1)(a+1)} past the double range: it raises an
+    ArithmeticError that names it, not a bare OverflowError."""
+    with pytest.raises(ArithmeticError, match=r"^layer tail of S\(t\) 1_B at "
+                       r"p=2, alpha=2.0, radius p\^-600, layer -599 leaves "
+                       "the double range$"):
+        semigroup_on_indicator(KernelParams(2, 2.0, 1.0), Ball(2, 0, -600))
+
+
 def test_semigroup_expansion_value_vs_ball_integral():
     """S(t) 1_{B_0} at the center equals the ball integral of the kernel."""
     params = KernelParams(2, 2.0, 0.3)
@@ -159,6 +169,12 @@ def test_semigroup_matrix_positive_and_column_stochastic():
     # the restricted flow conserves mass: columns sum to one
     assert np.allclose(TN.sum(axis=0), 1.0, atol=1e-12)
     assert np.allclose(TN, ball_semigroup_expm(op, 0.4), atol=1e-9)
+    # at alpha = 200 the top level's e^{-t p^{alpha M}} is exactly 0: the
+    # operator stays positive and does not grow the L1 norm
+    far = semigroup_matrix(OperatorParams(2, 200.0, GridSpec(2, 0, 6)), 1.0)
+    assert far.c == 0.0
+    T = far @ np.eye(far.grid.dim)
+    assert np.all(T >= 0) and T.sum(axis=0).max() <= 1.0
 
 
 def _semigroup_gather(op, t):
