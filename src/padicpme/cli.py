@@ -4,7 +4,8 @@ Subcommands: kernel (heat / restricted / resolvent kernel tabulation),
 operator (matrix dump), evolve-heat (linear runs), evolve (nonlinear runs
 from a JSON config), verify (named check suites), explicit (closed-form
 profile tabulation).  Every run writes CSV artifacts, a JSON sidecar with
-certificates, and a manifest listing each output file.
+certificates, and a manifest listing each output file, together or not at
+all.
 
 Exit codes: 0 success, 1 computation or verification failure, 2 usage or
 configuration error.
@@ -20,6 +21,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -57,22 +59,67 @@ def _naming(path: str):
         raise DomainError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _atomic_write(paths, write) -> None:
-    """Call write(*tmps) with one temp file per path, each in its path's
-    directory, then rename every temp file to its path.  If write fails,
-    every temp file is removed and no path is touched; if a rename fails,
-    the temp files not yet renamed are removed.  A path that cannot take
-    a file, as its directory is missing or it is a directory, raises
-    DomainError naming it."""
+def _check_out(path: str, run: bool = False) -> None:
+    """Refuse, before a command computes, an --out that _publish could
+    not write, with the line the write would give: a run directory that
+    is or lies under a file, or a data file that is a directory, lies in
+    none, or ends in .json and so would be its own sidecar."""
+    top = os.path.abspath(path)
+    if run:
+        base = top
+        while not os.path.exists(base):
+            base = os.path.dirname(base)
+        code = (0 if os.path.isdir(base) else
+                errno.EEXIST if base == top else errno.ENOTDIR)
+    else:
+        if os.path.splitext(path)[1] == ".json":
+            raise DomainError(f"cannot write {path}: a data file ending in "
+                              ".json would be its own sidecar")
+        with _naming(path):
+            parent = os.stat(os.path.dirname(top)).st_mode
+        code = (errno.ENOTDIR if not stat.S_ISDIR(parent) else
+                errno.EISDIR if os.path.isdir(top) else 0)
+    if code:
+        raise DomainError(f"cannot write {path}: {os.strerror(code)}")
+
+
+def _publish(paths: list, write, doc: dict, command: str, config: dict,
+             started: float) -> None:
+    """Publish a command's files together or not at all: paths are the
+    data files, which write(*tmps) fills, then the JSON doc's and the
+    manifest's, all in one directory, made if missing.  Each path must
+    take a file and gets a temp file beside it; none is renamed until all
+    are written.  A failure removes the temp files and made directories."""
+    home = os.path.abspath(os.path.dirname(paths[-1]))
+    made, top = [], home
+    while not os.path.exists(top):  # deepest first
+        made.append(top)
+        top = os.path.dirname(top)
     tmps = []
     try:
+        with _naming(os.path.dirname(paths[-1])):
+            os.makedirs(home, exist_ok=True)
         for path in paths:
             with _naming(path):
-                fd, tmp = tempfile.mkstemp(
-                    dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp_")
+                if os.path.isdir(path):
+                    raise IsADirectoryError(errno.EISDIR, "Is a directory")
+                fd, tmp = tempfile.mkstemp(dir=home, prefix=".tmp_")
             os.close(fd)
             tmps.append(tmp)
-        write(*tmps)
+        write(*tmps[:-2])
+        manifest = {
+            "command": command,
+            "config": config,
+            "artifacts": sorted(os.path.abspath(a) for a in paths[:-1]),
+            "started_utc": datetime.datetime.fromtimestamp(
+                started, datetime.timezone.utc).isoformat(),
+            "wall_seconds": time.time() - started,
+            "seed": 0,  # all randomized checks use fixed internal seeds
+            "versions": {"numpy": np.__version__},
+        }
+        for tmp, obj in zip(tmps[-2:], (doc, manifest)):
+            Path(tmp).write_text(json.dumps(obj, indent=2, sort_keys=True)
+                                 + "\n")
         for tmp, path in zip(tmps, paths):
             with _naming(path):
                 os.replace(tmp, path)
@@ -80,26 +127,10 @@ def _atomic_write(paths, write) -> None:
         for tmp in tmps:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
         raise
-
-
-def _atomic_json(path: str, obj) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    _atomic_write([path], lambda tmp: Path(tmp).write_text(text))
-
-
-def _manifest(path: str, command: str, config: dict, artifacts: list,
-              started: float) -> None:
-    _atomic_json(path, {
-        "command": command,
-        "config": config,
-        "artifacts": sorted(os.path.abspath(a) for a in artifacts),
-        "started_utc": datetime.datetime.fromtimestamp(
-            started, datetime.timezone.utc).isoformat(),
-        "wall_seconds": time.time() - started,
-        "seed": 0,  # all randomized checks use fixed internal seeds
-        "versions": {"numpy": np.__version__},
-    })
 
 
 def _config(args, **over) -> dict:
@@ -111,55 +142,25 @@ def _config(args, **over) -> dict:
 
 def _write_artifacts(out: str, write, sidecar: dict, args,
                      started: float) -> None:
-    """Write the data file out through write(tmp), its JSON sidecar
-    <root>.json and a manifest <root>.manifest.json listing both.  An out
-    ending in .json would be its own sidecar, and is refused before any
-    write."""
-    root, ext = os.path.splitext(out)
-    if ext == ".json":
-        raise DomainError(f"cannot write {out}: a data file ending in .json "
-                          "would be its own sidecar")
-    _atomic_write([out], write)
-    _atomic_json(root + ".json", sidecar)
-    _manifest(root + ".manifest.json", args.command, _config(args),
-              [out, root + ".json"], started)
-
-
-def _check_run_dir(outdir: str) -> None:
-    """Refuse, before a run computes anything, an outdir that _write_run's
-    os.makedirs cannot make because the nearest existing path at or above
-    it is not a directory, with the line makedirs would give.  Nothing is
-    created: a run that refuses leaves no directory."""
-    path = top = os.path.abspath(outdir)
-    while not os.path.exists(path):
-        path = os.path.dirname(path)
-    if not os.path.isdir(path):
-        code = errno.EEXIST if path == top else errno.ENOTDIR
-        raise DomainError(f"cannot write {outdir}: {os.strerror(code)}")
+    """Publish the data file out through write(tmp), its JSON sidecar
+    <root>.json and a manifest <root>.manifest.json listing both."""
+    root = os.path.splitext(out)[0]
+    _publish([out, root + ".json", root + ".manifest.json"], write, sidecar,
+             args.command, _config(args), started)
 
 
 def _write_run(outdir: str, grid: GridSpec, snapshots, diagnostics: dict,
                command: str, config: dict, started: float) -> None:
-    """Write the arrays that snapshots yields, one per entry of
-    diagnostics["times"], to outdir/snapshot_jjjj.csv, then
-    diagnostics.json and a manifest listing them.
-
-    The snapshots are written together, in one pass, once the last one is
-    computed, so a run that fails leaves no partial snapshots and replaces
-    none of an earlier run's.  diagnostics.json follows them, so a
-    generator may still fill diagnostics.
-    """
-    with _naming(outdir):
-        os.makedirs(outdir, exist_ok=True)
-    artifacts = [os.path.join(outdir, f"snapshot_{j:04d}.csv")
-                 for j in range(len(diagnostics["times"]))]
-    _atomic_write(artifacts,
-                  lambda *tmps: write_grid_csvs(tmps, grid, snapshots))
-    path = os.path.join(outdir, "diagnostics.json")
-    _atomic_json(path, diagnostics)
-    _manifest(os.path.join(outdir, "manifest.json"), command, config,
-              artifacts + [path], started)
-    print(f"wrote {len(artifacts)} snapshots to {outdir} "
+    """Publish the arrays that snapshots yields, one per entry of
+    diagnostics["times"], as outdir/snapshot_jjjj.csv, then
+    diagnostics.json, which the generator may still fill, and a manifest."""
+    n = len(diagnostics["times"])
+    paths = [os.path.join(outdir, name) for name in
+             [f"snapshot_{j:04d}.csv" for j in range(n)]
+             + ["diagnostics.json", "manifest.json"]]
+    _publish(paths, lambda *tmps: write_grid_csvs(tmps, grid, snapshots),
+             diagnostics, command, config, started)
+    print(f"wrote {n} snapshots to {outdir} "
           f"(final mass {diagnostics['mass'][-1]:.12f})")
 
 
@@ -187,6 +188,7 @@ def _shell_table(p: int, S: int, evaluate, tail=None) -> tuple:
 # ---------------------------------------------------------------------------
 
 def cmd_kernel(args) -> int:
+    _check_out(args.out)
     if args.shells < 0:
         raise DomainError(f"--shells must be nonnegative, got {args.shells}")
     if args.mu is not None:
@@ -211,8 +213,7 @@ def _kernel_heat(args) -> int:
     agreement = max((ev.series_gap for ev in shells.values()
                      if ev.series_gap is not None), default=0.0)
 
-    out = args.out or "kernel.csv"
-    _write_artifacts(out, lambda tmp: write_radial_csv(tmp, prof), {
+    _write_artifacts(args.out, lambda tmp: write_radial_csv(tmp, prof), {
         "kind": "heat_kernel",
         "p": p, "alpha": alpha, "t": t, "shells": S,
         **fields,
@@ -220,7 +221,7 @@ def _kernel_heat(args) -> int:
         "mass_certificate": mass_bound,
         "series_agreement_max": agreement,
     }, args, started)
-    print(f"wrote {out} (mass {mass:.12f}, certificate {mass_bound:.3e})")
+    print(f"wrote {args.out} (mass {mass:.12f}, certificate {mass_bound:.3e})")
     return 0
 
 
@@ -234,8 +235,7 @@ def _kernel_ball(args) -> int:
     c, c_bound = heat.ball_c_coefficient(params, N)
     if not math.isfinite(c):  # c(t) ~ -e^{lam t} left the double range
         c = c_bound = None
-    out = args.out or "kernel.csv"
-    _write_artifacts(out, lambda tmp: write_radial_csv(tmp, prof), {
+    _write_artifacts(args.out, lambda tmp: write_radial_csv(tmp, prof), {
         "kind": "ball_kernel",
         "p": p, "alpha": alpha, "t": t, "shells": S, "ball": N,
         "lambda": ball_eigenvalue_floor(p, alpha, N),
@@ -245,7 +245,7 @@ def _kernel_ball(args) -> int:
         "mass_over_ball": mass,
         "mass_certificate": mass_bound,
     }, args, started)
-    print(f"wrote {out} (mass over B_{N}: {mass:.12f}, "
+    print(f"wrote {args.out} (mass over B_{N}: {mass:.12f}, "
           f"certificate {mass_bound:.3e})")
     return 0
 
@@ -259,15 +259,14 @@ def _kernel_resolvent(args) -> int:
     _, prof, fields = _shell_table(
         p, S, lambda ks: heat.green_kernel(p, alpha, mu, ks),
         tail=None if tail_c is None else (tail_c, -(alpha + 1.0)))
-    out = args.out or "kernel.csv"
-    _write_artifacts(out, lambda tmp: write_radial_csv(tmp, prof), {
+    _write_artifacts(args.out, lambda tmp: write_radial_csv(tmp, prof), {
         "kind": "resolvent_kernel",
         "p": p, "alpha": alpha, "mu": mu, "shells": S,
         **fields,
         "tail_constant": tail_c,
         "tail_exponent": -(alpha + 1.0),
     }, args, started)
-    print(f"wrote {out} (E_mu at zero: {fields['value_at_zero']:.12f})")
+    print(f"wrote {args.out} (E_mu at zero: {fields['value_at_zero']:.12f})")
     return 0
 
 
@@ -277,19 +276,19 @@ def _kernel_resolvent(args) -> int:
 
 def cmd_operator(args) -> int:
     started = time.time()
+    _check_out(args.out)
     grid = GridSpec(args.p, args.N, args.M)
     if grid.dim > _MATRIX_DUMP_CAP:
         raise ResourceError(f"matrix dump capped at dim {_MATRIX_DUMP_CAP}, "
                             f"requested {grid.dim}")
     op = OperatorParams(args.p, args.alpha, grid)
     B = ball_matrix(op)
-    out = args.out or "operator.csv"
     lines = ["i,j,value"]
     for i in range(grid.dim):
         for j in range(grid.dim):
             lines.append(f"{i},{j},{float(B.matrix[i, j])!r}")
     text = "\n".join(lines) + "\n"
-    _write_artifacts(out, lambda tmp: Path(tmp).write_text(text), {
+    _write_artifacts(args.out, lambda tmp: Path(tmp).write_text(text), {
         "kind": "ball_operator_matrix",
         "p": args.p, "alpha": args.alpha, "N": args.N, "M": args.M,
         "dim": grid.dim,
@@ -297,7 +296,7 @@ def cmd_operator(args) -> int:
         "row_sum_max_deviation": float(
             np.max(np.abs(B.matrix.sum(axis=1) - B.lam))),
     }, args, started)
-    print(f"wrote {out} ({grid.dim}x{grid.dim}, lambda {B.lam:.12e})")
+    print(f"wrote {args.out} ({grid.dim}x{grid.dim}, lambda {B.lam:.12e})")
     return 0
 
 
@@ -322,8 +321,18 @@ def build_initial(grid: GridSpec, spec: dict) -> np.ndarray:
         if beta <= 0:
             raise DomainError("radial_power initial data needs exponent > 0 "
                               "to stay bounded at the origin")
-        return grid.radial(lambda k: 0.0 if k is None
-                           else coeff * float(Fraction(grid.p) ** k) ** beta)
+
+        def value(k):
+            try:
+                x = coeff * float(Fraction(grid.p) ** k) ** beta
+            except OverflowError:
+                x = math.inf
+            if not math.isfinite(x):
+                raise ArithmeticError(f"radial_power initial data {coeff!r} "
+                                      f"|x|^{beta!r} at |x| = {grid.p}^{k} "
+                                      "leaves the double range")
+            return x
+        return grid.radial(lambda k: 0.0 if k is None else value(k))
     if kind == "csv":
         path = spec.get("path")
         if not isinstance(path, str) or not path:
@@ -342,6 +351,7 @@ def build_initial(grid: GridSpec, spec: dict) -> np.ndarray:
 
 def cmd_evolve_heat(args) -> int:
     started = time.time()
+    _check_out(args.out, run=True)
     grid = GridSpec(args.p, args.N, args.M)
     op = OperatorParams(args.p, args.alpha, grid)
     if not check_real("--t-end", args.t_end) > 0:
@@ -374,7 +384,7 @@ def cmd_evolve_heat(args) -> int:
                 diags[key].append(x)
             yield u
 
-    _write_run(args.out or "evolve_heat_out", grid, snapshots(), diags,
+    _write_run(args.out, grid, snapshots(), diags,
                args.command, _config(args, initial=init_spec), started)
     return 0
 
@@ -385,6 +395,7 @@ def cmd_evolve_heat(args) -> int:
 
 def cmd_evolve(args) -> int:
     started = time.time()
+    _check_out(args.out, run=True)
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
@@ -395,13 +406,10 @@ def cmd_evolve(args) -> int:
 
     problem = pme.PMEProblem.from_config(cfg)
     u0 = build_initial(problem.grid, cfg.get("initial"))
-    outdir = args.out or "evolve_out"
-    _check_run_dir(outdir)
-
     result = pme.evolve(problem, u0)
     diags = {"kind": "pme_evolution", "config": problem.to_config(),
              "times": result.times, **result.diagnostics}
-    _write_run(outdir, problem.grid, result.snapshots,
+    _write_run(args.out, problem.grid, result.snapshots,
                diags, args.command,
                {"config_path": os.path.abspath(args.config), **cfg}, started)
     return 0
@@ -433,6 +441,7 @@ def cmd_verify(args) -> int:
 
 def cmd_explicit(args) -> int:
     started = time.time()
+    _check_out(args.out)
     sol = pme.explicit_solution(args.p, args.alpha, args.m, args.t0,
                                 companion=args.companion)
     if args.k_min > args.k_max:
@@ -441,8 +450,7 @@ def cmd_explicit(args) -> int:
     prof = RadialFunction(args.p, tuple(shells.items()),
                           value_at_zero=sol.value(args.t, None))
     defect = pme.amplitude_defect(args.p, args.alpha, args.m, sol.rho)
-    out = args.out or "explicit.csv"
-    _write_artifacts(out, lambda tmp: write_radial_csv(tmp, prof), {
+    _write_artifacts(args.out, lambda tmp: write_radial_csv(tmp, prof), {
         "kind": "explicit_solution",
         "p": args.p, "alpha": args.alpha, "m": args.m,
         "t0": args.t0, "t": args.t,
@@ -454,7 +462,7 @@ def cmd_explicit(args) -> int:
         "time_factor": sol.time_factor(args.t),
         "amplitude_defect": defect,
     }, args, started)
-    print(f"wrote {out} (amplitude defect {defect:.3e})")
+    print(f"wrote {args.out} (amplitude defect {defect:.3e})")
     return 0
 
 
@@ -479,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restricted kernel Z_N on the ball B_N")
     k.add_argument("--mu", type=float, default=None,
                    help="resolvent kernel E_mu instead (needs alpha > 1)")
-    k.add_argument("--out", default=None)
+    k.add_argument("--out", default="kernel.csv")
     k.set_defaults(func=cmd_kernel)
 
     o = sub.add_parser("operator", help="dump the ball operator matrix")
@@ -487,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--alpha", type=float, required=True)
     o.add_argument("--N", type=int, required=True)
     o.add_argument("--M", type=int, required=True)
-    o.add_argument("--out", default=None)
+    o.add_argument("--out", default="operator.csv")
     o.set_defaults(func=cmd_operator)
 
     eh = sub.add_parser("evolve-heat", help="linear heat flow on a ball grid")
@@ -500,12 +508,12 @@ def build_parser() -> argparse.ArgumentParser:
     eh.add_argument("--initial", default='{"kind": "indicator"}',
                     help="initial data as JSON (kinds: indicator, "
                          "radial_power, csv)")
-    eh.add_argument("--out", default=None)
+    eh.add_argument("--out", default="evolve_heat_out")
     eh.set_defaults(func=cmd_evolve_heat)
 
     ev = sub.add_parser("evolve", help="nonlinear evolution from a JSON config")
     ev.add_argument("--config", required=True)
-    ev.add_argument("--out", default=None)
+    ev.add_argument("--out", default="evolve_out")
     ev.set_defaults(func=cmd_evolve)
 
     v = sub.add_parser("verify", help="run a named verification suite")
@@ -523,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--k-max", type=int, default=10, dest="k_max")
     ex.add_argument("--companion", action="store_true",
                     help="globally defined decaying branch")
-    ex.add_argument("--out", default=None)
+    ex.add_argument("--out", default="explicit.csv")
     ex.set_defaults(func=cmd_explicit)
 
     return parser

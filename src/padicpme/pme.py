@@ -335,10 +335,17 @@ def _newton_solve(model) -> tuple:
         n_going = np.count_nonzero(going)
         if n_going < len(going):  # the columns not going leave
             done = ~going
-            cols = live[done]
+            cols, res = live[done], it[3][done]
+            # a nan residual is not above its target: it leaves, and refuses
+            bad = np.flatnonzero(~np.isfinite(res))
+            if bad.size:
+                raise SolverError(f"Newton: residual = {res[bad[0]]} leaves "
+                                  "the double range",
+                                  residual=float(res[bad[0]]),
+                                  column=int(cols[bad[0]]))
             v_out[:, cols], sav_out[:, cols] = it[0][:, done], it[2][:, done]
             total += its * len(cols)
-            worst = max(worst, float(it[3][done].max()))
+            worst = max(worst, float(res.max()))
             if not n_going:
                 return v_out, sav_out, total, worst
             live, target, *it = _cols(going, live, target, *it)
@@ -408,7 +415,9 @@ def stationary_solve(problem: PMEProblem, f: np.ndarray, epsilon,
     model = _VForm(problem.levels, problem.m, operator_scale,
                    f.reshape(n, -1), eps, v_prev)
     try:
-        with np.errstate(divide="ignore"):  # _VForm.slope at v = 0
+        # _VForm.slope divides by 0 at v = 0; data near the double range
+        # overflow, and _newton_solve refuses their non-finite residual
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             v, av, its, res = _newton_solve(model)
     except SolverError as exc:
         if f.ndim == 2:
@@ -461,9 +470,16 @@ def real_initial(values) -> np.ndarray:
 
 
 def norms(u: np.ndarray, meas: float) -> tuple:
-    """(mass, L1 norm, sup norm) of grid values u on cells of measure meas."""
-    return (float(np.sum(u) * meas), float(np.sum(np.abs(u)) * meas),
-            float(np.max(np.abs(u))))
+    """(mass, L1 norm, sup norm) of grid values u on cells of measure meas;
+    ArithmeticError names the first that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (float(np.sum(u) * meas), float(np.sum(np.abs(u)) * meas),
+               float(np.max(np.abs(u))))
+    for name, x in zip(("mass", "L1 norm", "sup norm"), out):
+        if not math.isfinite(x):
+            raise ArithmeticError(f"grid norms: {name} = {x} leaves the "
+                                  "double range")
+    return out
 
 
 def evolve(problem: PMEProblem, u0) -> EvolutionResult:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from padicpme import heat, pme, verification
+from padicpme import cli, heat, pme, verification
 from padicpme.cli import _write_run, build_initial, main
 from padicpme.errors import DomainError, SolverError
 from padicpme.functions import GridFunction, write_grid_csv
@@ -242,7 +243,8 @@ def test_evolve_heat_conserves_mass(tmp_path):
 
 def test_a_failing_run_leaves_no_partial_snapshots(tmp_path):
     """Snapshots that fail after two items leave no temp file and no new
-    snapshot, diagnostics or manifest: an earlier run's files stay."""
+    snapshot, diagnostics or manifest: an earlier run's files stay, and a
+    run directory made for the write is removed."""
     grid = GridSpec(2, 1, 1)
     outdir = tmp_path / "run"
     outdir.mkdir()
@@ -260,6 +262,12 @@ def test_a_failing_run_leaves_no_partial_snapshots(tmp_path):
         _write_run(str(outdir), grid, snapshots(), diagnostics, "evolve-heat",
                    {}, 0.0)
     assert {path.name: path.read_text() for path in outdir.iterdir()} == old
+    # a run directory that does not exist yet, two levels deep, is made
+    # for the write and removed with it
+    with pytest.raises(RuntimeError, match="third snapshot failed"):
+        _write_run(str(tmp_path / "new" / "run"), grid, snapshots(),
+                   diagnostics, "evolve-heat", {}, 0.0)
+    assert os.listdir(tmp_path) == ["run"]
 
 
 def test_evolve_heat_beyond_the_dense_cap(tmp_path):
@@ -369,11 +377,22 @@ def test_cli_option_checks_exit_2(tmp_path, capsys, argv, message):
                  "exponent -(alpha + 1) rounds to -1, so its mass leaves the "
                  "double range",
                  id="operator-alpha-1e-300"),
+    pytest.param(["evolve-heat", "--p", "2", "--alpha", "2", "--N", "2",
+                  "--M", "1", "--t-end", "1", "--initial",
+                  '{"kind": "radial_power", "exponent": 2000}'],
+                 "radial_power initial data 1.0 |x|^2000.0 at |x| = 2^2 "
+                 "leaves the double range",
+                 id="evolve-heat-radial-power-2000"),
+    pytest.param(["evolve-heat", "--p", "2", "--alpha", "2", "--N", "2",
+                  "--M", "1", "--t-end", "1", "--initial",
+                  '{"kind": "indicator", "coeff": 1e308}'],
+                 "grid norms: mass = inf leaves the double range",
+                 id="evolve-heat-indicator-1e308"),
 ])
 def test_extreme_alpha_or_t_exit_1(tmp_path, capsys, argv, message):
     """A kernel, operator or profile whose closed forms leave the double
-    range at an extreme alpha, t or m exits 1 with one error line naming
-    what left it, and writes nothing."""
+    range at an extreme alpha, t or m, or initial data that do, exits 1
+    with one error line naming what left it, and writes nothing."""
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert os.listdir(tmp_path) == []
@@ -387,10 +406,18 @@ def test_extreme_alpha_or_t_exit_1(tmp_path, capsys, argv, message):
     pytest.param(["explicit", "--p", "2", "--alpha", "2", "--m", "2",
                   "--t0", "1", "--t", "0"], id="explicit"),
 ])
-def test_an_unwritable_out_file_exits_2(tmp_path, capsys, argv):
-    """_write_artifacts: an --out whose directory does not exist, that is
-    a directory, or that ends in .json and so would be its own sidecar,
-    exits 2 with one error line naming that path, and leaves no file."""
+def test_an_unwritable_out_file_exits_2(tmp_path, capsys, monkeypatch,
+                                       argv):
+    """An --out whose directory does not exist, that is a directory, or
+    that ends in .json and so would be its own sidecar, exits 2 with one
+    error line naming that path before the command computes anything,
+    and leaves no file."""
+    def never(*args, **kwargs):
+        raise AssertionError("computed before --out was checked")
+
+    monkeypatch.setattr(cli, "ball_matrix", never)
+    monkeypatch.setattr(heat, "kernel_Z", never)
+    monkeypatch.setattr(pme, "explicit_solution", never)
     (tmp_path / "adir").mkdir()
     for out in (str(tmp_path / "nodir" / "out.csv"), str(tmp_path / "adir"),
                 str(tmp_path / "k.json"), str(tmp_path / "k.manifest.json")):
@@ -400,6 +427,57 @@ def test_an_unwritable_out_file_exits_2(tmp_path, capsys, argv):
             err.count("\n") == 1, err
     assert os.listdir(tmp_path) == ["adir"]
     assert os.listdir(tmp_path / "adir") == []
+
+
+def _digests(root):
+    """sha256 of every file under root, by its path relative to root."""
+    return {os.path.relpath(os.path.join(d, name), root):
+            hashlib.sha256(Path(d, name).read_bytes()).hexdigest()
+            for d, _, names in os.walk(root) for name in names}
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("evolve", "run/diagnostics.json"),
+    ("evolve-heat", "run/manifest.json"),
+    ("explicit", "out.json"),
+    ("explicit", "out.manifest.json"),
+    ("kernel", "out.json"),
+    ("kernel", "out.manifest.json"),
+])
+def test_a_publish_that_fails_replaces_no_earlier_file(tmp_path, capsys,
+                                                       command, blocked):
+    """A run over an earlier one, with other data, whose sidecar,
+    diagnostics or manifest path is a directory, computes its data, then
+    exits 2 with one line naming that path.  It publishes none of its
+    files: every earlier file keeps its bytes, and no temp file is left."""
+    def argv(x):  # x moves the data, so every file would change
+        if command == "evolve":
+            config = tmp_path / f"config_{x}.json"
+            config.write_text(json.dumps({**_GOOD_CONFIG, "t_end": 0.05 * x}))
+            return ["evolve", "--config", str(config),
+                    "--out", str(tmp_path / "run")]
+        if command == "evolve-heat":
+            return ["evolve-heat", "--p", "2", "--alpha", "2", "--N", "1",
+                    "--M", "1", "--t-end", str(x), "--snapshots", "2",
+                    "--out", str(tmp_path / "run")]
+        if command == "explicit":
+            return ["explicit", "--p", "2", "--alpha", "2", "--m", "2",
+                    "--t0", "2", "--t", str(0.5 * x),
+                    "--out", str(tmp_path / "out.csv")]
+        return ["kernel", "--p", "2", "--alpha", "2", "--t", str(x),
+                "--shells", "3", "--out", str(tmp_path / "out.csv")]
+
+    first, second = argv(1), argv(2)
+    assert main(first) == 0
+    (tmp_path / blocked).unlink()
+    (tmp_path / blocked).mkdir()
+    before = _digests(tmp_path)
+    capsys.readouterr()
+    assert main(second) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot write {tmp_path / blocked}: Is a directory\n"
+    assert _digests(tmp_path) == before
+    assert os.listdir(tmp_path / blocked) == []
 
 
 def test_a_run_directory_that_is_a_file_exits_2(tmp_path, capsys,
@@ -444,6 +522,23 @@ def test_a_refusing_evolve_leaves_no_run_directory(tmp_path, capsys,
     assert main(["evolve", "--config", str(config),
                  "--out", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err == "error: refused\n"
+    assert os.listdir(tmp_path) == ["run.json"]
+
+
+def test_evolve_from_data_near_the_double_range_exits_1(tmp_path, capsys):
+    """The indicator at 1e308 overflows the first step's level solve: the
+    Newton residual is nan, which refuses the step, where the step used to
+    pass it on and the second refuse its own forcing term.  Exit 1 with one
+    line, no RuntimeWarning (warnings are errors here) and no run
+    directory."""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "p": 2, "alpha": 2.0, "N": 2, "M": 1, "m": 2.0, "tau": 0.05,
+        "t_end": 0.1, "initial": {"kind": "indicator", "coeff": 1e308}}))
+    assert main(["evolve", "--config", str(config),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == \
+        "error: Newton: residual = nan leaves the double range\n"
     assert os.listdir(tmp_path) == ["run.json"]
 
 

@@ -170,6 +170,26 @@ def test_solves_refuse_a_non_finite_forcing_term():
             implicit_step(prob, batch)
 
 
+def test_a_non_finite_residual_refuses_and_names_its_column():
+    """f = 1e308 on every fourth cell overflows the start's level solve:
+    the residual is nan, which is not above its target, so the column
+    left as met with v all inf and residual 0.0.  It refuses, naming its
+    column in a batch, and no RuntimeWarning escapes (warnings are errors
+    here); the same data at 1e300 solve finitely."""
+    prob = PMEProblem(2, 2.0, 2, 1, 2.0, 0.05, 0.1)
+    f = np.zeros(prob.grid.dim)
+    f[::4] = 1e308
+    with pytest.raises(SolverError, match="^Newton: residual = nan leaves "
+                       "the double range$") as exc:
+        stationary_solve(prob, f, 0.0)
+    assert exc.value.column is None and np.isnan(exc.value.residual)
+    with pytest.raises(SolverError, match="^column 1: Newton") as exc:
+        stationary_solve(prob, np.column_stack([f / 1e8, f]), 0.0)
+    assert exc.value.column == 1
+    res = stationary_solve(prob, f / 1e8, 0.0)
+    assert np.isfinite(res.v).all() and np.isfinite(res.residual)
+
+
 def test_linear_case_reduces_to_backward_euler():
     """m = 1: each step is exactly the linear solve (I + tau A)^{-1}."""
     prob = _problem(m=1.0, tau=0.01, t_end=0.01)
